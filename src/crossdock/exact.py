@@ -120,10 +120,7 @@ def optimal_makespan_statespace(inst: Instance) -> int:
     idling allowed on both machines; every feasible schedule corresponds
     to some trajectory, so this is assumption-free.  Exponential in n+m.
     """
-    prof = degree_profile(inst)
-    pred_mask = [0] * inst.m
-    for i, j in inst.arcs:
-        pred_mask[j - 1] |= 1 << (i - 1)
+    pred_mask = [sum(1 << (i - 1) for i in row) for row in degree_profile(inst).pred[1:]]
     full_a = (1 << inst.n) - 1
     full_b = (1 << inst.m) - 1
     horizon = inst.n + inst.m

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from numbers import Real
 
 from .instance import Instance
 
@@ -32,6 +33,8 @@ def gen_random(n: int, m: int, p: float, seed: int) -> Instance:
     """Arc-Bernoulli bipartite instance: each of the n*m arcs kept with prob p."""
     if n < 1 or m < 1:
         raise ValueError(f"n and m must be positive, got n={n}, m={m}")
+    if isinstance(p, bool) or not isinstance(p, Real) or not 0 <= p <= 1:
+        raise ValueError(f"p must be a real number in [0, 1], got {p!r}")
     rng = random.Random(seed)
     arcs = set()
     for i in range(1, n + 1):

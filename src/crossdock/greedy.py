@@ -1,10 +1,13 @@
 """Degree-greedy solver and its worst-case ratio certificate.
 
-Machine-1 operations are ordered by descending out-degree; ties fall back
-to the ratio of the out-degree to the total in-degree of the successors,
-compared exactly by cross-multiplication.  The certificate bounds the
-greedy makespan by max{q+m, n}, where q is the shortest order prefix
-whose out-degree sum exceeds the arc total minus m, and divides by a
+Machine-1 operations are ordered by descending out-degree d; ties fall
+back to the ratio d/S, larger first, where S is the total in-degree of the
+successors, and then to the index.  The sort key is the integer triple
+(-d, S, i).  Within one out-degree d > 0 a larger d/S is exactly a smaller
+S (S >= d > 0, since A_i counts toward each successor's in-degree), and for
+d = 0 the ratio and S are both 0, leaving the index.  The certificate
+bounds the greedy makespan by max{q+m, n}, where q is the shortest order
+prefix whose out-degree sum exceeds the arc total minus m, and divides by a
 proven lower bound on the optimum.
 
 The lower bound deserves a note.  The published form max{m+dminA, n+dminB}
@@ -39,18 +42,14 @@ class BoundsReport:
 def greedy_order(inst: Instance) -> Permutation:
     """Order A-operations by out-degree, then by the successor-weight ratio.
 
-    A-operations with no successors sort last; all comparisons are exact.
+    A-operations with no successors sort last; the key is all integers.
     """
     prof = degree_profile(inst)
+    out_deg, succ = prof.out_deg, prof.succ
+    in_deg_at = (0, *prof.in_deg).__getitem__  # indexed from 1, like succ
 
-    def key(i: int):
-        d = prof.out_deg[i - 1]
-        if d == 0:
-            ratio = Fraction(0)
-        else:
-            denom = sum(prof.in_deg[j - 1] for j in prof.succ[i])
-            ratio = Fraction(d, denom)
-        return (-d, -ratio, i)
+    def key(i: int) -> tuple[int, int, int]:
+        return (-out_deg[i - 1], sum(map(in_deg_at, succ[i])), i)
 
     return tuple(sorted(range(1, inst.n + 1), key=key))
 
@@ -61,12 +60,12 @@ def solve_greedy(inst: Instance) -> Schedule:
 
 def compute_q(inst: Instance, pi: Permutation) -> int:
     """Smallest q with sum of the first q out-degrees > total arcs - m."""
-    prof = degree_profile(inst)
-    total = sum(prof.out_deg)
+    out_deg = degree_profile(inst).out_deg
+    threshold = len(inst.arcs) - inst.m
     prefix = 0
     for q, a in enumerate(pi, start=1):
-        prefix += prof.out_deg[a - 1]
-        if prefix > total - inst.m:
+        prefix += out_deg[a - 1]
+        if prefix > threshold:
             return q
     raise AssertionError("unreachable: inequality holds at q=n since m >= 1")
 
@@ -84,8 +83,7 @@ def lower_bound_printed_form(inst: Instance) -> int:
 
 def bounds_report(inst: Instance) -> BoundsReport:
     prof = degree_profile(inst)
-    pi = greedy_order(inst)
-    q = compute_q(inst, pi)
+    q = compute_q(inst, greedy_order(inst))
     lb = lower_bound(inst)
     upper = max(q + inst.m, inst.n)
     return BoundsReport(

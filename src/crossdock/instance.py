@@ -10,6 +10,7 @@ memory and on disk.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 
@@ -35,20 +36,30 @@ class Instance:
     def sorted_arcs(self) -> list[tuple[int, int]]:
         return sorted(self.arcs)
 
+    @cached_property
+    def profile(self) -> DegreeProfile:
+        """The instance's adjacency, built on first use; see ``degree_profile``.
+
+        Not a dataclass field, so it stays out of ``==``, ``hash`` and ``repr``.
+        """
+        return _build_profile(self)
+
 
 @dataclass(frozen=True)
 class DegreeProfile:
     """Adjacency views: out-degrees of the A side, in-degrees of the B side.
 
     ``out_deg[i-1]`` is the number of B-operations depending on A_i;
-    ``in_deg[j-1]`` is the number of A-operations B_j waits for.  ``succ``
-    and ``pred`` map 1-based indices to sorted tuples of neighbours.
+    ``in_deg[j-1]`` is the number of A-operations B_j waits for.
+    ``succ[i]`` and ``pred[j]`` are the sorted neighbour tuples of A_i and
+    B_j, indexed from 1; ``succ[0]`` and ``pred[0]`` are empty placeholders.
+    Every field is a tuple, so a profile cannot be changed once built.
     """
 
     out_deg: tuple[int, ...]
     in_deg: tuple[int, ...]
-    succ: dict[int, tuple[int, ...]]
-    pred: dict[int, tuple[int, ...]]
+    succ: tuple[tuple[int, ...], ...]
+    pred: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -58,16 +69,31 @@ class Classification:
 
 
 def degree_profile(inst: Instance) -> DegreeProfile:
-    succ: dict[int, list[int]] = {i: [] for i in range(1, inst.n + 1)}
-    pred: dict[int, list[int]] = {j: [] for j in range(1, inst.m + 1)}
+    """The adjacency of ``inst``, built once per instance and cached on it.
+
+    Every solver, bound and check reads this one copy, so repeated calls
+    cost nothing after the first.  The profile is immutable (tuples all the
+    way down), which is what makes sharing it safe.
+    """
+    return inst.profile
+
+
+def _build_profile(inst: Instance) -> DegreeProfile:
+    succ: list[list[int]] = [[] for _ in range(inst.n + 1)]
+    pred: list[list[int]] = [[] for _ in range(inst.m + 1)]
     for i, j in inst.arcs:
         succ[i].append(j)
-        pred[j].append(i)
+    # Walking A-operations in index order fills every pred list already sorted.
+    for i in range(1, inst.n + 1):
+        row = succ[i]
+        row.sort()
+        for j in row:
+            pred[j].append(i)
     return DegreeProfile(
-        out_deg=tuple(len(succ[i]) for i in range(1, inst.n + 1)),
-        in_deg=tuple(len(pred[j]) for j in range(1, inst.m + 1)),
-        succ={i: tuple(sorted(v)) for i, v in succ.items()},
-        pred={j: tuple(sorted(v)) for j, v in pred.items()},
+        out_deg=tuple(map(len, succ[1:])),
+        in_deg=tuple(map(len, pred[1:])),
+        succ=tuple(map(tuple, succ)),
+        pred=tuple(map(tuple, pred)),
     )
 
 

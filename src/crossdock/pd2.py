@@ -20,7 +20,7 @@ import heapq
 import json
 from dataclasses import dataclass
 
-from .instance import Instance, degree_profile
+from .instance import DegreeProfile, Instance, degree_profile
 from .schedule import Schedule
 
 
@@ -59,11 +59,12 @@ class Block:
     overhang_len: int
 
 
-def _require_d2(inst: Instance) -> None:
+def _require_d2(inst: Instance) -> DegreeProfile:
     prof = degree_profile(inst)
     for i, d in enumerate(prof.out_deg, start=1):
         if d != 2:
             raise NotD2Error(i, d)
+    return prof
 
 
 def solve_pd2(inst: Instance) -> tuple[Schedule, Pd2Trace]:
@@ -73,13 +74,13 @@ def solve_pd2(inst: Instance) -> tuple[Schedule, Pd2Trace]:
     entries are skipped, zero-degree pops are direct machine-2 picks, and
     positive-degree pops trigger the predecessor batch on machine 1.
     """
-    _require_d2(inst)
-    prof = degree_profile(inst)
-    pred = {j: set(prof.pred[j]) for j in range(1, inst.m + 1)}
-    deg = {j: prof.in_deg[j - 1] for j in range(1, inst.m + 1)}
+    prof = _require_d2(inst)
+    succ = prof.succ
+    pred = [set(p) for p in prof.pred]  # indexed from 1, like prof.pred
+    deg = [0, *prof.in_deg]
     alive_a = set(range(1, inst.n + 1))
-    done_b: set[int] = set()
-    heap = [(deg[j], j) for j in range(1, inst.m + 1)]
+    done_b = [False] * (inst.m + 1)
+    heap = [(d, j) for j, d in enumerate(prof.in_deg, start=1)]
     heapq.heapify(heap)
 
     m1_seq: list[int] = []
@@ -88,9 +89,9 @@ def solve_pd2(inst: Instance) -> tuple[Schedule, Pd2Trace]:
 
     while heap:
         d, j = heapq.heappop(heap)
-        if j in done_b or d != deg[j]:
+        if done_b[j] or d != deg[j]:
             continue
-        done_b.add(j)
+        done_b[j] = True
         m2_seq.append(j)
         if d == 0:
             events.append(ZeroPick(b_index=j))
@@ -100,8 +101,8 @@ def solve_pd2(inst: Instance) -> tuple[Schedule, Pd2Trace]:
         m1_seq.extend(batch)
         for a in batch:
             alive_a.discard(a)
-            for t in prof.succ[a]:
-                if t in done_b or a not in pred[t]:
+            for t in succ[a]:
+                if done_b[t] or a not in pred[t]:
                     continue
                 pred[t].discard(a)
                 deg[t] -= 1
@@ -127,9 +128,8 @@ def solve_pd2(inst: Instance) -> tuple[Schedule, Pd2Trace]:
 
 def lemma1_bound(inst: Instance) -> int:
     """Class lower bound: max{n+2, m} with pendant B-operations, else max{n+2, m+1}."""
-    _require_d2(inst)
-    prof = degree_profile(inst)
-    if any(d == 0 for d in prof.in_deg):
+    prof = _require_d2(inst)
+    if 0 in prof.in_deg:
         return max(inst.n + 2, inst.m)
     return max(inst.n + 2, inst.m + 1)
 

@@ -42,19 +42,19 @@ def makespan(sched: Schedule) -> int:
 def release_times(inst: Instance, pi: Permutation) -> tuple[int, ...]:
     """Earliest feasible start of each B-operation, machine-2 load aside.
 
-    With A-operation pi_i starting at i-1, B_j is ready at the larger of
-    its in-degree (its predecessors alone occupy machine 1 that long) and
-    the latest predecessor completion; 0 when it has no predecessors.
+    With A-operation pi_i starting at i-1, B_j is ready at the latest
+    completion among its predecessors, 0 when it has none.  That is never
+    below its in-degree: d predecessors cannot all finish before time d.
+    Walking pi in order, each assignment overwrites a smaller value, so the
+    last one written is the maximum.
     """
     validate_permutation(inst, pi)
-    prof = degree_profile(inst)
-    pos = {a: idx for idx, a in enumerate(pi)}
-    r = list(prof.in_deg)
-    for i, j in inst.arcs:
-        done = pos[i] + 1
-        if done > r[j - 1]:
-            r[j - 1] = done
-    return tuple(r)
+    succ = degree_profile(inst).succ
+    r = [0] * (inst.m + 1)
+    for done, a in enumerate(pi, start=1):
+        for j in succ[a]:
+            r[j] = done
+    return tuple(r[1:])
 
 
 def complete_m2_erd(inst: Instance, pi: Permutation) -> Schedule:
@@ -62,18 +62,23 @@ def complete_m2_erd(inst: Instance, pi: Permutation) -> Schedule:
 
     B-operations run in non-decreasing release time (ties by index), each
     at the earliest moment past its release and the previous completion.
+    Release times lie in 0..n, so a bucket per time replaces the sort.
     """
     r = release_times(inst, pi)
     start_a = [0] * inst.n
     for idx, a in enumerate(pi):
         start_a[a - 1] = idx
-    order = sorted(range(1, inst.m + 1), key=lambda j: (r[j - 1], j))
+    buckets: list[list[int]] = [[] for _ in range(inst.n + 1)]
+    for j, rj in enumerate(r, start=1):
+        buckets[rj].append(j)
     start_b = [0] * inst.m
     t = 0
-    for j in order:
-        t = max(t, r[j - 1])
-        start_b[j - 1] = t
-        t += 1
+    for rj, bucket in enumerate(buckets):
+        if t < rj:
+            t = rj
+        for j in bucket:
+            start_b[j - 1] = t
+            t += 1
     return Schedule(start_a=tuple(start_a), start_b=tuple(start_b))
 
 
@@ -131,9 +136,13 @@ def check_feasible(inst: Instance, sched: Schedule) -> FeasibilityReport:
             violations.append(f"machine-2 overlap: B{seen_b[s]} and B{j} both at {s}")
         else:
             seen_b[s] = j
-    for i, j in sorted(inst.arcs):
-        if sched.start_b[j - 1] < sched.start_a[i - 1] + 1:
-            violations.append(f"precedence violation on arc ({i},{j})")
+    # succ lists are sorted, so arcs come out in (i, j) order
+    start_b = sched.start_b
+    for i, row in enumerate(degree_profile(inst).succ[1:], start=1):
+        done = sched.start_a[i - 1] + 1
+        for j in row:
+            if start_b[j - 1] < done:
+                violations.append(f"precedence violation on arc ({i},{j})")
     return FeasibilityReport(ok=not violations, violations=tuple(violations))
 
 
@@ -167,10 +176,37 @@ def schedule_to_json(sched: Schedule) -> str:
 
 
 def schedule_from_json(text: str) -> Schedule:
+    """Read a schedule written by ``schedule_to_json``.
+
+    Starts must be JSON integers (not floats, strings or booleans).  The
+    ``makespan`` field may be left out, but if present it must equal the
+    makespan of the starts.  Anything else raises ``ValueError``.
+    """
     try:
         data = json.loads(text)
-        start_a = tuple(int(x) for x in data["start_a"])
-        start_b = tuple(int(x) for x in data["start_b"])
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except json.JSONDecodeError as exc:
         raise ValueError(f"malformed schedule file: {exc}") from exc
-    return Schedule(start_a=start_a, start_b=start_b)
+    if not isinstance(data, dict):
+        raise ValueError("malformed schedule file: expected a JSON object")
+    starts = []
+    for key in ("start_a", "start_b"):
+        if key not in data:
+            raise ValueError(f"malformed schedule file: missing {key!r}")
+        values = data[key]
+        if not isinstance(values, list):
+            raise ValueError(f"malformed schedule file: {key!r} is not a list")
+        for k, x in enumerate(values):
+            if type(x) is not int:
+                raise ValueError(f"malformed schedule file: {key}[{k}] = {x!r} is not an integer")
+        starts.append(tuple(values))
+    sched = Schedule(start_a=starts[0], start_b=starts[1])
+    if "makespan" in data:
+        declared = data["makespan"]
+        if type(declared) is not int:
+            raise ValueError(f"malformed schedule file: makespan {declared!r} is not an integer")
+        if declared != makespan(sched):
+            raise ValueError(
+                f"malformed schedule file: declared makespan {declared} "
+                f"but the starts give {makespan(sched)}"
+            )
+    return sched

@@ -1,0 +1,242 @@
+"""One adjacency build per instance, and the rewritten layers against the old code.
+
+The reference functions below are the implementations that ``greedy_order``,
+``release_times``, ``complete_m2_erd``, ``check_feasible`` and
+``degree_profile`` had before the adjacency was shared: a ``Fraction`` ratio
+key, a position dict, a sort by release time, a walk over ``sorted(arcs)``
+and dict-based adjacency.  The library must agree with them exactly.
+"""
+
+from dataclasses import FrozenInstanceError
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, strategies as st
+
+import crossdock.instance as instance_module
+from crossdock import (
+    Instance,
+    Schedule,
+    blocks,
+    bounds_report,
+    check_feasible,
+    classify,
+    complete_m2_erd,
+    degree_profile,
+    gen_d2,
+    gen_random,
+    greedy_order,
+    lemma1_bound,
+    parse_instance,
+    release_times,
+    serialize_instance,
+    solve_greedy,
+    solve_pd2,
+)
+
+
+# -- reference implementations ------------------------------------------------
+
+
+def old_adjacency(inst):
+    succ = {i: [] for i in range(1, inst.n + 1)}
+    pred = {j: [] for j in range(1, inst.m + 1)}
+    for i, j in inst.arcs:
+        succ[i].append(j)
+        pred[j].append(i)
+    return (
+        tuple(len(succ[i]) for i in range(1, inst.n + 1)),
+        tuple(len(pred[j]) for j in range(1, inst.m + 1)),
+        {i: tuple(sorted(v)) for i, v in succ.items()},
+        {j: tuple(sorted(v)) for j, v in pred.items()},
+    )
+
+
+def old_greedy_order(inst):
+    out_deg, in_deg, succ, _pred = old_adjacency(inst)
+
+    def key(i):
+        d = out_deg[i - 1]
+        if d == 0:
+            ratio = Fraction(0)
+        else:
+            ratio = Fraction(d, sum(in_deg[j - 1] for j in succ[i]))
+        return (-d, -ratio, i)
+
+    return tuple(sorted(range(1, inst.n + 1), key=key))
+
+
+def old_release_times(inst, pi):
+    _out_deg, in_deg, _succ, _pred = old_adjacency(inst)
+    pos = {a: idx for idx, a in enumerate(pi)}
+    r = list(in_deg)
+    for i, j in inst.arcs:
+        done = pos[i] + 1
+        if done > r[j - 1]:
+            r[j - 1] = done
+    return tuple(r)
+
+
+def old_complete_m2_erd(inst, pi):
+    r = old_release_times(inst, pi)
+    start_a = [0] * inst.n
+    for idx, a in enumerate(pi):
+        start_a[a - 1] = idx
+    order = sorted(range(1, inst.m + 1), key=lambda j: (r[j - 1], j))
+    start_b = [0] * inst.m
+    t = 0
+    for j in order:
+        t = max(t, r[j - 1])
+        start_b[j - 1] = t
+        t += 1
+    return Schedule(start_a=tuple(start_a), start_b=tuple(start_b))
+
+
+def old_precedence_violations(inst, sched):
+    return [
+        f"precedence violation on arc ({i},{j})"
+        for i, j in sorted(inst.arcs)
+        if sched.start_b[j - 1] < sched.start_a[i - 1] + 1
+    ]
+
+
+# -- instance strategies -------------------------------------------------------
+
+
+@st.composite
+def random_instances(draw):
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 12))
+    arcs = draw(st.frozensets(st.tuples(st.integers(1, n), st.integers(1, m))))
+    return Instance(n=n, m=m, arcs=arcs)
+
+
+@st.composite
+def d2_instances(draw):
+    b = draw(st.integers(2, 40))
+    pendants = draw(st.integers(0, b - 2))
+    return gen_d2(draw(st.integers(1, 40)), b, pendants, draw(st.integers(0, 2**32)))
+
+
+instances = st.one_of(random_instances(), d2_instances())
+
+
+@st.composite
+def instance_and_order(draw):
+    inst = draw(instances)
+    return inst, tuple(draw(st.permutations(range(1, inst.n + 1))))
+
+
+# -- differential tests --------------------------------------------------------
+
+
+@given(instances)
+def test_profile_matches_dict_adjacency(inst):
+    prof = degree_profile(inst)
+    out_deg, in_deg, succ, pred = old_adjacency(inst)
+    assert (prof.out_deg, prof.in_deg) == (out_deg, in_deg)
+    assert prof.succ[1:] == tuple(succ[i] for i in range(1, inst.n + 1))
+    assert prof.pred[1:] == tuple(pred[j] for j in range(1, inst.m + 1))
+
+
+@given(instances)
+def test_greedy_order_matches_fraction_key(inst):
+    assert greedy_order(inst) == old_greedy_order(inst)
+
+
+@given(instance_and_order())
+def test_release_times_match_position_dict(case):
+    inst, pi = case
+    assert release_times(inst, pi) == old_release_times(inst, pi)
+
+
+@given(instance_and_order())
+def test_erd_matches_sorted_completion(case):
+    inst, pi = case
+    assert complete_m2_erd(inst, pi) == old_complete_m2_erd(inst, pi)
+
+
+@given(instances, st.randoms(use_true_random=False))
+def test_check_feasible_reports_arcs_in_sorted_order(inst, rng):
+    sched = Schedule(
+        start_a=tuple(rng.randrange(inst.n + 1) for _ in range(inst.n)),
+        start_b=tuple(rng.randrange(inst.n + 2) for _ in range(inst.m)),
+    )
+    reported = [v for v in check_feasible(inst, sched).violations if v.startswith("precedence")]
+    assert reported == old_precedence_violations(inst, sched)
+
+
+def test_greedy_order_dense_instance():
+    inst = gen_random(120, 120, 0.5, seed=4)
+    assert greedy_order(inst) == old_greedy_order(inst)
+    assert solve_greedy(inst) == old_complete_m2_erd(inst, old_greedy_order(inst))
+
+
+# -- the cached profile --------------------------------------------------------
+
+
+def test_profile_is_cached_and_read_only(ex1):
+    prof = degree_profile(ex1)
+    assert degree_profile(ex1) is prof is ex1.profile
+    assert all(type(row) is tuple for row in prof.succ + prof.pred)
+    with pytest.raises(FrozenInstanceError):
+        prof.succ = ()
+    with pytest.raises(TypeError):
+        prof.succ[1] = (9,)
+    with pytest.raises(AttributeError):
+        prof.pred[2].append(9)
+    with pytest.raises(FrozenInstanceError):
+        ex1.profile = prof
+    with pytest.raises(FrozenInstanceError):
+        del ex1.profile
+    assert degree_profile(ex1) is prof
+
+
+def test_profile_is_not_a_field(ex1):
+    fresh = Instance(n=ex1.n, m=ex1.m, arcs=ex1.arcs)
+    degree_profile(ex1)
+    assert ex1 == fresh and hash(ex1) == hash(fresh)
+    assert repr(ex1) == repr(fresh)
+    assert "profile" not in repr(ex1)
+
+
+# -- one build per instance ----------------------------------------------------
+
+
+def greedy_pipeline(text):
+    inst = parse_instance(text)
+    sched = solve_greedy(inst)
+    bounds_report(inst)
+    assert check_feasible(inst, sched).ok
+
+
+def pd2_pipeline(text):
+    inst = parse_instance(text)
+    assert classify(inst).is_d2
+    sched, trace = solve_pd2(inst)
+    lemma1_bound(inst)
+    blocks(inst, trace)
+    assert check_feasible(inst, sched).ok
+
+
+@pytest.mark.parametrize(
+    "pipeline,make",
+    [
+        (greedy_pipeline, lambda seed: gen_random(40, 30, 0.3, seed)),
+        (pd2_pipeline, lambda seed: gen_d2(40, 30, 2, seed)),
+    ],
+    ids=["greedy", "pd2"],
+)
+def test_one_adjacency_build_per_instance(monkeypatch, pipeline, make):
+    texts = [serialize_instance(make(seed)) for seed in range(3)]
+    built = []
+    real_build = instance_module._build_profile
+
+    def counting_build(inst):
+        built.append(inst)
+        return real_build(inst)
+
+    monkeypatch.setattr(instance_module, "_build_profile", counting_build)
+    for k, text in enumerate(texts, start=1):
+        pipeline(text)
+        assert len(built) == k

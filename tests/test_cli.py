@@ -137,6 +137,33 @@ def test_verify_truncated_schedule(ex1_file, tmp_path, capsys):
     assert main(["verify", "--in", str(ex1_file), "--schedule", str(sched_path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "edit,fragment",
+    [
+        (lambda d: d.update(start_a=[x + 0.5 for x in d["start_a"]]), "is not an integer"),
+        (lambda d: d.update(start_b=[str(x) for x in d["start_b"]]), "is not an integer"),
+        (lambda d: d.update(makespan=99), "declared makespan 99 but the starts give 8"),
+    ],
+    ids=["float", "string", "makespan"],
+)
+def test_verify_rejects_coerced_schedule(ex1_file, tmp_path, capsys, edit, fragment):
+    sched_path = tmp_path / "s.json"
+    main(["solve", "--alg", "pd2", "--in", str(ex1_file), "--out", str(sched_path)])
+    data = json.loads(sched_path.read_text())
+    edit(data)
+    sched_path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", "--in", str(ex1_file), "--schedule", str(sched_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {sched_path}: malformed schedule file")
+    assert fragment in err
+
+
+def test_gen_random_rejects_nan_p(capsys):
+    assert main(["gen", "random", "--n", "3", "--m", "3", "--p", "nan", "--seed", "1"]) == 2
+    assert "p must be a real number in [0, 1], got nan" in capsys.readouterr().err
+
+
 def test_bench_rows(tmp_path, capsys):
     (tmp_path / "ex1.cd").write_text(EX1_TEXT)
     main(["gen", "tight", "--k", "3", "--l", "2", "--s", "3", "--out", str(tmp_path / "tf.cd")])

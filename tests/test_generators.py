@@ -32,6 +32,12 @@ def test_gen_random_rejects_bad_sizes():
         gen_random(0, 3, 0.5, seed=1)
 
 
+@pytest.mark.parametrize("p", [float("nan"), -0.1, 1.5, float("inf"), "0.5", None, True])
+def test_gen_random_rejects_bad_p(p):
+    with pytest.raises(ValueError, match="p must be a real number in \\[0, 1\\]"):
+        gen_random(3, 3, p, seed=1)
+
+
 def test_gen_d2_is_d2():
     for seed in range(30):
         inst = gen_d2(a_count=1 + seed % 6, b_count=3 + seed % 5, pendant_count=seed % 2, seed=seed)

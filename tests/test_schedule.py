@@ -197,3 +197,29 @@ def test_schedule_json_rejects_garbage():
         schedule_from_json("{ not json")
     with pytest.raises(ValueError, match="malformed"):
         schedule_from_json('{"makespan": 3}')
+
+
+@pytest.mark.parametrize(
+    "text,fragment",
+    [
+        ('{"start_a": [0.9], "start_b": [1.2]}', "start_a\\[0\\] = 0.9 is not an integer"),
+        ('{"start_a": [0], "start_b": [1.0]}', "start_b\\[0\\] = 1.0 is not an integer"),
+        ('{"start_a": [true], "start_b": [1]}', "start_a\\[0\\] = True is not an integer"),
+        ('{"start_a": [0], "start_b": ["2"]}', "start_b\\[0\\] = '2' is not an integer"),
+        ('{"start_a": [0], "start_b": [null]}', "start_b\\[0\\] = None is not an integer"),
+        ('{"makespan": 99, "start_a": [0], "start_b": [1]}', "declared makespan 99 but the starts give 2"),
+        ('{"makespan": 2.0, "start_a": [0], "start_b": [1]}', "makespan 2.0 is not an integer"),
+        ('{"makespan": true, "start_a": [0], "start_b": [1]}', "makespan True is not an integer"),
+        ('{"start_a": 0, "start_b": [1]}', "'start_a' is not a list"),
+        ('{"start_a": [0]}', "missing 'start_b'"),
+        ("[[0], [1]]", "expected a JSON object"),
+    ],
+)
+def test_schedule_json_rejects_coercion(text, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        schedule_from_json(text)
+
+
+def test_schedule_json_makespan_optional():
+    sched = schedule_from_json('{"start_a": [0], "start_b": [1]}')
+    assert sched == Schedule(start_a=(0,), start_b=(1,))
