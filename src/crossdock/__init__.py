@@ -3,8 +3,9 @@
 Solvers for the makespan problem where machine-2 operations wait on
 subsets of machine-1 operations: a degree-greedy heuristic with a
 certified worst-case ratio, an exact polynomial algorithm for the class
-where every machine-1 operation has two successors, and brute-force
-oracles for validating both at small scale.
+where every machine-1 operation has two successors, an exact O(2^n * n)
+subset dynamic program for any instance with n <= 20, and brute-force
+oracles for validating them at small scale.
 """
 
 from .instance import (
@@ -55,7 +56,6 @@ from .pd2 import (
 from .exact import (
     ExactResult,
     optimal_makespan_statespace,
-    search_space_size,
     solve_exact,
 )
 from .generators import TightParams, gen_d2, gen_random, gen_tight
@@ -100,7 +100,6 @@ __all__ = [
     "render_gantt",
     "schedule_from_json",
     "schedule_to_json",
-    "search_space_size",
     "serialize_instance",
     "solve_exact",
     "solve_greedy",

@@ -18,7 +18,7 @@ from . import generators
 from .greedy import bounds_report, lower_bound, solve_greedy
 from .instance import Instance, InstanceError, classify, parse_instance, serialize_instance
 from .pd2 import NotD2Error, lemma1_bound, solve_pd2
-from .exact import solve_exact
+from .exact import EXACT_DEFAULT_LIMIT, EXACT_MAX_N, solve_exact
 from .schedule import (
     check_feasible,
     makespan,
@@ -208,6 +208,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+def _exact_limit(text: str) -> int:
+    """``--exact-limit``: an integer the exact solver's 2^n table allows."""
+    if not (text.isascii() and text.isdigit() and 1 <= int(text) <= EXACT_MAX_N):
+        raise argparse.ArgumentTypeError(f"must be an integer in 1..{EXACT_MAX_N}, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="crossdock")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -238,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--in", dest="infile", required=True)
     solve.add_argument("--out")
     solve.add_argument("--gantt", action="store_true")
-    solve.add_argument("--exact-limit", type=int, default=10)
+    solve.add_argument("--exact-limit", type=_exact_limit, default=EXACT_DEFAULT_LIMIT)
     solve.set_defaults(func=_cmd_solve)
 
     bound = sub.add_parser("bound", help="print bounds and the ratio certificate")
@@ -254,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--dir", required=True)
     bench.add_argument("--algs", default="greedy,pd2,exact")
     bench.add_argument("--format", choices=("csv", "md"), default="md")
-    bench.add_argument("--exact-limit", type=int, default=10)
+    bench.add_argument("--exact-limit", type=_exact_limit, default=EXACT_DEFAULT_LIMIT)
     bench.set_defaults(func=_cmd_bench)
 
     return parser

@@ -105,13 +105,27 @@ def classify(inst: Instance) -> Classification:
     )
 
 
+def _reject_non_ascii(text: str) -> None:
+    """Raise on the first non-comment line holding a non-ASCII character."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if raw.isascii() or line == "c" or line.startswith("c "):
+            continue
+        ch = next(ch for ch in raw if not ch.isascii())
+        raise InstanceError(f"non-ASCII character U+{ord(ch):04X}, line {lineno}")
+
+
 def parse_instance(text: str) -> Instance:
     """Parse the line-oriented instance format.
 
     Comment lines start with "c ", the single header line is
     "p cdock <n> <m>", and each arc line is "a <i> <j>".  Duplicate arcs
     and out-of-range indices are errors, reported with their line number.
+    Only comments may hold non-ASCII text, so digits from other scripts
+    and a leading byte-order mark are errors too.
     """
+    if not text.isascii():
+        _reject_non_ascii(text)
     n = m = None
     arcs: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -237,3 +237,40 @@ def test_gen_solve_verify_round_trip(tmp_path, capsys):
         assert main(gen_args + ["--out", str(inst_path)]) == 0
         assert main(["solve", "--alg", alg, "--in", str(inst_path), "--out", str(sched_path)]) == 0
         assert main(["verify", "--in", str(inst_path), "--schedule", str(sched_path)]) == 0
+
+
+@pytest.mark.parametrize("command", ["solve", "bench"])
+@pytest.mark.parametrize("limit", ["-1", "0", "21", "abc", "1.5", "+3", "١"])
+def test_exact_limit_outside_range_exits_2(command, limit, tf_file, capsys):
+    where = ["--in", str(tf_file), "--alg", "exact"] if command == "solve" else ["--dir", str(tf_file.parent)]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *where, "--exact-limit", limit])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"must be an integer in 1..20, got {limit!r}" in captured.err
+    assert "makespan" not in captured.out
+
+
+def test_solve_exact_n14_round_trip(tmp_path, capsys):
+    inst_path, sched_path = tmp_path / "tf635.cd", tmp_path / "tf635.json"
+    assert main(["gen", "tight", "--k", "6", "--l", "3", "--s", "5", "--out", str(inst_path)]) == 0
+    assert "n=14" in capsys.readouterr().out
+    assert main(["solve", "--alg", "exact", "--in", str(inst_path), "--out", str(sched_path)]) == 0
+    assert "makespan 18" in capsys.readouterr().out  # 2k + s + 1
+    assert main(["verify", "--in", str(inst_path), "--schedule", str(sched_path)]) == 0
+    assert "feasible, makespan 18" in capsys.readouterr().out
+
+
+def test_solve_exact_above_limit(tmp_path, capsys):
+    path = tmp_path / "tf635.cd"
+    main(["gen", "tight", "--k", "6", "--l", "3", "--s", "5", "--out", str(path)])
+    capsys.readouterr()
+    assert main(["solve", "--alg", "exact", "--in", str(path), "--exact-limit", "13"]) == 2
+    assert "instance too large: n=14 > limit 13" in capsys.readouterr().err
+
+
+def test_solve_rejects_byte_order_mark(tmp_path, capsys):
+    path = tmp_path / "bom.cd"
+    path.write_text("\ufeff" + EX1_TEXT, encoding="utf-8")
+    assert main(["solve", "--alg", "greedy", "--in", str(path)]) == 2
+    assert "non-ASCII character U+FEFF, line 1" in capsys.readouterr().err

@@ -9,10 +9,10 @@ from crossdock import (
     gen_tight,
     makespan,
     optimal_makespan_statespace,
-    search_space_size,
     solve_exact,
     TightParams,
 )
+from oracles import enumerate_exact, search_space_size
 
 
 def test_solve_exact_ex1(ex1):
@@ -20,7 +20,8 @@ def test_solve_exact_ex1(ex1):
     assert result.optimal_makespan == 8
     assert makespan(result.schedule) == 8
     assert check_feasible(ex1, result.schedule).ok
-    assert result.permutations_examined == search_space_size(ex1)
+    assert result.permutations_examined == 2 ** ex1.n  # subset states
+    assert enumerate_exact(ex1).permutations_examined == search_space_size(ex1)
 
 
 def test_solve_exact_tight():
@@ -55,8 +56,8 @@ def test_pruning_preserves_optimum():
         rng = random.Random(seed)
         n, m = rng.randint(1, 6), rng.randint(1, 6)
         inst = gen_random(n, m, rng.random(), seed)
-        pruned = solve_exact(inst)
-        unpruned = solve_exact(inst, prune=False)
+        pruned = enumerate_exact(inst)
+        unpruned = enumerate_exact(inst, prune=False)
         assert pruned.optimal_makespan == unpruned.optimal_makespan
         assert pruned.permutations_examined <= unpruned.permutations_examined
 

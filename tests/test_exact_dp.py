@@ -1,0 +1,104 @@
+"""Differential tests for the subset-DP ``solve_exact``.
+
+Against the permutation enumeration at n <= 7 (optimum and schedule), the
+state-space search at n <= 5, and, at n = 10..14 where neither reaches,
+the certified bounds, the pd2 optimum and the tight-family formula.
+"""
+
+import random
+
+import pytest
+
+from crossdock import (
+    Instance,
+    TightParams,
+    bounds_report,
+    check_feasible,
+    gen_d2,
+    gen_random,
+    gen_tight,
+    lemma1_bound,
+    makespan,
+    optimal_makespan_statespace,
+    solve_exact,
+    solve_greedy,
+    solve_pd2,
+)
+from crossdock.exact import EXACT_MAX_N
+from oracles import enumerate_exact
+
+
+def tight_params(max_total: int):
+    """Every valid (k, l, s) with k + l + s <= max_total."""
+    return [
+        TightParams(k, l, s)
+        for s in range(3, max_total + 1)
+        for l in range(1, max_total)
+        for k in range(l, max_total - l - s + 1)
+    ]
+
+
+def mixed_instances(count: int, max_n: int, max_m: int, salt: int):
+    """Seeded gen_random and gen_d2 instances with 1 <= n <= max_n."""
+    out = []
+    for seed in range(count):
+        rng = random.Random(salt + seed)
+        n, m = rng.randint(1, max_n), rng.randint(2, max_m)
+        if seed % 3 == 2:
+            out.append(gen_d2(n, m, rng.randint(0, m - 2), seed))
+        else:
+            out.append(gen_random(n, m, rng.random(), seed))
+    return out
+
+
+def test_dp_matches_enumeration():
+    insts = mixed_instances(500, 7, 9, 50_000)
+    insts += [gen_tight(p) for p in tight_params(7)]
+    insts += [Instance(n=1, m=1, arcs=frozenset()), Instance(n=1, m=1, arcs=frozenset({(1, 1)}))]
+    assert len(insts) >= 500
+    for inst in insts:
+        dp, enum = solve_exact(inst), enumerate_exact(inst)
+        assert dp.optimal_makespan == enum.optimal_makespan, inst
+        assert dp.schedule == enum.schedule, inst
+        assert dp.permutations_examined == 2 ** inst.n
+
+
+def test_dp_matches_statespace():
+    insts = mixed_instances(60, 5, 5, 60_000) + [gen_tight(TightParams(1, 1, 3))]
+    for inst in insts:
+        assert solve_exact(inst).optimal_makespan == optimal_makespan_statespace(inst), inst
+
+
+def test_dp_within_bounds_beyond_enumeration():
+    for seed in range(15):
+        rng = random.Random(70_000 + seed)
+        n = rng.randint(10, 14)
+        inst = gen_random(n, rng.randint(n, 2 * n), rng.choice((0.2, 0.4, 0.6)), seed)
+        ex = solve_exact(inst)
+        rep = bounds_report(inst)
+        greedy = makespan(solve_greedy(inst))
+        assert check_feasible(inst, ex.schedule).ok
+        assert makespan(ex.schedule) == ex.optimal_makespan
+        assert rep.lower_bound <= ex.optimal_makespan <= greedy <= rep.greedy_upper
+
+
+def test_dp_equals_pd2_beyond_enumeration():
+    for seed in range(15):
+        rng = random.Random(80_000 + seed)
+        n, m = rng.randint(10, 14), rng.randint(4, 20)
+        inst = gen_d2(n, m, rng.randint(0, m - 2), seed)
+        sched, _trace = solve_pd2(inst)
+        assert makespan(sched) == lemma1_bound(inst) == solve_exact(inst).optimal_makespan
+
+
+def test_dp_attains_tight_family_formula():
+    params = tight_params(14)
+    assert max(p.k + p.l + p.s for p in params) == 14
+    for p in params:
+        assert solve_exact(gen_tight(p)).optimal_makespan == 2 * p.k + p.s + 1, p
+
+
+@pytest.mark.parametrize("limit", [0, -1, EXACT_MAX_N + 1])
+def test_solve_exact_rejects_limit_outside_range(limit):
+    with pytest.raises(ValueError, match=f"1..{EXACT_MAX_N}"):
+        solve_exact(Instance(n=1, m=1, arcs=frozenset()), max_n=limit)

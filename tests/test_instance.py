@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -46,6 +48,25 @@ def test_parse_skips_comments():
 def test_parse_errors(text, fragment):
     with pytest.raises(InstanceError, match=fragment.replace("(", "\\(")):
         parse_instance(text)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("p cdock 2 2\na \u0661 1\n", "non-ASCII character U+0661, line 2"),
+        ("p cdock \uff12 2\n", "non-ASCII character U+FF12, line 1"),
+        ("\ufeffp cdock 2 2\na 1 1\n", "non-ASCII character U+FEFF, line 1"),
+        ("c caf\u00e9\np cdock 2 2\na 1\u00a01\n", "non-ASCII character U+00A0, line 3"),
+    ],
+)
+def test_parse_rejects_non_ascii(text, message):
+    with pytest.raises(InstanceError, match=re.escape(message)):
+        parse_instance(text)
+
+
+def test_parse_non_ascii_comments():
+    text = "c caf\u00e9 \u0661\np cdock 2 2\nc \ufeff\na 1 1\nc\n"
+    assert parse_instance(text) == Instance(n=2, m=2, arcs=frozenset({(1, 1)}))
 
 
 def test_constructor_rejects_bad_sizes():
