@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import generators
-from .greedy import bounds_report, lower_bound, solve_greedy
+from .greedy import bounds_report, solve_greedy
 from .instance import Instance, InstanceError, classify, parse_instance, serialize_instance
 from .pd2 import NotD2Error, lemma1_bound, solve_pd2
 from .exact import EXACT_DEFAULT_LIMIT, EXACT_MAX_N, solve_exact
@@ -27,9 +27,21 @@ from .schedule import (
     schedule_to_json,
 )
 
+# ``--alg`` name -> solver(instance, exact limit) -> Schedule: the one name to
+# solver map, read by ``solve``, ``bench`` and both argument parsers.
+_SOLVERS = {
+    "greedy": lambda inst, _limit: solve_greedy(inst),
+    "pd2": lambda inst, _limit: solve_pd2(inst)[0],
+    "exact": lambda inst, limit: solve_exact(inst, max_n=limit).schedule,
+}
+
 
 class CliError(Exception):
     """Usage or precondition failure; maps to exit code 2."""
+
+
+def _fraction(x: Fraction) -> str:
+    return f"{x.numerator}/{x.denominator}"
 
 
 def _read_instance(path: str) -> Instance:
@@ -73,25 +85,19 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     inst = _read_instance(args.infile)
-    if args.alg == "greedy":
-        sched = solve_greedy(inst)
-    elif args.alg == "pd2":
-        try:
-            sched, _trace = solve_pd2(inst)
-        except NotD2Error as exc:
-            raise CliError(f"pd2 requires every A out-degree 2: {exc}") from exc
-    else:
-        try:
-            sched = solve_exact(inst, max_n=args.exact_limit).schedule
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+    try:
+        sched = _SOLVERS[args.alg](inst, args.exact_limit)
+    except NotD2Error as exc:
+        raise CliError(f"pd2 requires every A out-degree 2: {exc}") from exc
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     print(f"makespan {makespan(sched)}")
     if args.alg == "greedy":
         rep = bounds_report(inst)
         print(f"q {rep.q}")
         print(f"lower_bound {rep.lower_bound}")
         print(f"greedy_upper {rep.greedy_upper}")
-        print(f"ratio_bound {rep.ratio_bound.numerator}/{rep.ratio_bound.denominator}")
+        print(f"ratio_bound {_fraction(rep.ratio_bound)}")
     if args.out:
         Path(args.out).write_text(schedule_to_json(sched))
     if args.gantt:
@@ -107,7 +113,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     flag = " [exceeds corrected bound]" if rep.lower_bound_printed > rep.lower_bound else ""
     print(f"lower_bound_printed {rep.lower_bound_printed}{flag}")
     print(f"greedy_upper {rep.greedy_upper}")
-    print(f"ratio_bound {rep.ratio_bound.numerator}/{rep.ratio_bound.denominator}")
+    print(f"ratio_bound {_fraction(rep.ratio_bound)}")
     if classify(inst).is_d2:
         print(f"lemma1_bound {lemma1_bound(inst)}")
     return 0
@@ -136,7 +142,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         raise CliError(f"not a directory: {args.dir}")
     algs = [a.strip() for a in args.algs.split(",") if a.strip()]
     for a in algs:
-        if a not in ("greedy", "pd2", "exact"):
+        if a not in _SOLVERS:
             raise CliError(f"unknown algorithm {a!r}")
 
     rows = []
@@ -146,19 +152,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         except (OSError, InstanceError) as exc:
             print(f"skipping {path.name}: {exc}", file=sys.stderr)
             continue
-        lb = lower_bound(inst)
         rep = bounds_report(inst)
-        exact_mk = None
         results: dict[str, tuple[int, float]] = {}
         for alg in sorted(set(algs)):
             t0 = time.perf_counter()
             try:
-                if alg == "greedy":
-                    mk = makespan(solve_greedy(inst))
-                elif alg == "pd2":
-                    mk = makespan(solve_pd2(inst)[0])
-                else:
-                    mk = solve_exact(inst, max_n=args.exact_limit).optimal_makespan
+                mk = makespan(_SOLVERS[alg](inst, args.exact_limit))
             except NotD2Error:
                 print(f"skipping pd2 on {path.name}: not in the two-successor class", file=sys.stderr)
                 continue
@@ -167,13 +166,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 continue
             elapsed_ms = (time.perf_counter() - t0) * 1000.0
             results[alg] = (mk, elapsed_ms)
-            if alg == "exact":
-                exact_mk = mk
+        exact = results.get("exact")
         for alg, (mk, elapsed_ms) in sorted(results.items()):
-            ratio = ""
-            if exact_mk is not None:
-                frac = Fraction(mk, exact_mk)
-                ratio = f"{frac.numerator}/{frac.denominator}"
+            ratio = "" if exact is None else _fraction(Fraction(mk, exact[0]))
             rows.append(
                 {
                     "instance": path.name,
@@ -182,10 +177,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                     "arcs": len(inst.arcs),
                     "algorithm": alg,
                     "makespan": mk,
-                    "lower_bound": lb,
+                    "lower_bound": rep.lower_bound,
                     "greedy_upper": rep.greedy_upper if alg == "greedy" else "",
                     "ratio": ratio,
-                    "ratio_bound": f"{rep.ratio_bound.numerator}/{rep.ratio_bound.denominator}",
+                    "ratio_bound": _fraction(rep.ratio_bound),
                     "wall_time_ms": f"{elapsed_ms:.3f}",
                 }
             )
@@ -241,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=_cmd_gen)
 
     solve = sub.add_parser("solve", help="solve an instance")
-    solve.add_argument("--alg", choices=("greedy", "pd2", "exact"), required=True)
+    solve.add_argument("--alg", choices=tuple(_SOLVERS), required=True)
     solve.add_argument("--in", dest="infile", required=True)
     solve.add_argument("--out")
     solve.add_argument("--gantt", action="store_true")
@@ -259,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="solve a directory of instances")
     bench.add_argument("--dir", required=True)
-    bench.add_argument("--algs", default="greedy,pd2,exact")
+    bench.add_argument("--algs", default=",".join(_SOLVERS))
     bench.add_argument("--format", choices=("csv", "md"), default="md")
     bench.add_argument("--exact-limit", type=_exact_limit, default=EXACT_DEFAULT_LIMIT)
     bench.set_defaults(func=_cmd_bench)

@@ -21,7 +21,7 @@ Reports carry the published form alongside, flagged, for comparison.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .instance import Instance, degree_profile
@@ -83,7 +83,10 @@ def lower_bound_printed_form(inst: Instance) -> int:
 
 def bounds_report(inst: Instance) -> BoundsReport:
     prof = degree_profile(inst)
-    q = compute_q(inst, greedy_order(inst))
+    # q depends only on the out-degrees in descending order, not on the
+    # greedy tie-break, so any order sorted by out-degree gives it.
+    out_deg_at = (0, *prof.out_deg).__getitem__
+    q = compute_q(inst, tuple(sorted(range(1, inst.n + 1), key=out_deg_at, reverse=True)))
     lb = lower_bound(inst)
     upper = max(q + inst.m, inst.n)
     return BoundsReport(
@@ -98,15 +101,6 @@ def bounds_report(inst: Instance) -> BoundsReport:
 
 
 def bounds_report_to_json(report: BoundsReport) -> str:
-    return json.dumps(
-        {
-            "q": report.q,
-            "d_min_a": report.d_min_a,
-            "d_min_b": report.d_min_b,
-            "lower_bound": report.lower_bound,
-            "lower_bound_printed": report.lower_bound_printed,
-            "greedy_upper": report.greedy_upper,
-            "ratio_bound": [report.ratio_bound.numerator, report.ratio_bound.denominator],
-        },
-        indent=2,
-    ) + "\n"
+    data = asdict(report)
+    data["ratio_bound"] = [report.ratio_bound.numerator, report.ratio_bound.denominator]
+    return json.dumps(data, indent=2) + "\n"

@@ -9,9 +9,10 @@ memory and on disk.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 
 class InstanceError(ValueError):
@@ -105,14 +106,29 @@ def classify(inst: Instance) -> Classification:
     )
 
 
-def _reject_non_ascii(text: str) -> None:
-    """Raise on the first non-comment line holding a non-ASCII character."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if raw.isascii() or line == "c" or line.startswith("c "):
-            continue
-        ch = next(ch for ch in raw if not ch.isascii())
-        raise InstanceError(f"non-ASCII character U+{ord(ch):04X}, line {lineno}")
+# Printable ASCII, tab and newline, less the signs and digit separator that
+# int() accepts: text of these alone needs no per-line check.
+_PLAIN = bytes(range(0x20, 0x7F)).translate(None, b"+-_") + b"\t\n"
+# Per line, once a closing carriage return is dropped: comments may hold any
+# text but control characters other than tab, other lines only _PLAIN ones.
+_COMMENT_IRREGULAR = re.compile(r"[\x00-\x08\x0a-\x1f\x7f]")
+_DATA_IRREGULAR = re.compile(r"[^\t\x20-\x7e]|[-+_]")
+
+
+def _checked(lines: Iterable[str]) -> Iterator[str]:
+    """Yield the lines, raising lazily at the first irregular character."""
+    for lineno, raw in enumerate(lines, start=1):
+        body = raw.removesuffix("\r")
+        line = body.strip()
+        comment = line == "c" or line.startswith("c ")
+        found = (_COMMENT_IRREGULAR if comment else _DATA_IRREGULAR).search(body)
+        if found is not None:
+            ch = found.group()
+            if ch in "+-_":
+                raise InstanceError(f"unexpected character {ch!r}, line {lineno}")
+            kind = "control" if ch.isascii() else "non-ASCII"
+            raise InstanceError(f"{kind} character U+{ord(ch):04X}, line {lineno}")
+        yield raw
 
 
 def parse_instance(text: str) -> Instance:
@@ -121,30 +137,26 @@ def parse_instance(text: str) -> Instance:
     Comment lines start with "c ", the single header line is
     "p cdock <n> <m>", and each arc line is "a <i> <j>".  Duplicate arcs
     and out-of-range indices are errors, reported with their line number.
-    Only comments may hold non-ASCII text, so digits from other scripts
-    and a leading byte-order mark are errors too.
+    Lines end at a newline (a carriage return before it is dropped) and
+    numbers are ASCII digits only.  Only comments may hold non-ASCII text,
+    so digits from other scripts and a leading byte-order mark are errors,
+    as are signs, underscores and control characters other than tab.
     """
-    if not text.isascii():
-        _reject_non_ascii(text)
+    lines: Iterable[str] = text.split("\n")
+    # isascii() is a flag lookup and translate() one C-level pass.  Only text
+    # holding something irregular gets the per-line check, run lazily so an
+    # earlier line's error is still the one reported.
+    if not text.isascii() or text.encode("ascii").translate(None, _PLAIN):
+        lines = _checked(lines)
     n = m = None
     arcs: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line == "c" or line.startswith("c "):
             continue
         fields = line.split()
-        if fields[0] == "p":
-            if n is not None:
-                raise InstanceError(f"duplicate header, line {lineno}")
-            if len(fields) != 4 or fields[1] != "cdock":
-                raise InstanceError(f"malformed header, line {lineno}")
-            try:
-                n, m = int(fields[2]), int(fields[3])
-            except ValueError:
-                raise InstanceError(f"malformed header, line {lineno}") from None
-            if n < 1 or m < 1:
-                raise InstanceError(f"n and m must be positive, line {lineno}")
-        elif fields[0] == "a":
+        # arc lines dominate, so they are tested first
+        if fields[0] == "a":
             if n is None:
                 raise InstanceError(f"arc before header, line {lineno}")
             if len(fields) != 3:
@@ -158,6 +170,17 @@ def parse_instance(text: str) -> Instance:
             if (i, j) in arcs:
                 raise InstanceError(f"duplicate arc, line {lineno}")
             arcs.add((i, j))
+        elif fields[0] == "p":
+            if n is not None:
+                raise InstanceError(f"duplicate header, line {lineno}")
+            if len(fields) != 4 or fields[1] != "cdock":
+                raise InstanceError(f"malformed header, line {lineno}")
+            try:
+                n, m = int(fields[2]), int(fields[3])
+            except ValueError:
+                raise InstanceError(f"malformed header, line {lineno}") from None
+            if n < 1 or m < 1:
+                raise InstanceError(f"n and m must be positive, line {lineno}")
         else:
             raise InstanceError(f"unrecognized line type {fields[0]!r}, line {lineno}")
     if n is None or m is None:

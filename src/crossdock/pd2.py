@@ -4,7 +4,8 @@ The algorithm repeatedly takes the pending B-operation of minimal current
 in-degree (zero-degree ones go straight onto machine 2), runs its
 remaining predecessors on machine 1, and updates degrees.  The resulting
 schedule meets the class lower bound max{n+2, m} (max{n+2, m+1} without
-pendant B-operations), hence is optimal.
+pendant B-operations), hence is optimal.  The bookkeeping keeps no copy of
+the shared adjacency: one done-flag per operation marks what has run.
 
 The event trace decomposes into blocks: a block opens whenever the picked
 degree exceeds the current block's label, and the label equals the number
@@ -18,10 +19,10 @@ from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .instance import DegreeProfile, Instance, degree_profile
-from .schedule import Schedule
+from .schedule import Schedule, _list_schedule, release_times
 
 
 class NotD2Error(ValueError):
@@ -72,13 +73,13 @@ def solve_pd2(inst: Instance) -> tuple[Schedule, Pd2Trace]:
 
     A lazy min-heap on (current degree, index) realizes both steps: stale
     entries are skipped, zero-degree pops are direct machine-2 picks, and
-    positive-degree pops trigger the predecessor batch on machine 1.
+    positive-degree pops run a batch on machine 1: the entries of the
+    sorted ``prof.pred[j]`` whose done-flag is still clear.
     """
     prof = _require_d2(inst)
-    succ = prof.succ
-    pred = [set(p) for p in prof.pred]  # indexed from 1, like prof.pred
+    succ, pred = prof.succ, prof.pred
     deg = [0, *prof.in_deg]
-    alive_a = set(range(1, inst.n + 1))
+    done_a = [False] * (inst.n + 1)
     done_b = [False] * (inst.m + 1)
     heap = [(d, j) for j, d in enumerate(prof.in_deg, start=1)]
     heapq.heapify(heap)
@@ -96,33 +97,22 @@ def solve_pd2(inst: Instance) -> tuple[Schedule, Pd2Trace]:
         if d == 0:
             events.append(ZeroPick(b_index=j))
             continue
-        batch = tuple(sorted(pred[j]))
+        batch = tuple(a for a in pred[j] if not done_a[a])
         events.append(DegPick(b_index=j, picked_degree=d, a_batch=batch))
         m1_seq.extend(batch)
         for a in batch:
-            alive_a.discard(a)
+            done_a[a] = True
             for t in succ[a]:
-                if done_b[t] or a not in pred[t]:
+                if done_b[t]:
                     continue
-                pred[t].discard(a)
                 deg[t] -= 1
                 heapq.heappush(heap, (deg[t], t))
 
     # A-operations whose successors were all completed via other batches
     # never enter a batch; append them (ascending) to keep machine 1 full.
-    m1_seq.extend(sorted(alive_a))
-
-    start_a = [0] * inst.n
-    for pos, a in enumerate(m1_seq):
-        start_a[a - 1] = pos
-    start_b = [0] * inst.m
-    t = 0
-    for j in m2_seq:
-        ready = max((start_a[i - 1] + 1 for i in prof.pred[j]), default=0)
-        t = max(t, ready)
-        start_b[j - 1] = t
-        t += 1
-    sched = Schedule(start_a=tuple(start_a), start_b=tuple(start_b))
+    m1_seq.extend(a for a in range(1, inst.n + 1) if not done_a[a])
+    pi = tuple(m1_seq)
+    sched = _list_schedule(inst, pi, release_times(inst, pi), m2_seq)
     return sched, Pd2Trace(events=tuple(events))
 
 
@@ -216,16 +206,4 @@ def trace_to_json(trace: Pd2Trace) -> str:
 
 
 def blocks_to_json(blks: tuple[Block, ...]) -> str:
-    return json.dumps(
-        [
-            {
-                "label": b.label,
-                "a_ops": list(b.a_ops),
-                "b_ops": list(b.b_ops),
-                "offset_len": b.offset_len,
-                "overhang_len": b.overhang_len,
-            }
-            for b in blks
-        ],
-        indent=2,
-    ) + "\n"
+    return json.dumps([asdict(b) for b in blks], indent=2) + "\n"

@@ -4,9 +4,12 @@ The reference functions below are the implementations that ``greedy_order``,
 ``release_times``, ``complete_m2_erd``, ``check_feasible`` and
 ``degree_profile`` had before the adjacency was shared: a ``Fraction`` ratio
 key, a position dict, a sort by release time, a walk over ``sorted(arcs)``
-and dict-based adjacency.  The library must agree with them exactly.
+and dict-based adjacency.  ``old_solve_pd2`` is ``solve_pd2`` before it
+shared the machine-2 list scheduler: private predecessor sets and its own
+layout loop.  The library must agree with them exactly.
 """
 
+import heapq
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
@@ -15,8 +18,11 @@ from hypothesis import given, strategies as st
 
 import crossdock.instance as instance_module
 from crossdock import (
+    DegPick,
     Instance,
+    Pd2Trace,
     Schedule,
+    ZeroPick,
     blocks,
     bounds_report,
     check_feasible,
@@ -127,6 +133,51 @@ def instance_and_order(draw):
     return inst, tuple(draw(st.permutations(range(1, inst.n + 1))))
 
 
+def old_solve_pd2(inst):
+    prof = degree_profile(inst)
+    assert all(d == 2 for d in prof.out_deg)
+    succ = prof.succ
+    pred = [set(p) for p in prof.pred]
+    deg = [0, *prof.in_deg]
+    alive_a = set(range(1, inst.n + 1))
+    done_b = [False] * (inst.m + 1)
+    heap = [(d, j) for j, d in enumerate(prof.in_deg, start=1)]
+    heapq.heapify(heap)
+    m1_seq, m2_seq, events = [], [], []
+    while heap:
+        d, j = heapq.heappop(heap)
+        if done_b[j] or d != deg[j]:
+            continue
+        done_b[j] = True
+        m2_seq.append(j)
+        if d == 0:
+            events.append(ZeroPick(b_index=j))
+            continue
+        batch = tuple(sorted(pred[j]))
+        events.append(DegPick(b_index=j, picked_degree=d, a_batch=batch))
+        m1_seq.extend(batch)
+        for a in batch:
+            alive_a.discard(a)
+            for t in succ[a]:
+                if done_b[t] or a not in pred[t]:
+                    continue
+                pred[t].discard(a)
+                deg[t] -= 1
+                heapq.heappush(heap, (deg[t], t))
+    m1_seq.extend(sorted(alive_a))
+    start_a = [0] * inst.n
+    for pos, a in enumerate(m1_seq):
+        start_a[a - 1] = pos
+    start_b = [0] * inst.m
+    t = 0
+    for j in m2_seq:
+        ready = max((start_a[i - 1] + 1 for i in prof.pred[j]), default=0)
+        t = max(t, ready)
+        start_b[j - 1] = t
+        t += 1
+    return Schedule(start_a=tuple(start_a), start_b=tuple(start_b)), Pd2Trace(events=tuple(events))
+
+
 # -- differential tests --------------------------------------------------------
 
 
@@ -164,6 +215,21 @@ def test_check_feasible_reports_arcs_in_sorted_order(inst, rng):
     )
     reported = [v for v in check_feasible(inst, sched).violations if v.startswith("precedence")]
     assert reported == old_precedence_violations(inst, sched)
+
+
+@st.composite
+def d2_instances_with_pendants(draw):
+    b = draw(st.integers(2, 60))
+    pendants = draw(st.integers(0, b - 2))
+    return gen_d2(draw(st.integers(1, 60)), b, pendants, draw(st.integers(0, 2**32)))
+
+
+@given(d2_instances_with_pendants())
+def test_solve_pd2_matches_set_based_copy(inst):
+    sched, trace = solve_pd2(inst)
+    old_sched, old_trace = old_solve_pd2(inst)
+    assert sched == old_sched
+    assert trace == old_trace
 
 
 def test_greedy_order_dense_instance():

@@ -1,9 +1,18 @@
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
-from crossdock.cli import main
-from crossdock import parse_instance
+from crossdock.cli import _SOLVERS, main
+from crossdock.exact import EXACT_DEFAULT_LIMIT
+from crossdock import (
+    Instance,
+    check_feasible,
+    gen_d2,
+    lower_bound,
+    makespan,
+    parse_instance,
+)
 from conftest import EX1_TEXT
 
 
@@ -274,3 +283,46 @@ def test_solve_rejects_byte_order_mark(tmp_path, capsys):
     path.write_text("\ufeff" + EX1_TEXT, encoding="utf-8")
     assert main(["solve", "--alg", "greedy", "--in", str(path)]) == 2
     assert "non-ASCII character U+FEFF, line 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("p cdock 2 2\na 1_0 1\n", "unexpected character '_', line 2"),
+        ("p cdock 2 2\x1ca 1 1\n", "control character U+001C, line 1"),
+    ],
+)
+def test_solve_rejects_irregular_characters(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.cd"
+    path.write_text(text)
+    assert main(["solve", "--alg", "greedy", "--in", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_bench_rejects_unknown_algorithm(ex1_file, capsys):
+    assert main(["bench", "--dir", str(ex1_file.parent), "--algs", "greedy,foo"]) == 2
+    captured = capsys.readouterr()
+    assert "unknown algorithm 'foo'" in captured.err
+    assert captured.out == ""
+
+
+@st.composite
+def solver_instances(draw):
+    if draw(st.booleans()):
+        b = draw(st.integers(2, 12))
+        return gen_d2(draw(st.integers(1, 12)), b, draw(st.integers(0, b - 2)), draw(st.integers(0, 2**32)))
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 12))
+    arcs = draw(st.frozensets(st.tuples(st.integers(1, n), st.integers(1, m))))
+    return Instance(n=n, m=m, arcs=arcs)
+
+
+@pytest.mark.parametrize("alg", list(_SOLVERS))
+@given(inst=solver_instances())
+def test_every_cli_solver_is_feasible_and_above_lower_bound(alg, inst):
+    try:
+        sched = _SOLVERS[alg](inst, EXACT_DEFAULT_LIMIT)
+    except ValueError:
+        return  # instance outside the solver's class, such as pd2 on a non-d2 instance
+    assert check_feasible(inst, sched).ok
+    assert lower_bound(inst) <= makespan(sched)

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, strategies as st
+
 from crossdock import (
     Instance,
     bounds_report,
@@ -123,6 +125,37 @@ def test_bounds_report_json(ex1):
     assert '"ratio_bound": [' in text
     assert '"lower_bound": 8' in text
     assert '"lower_bound_printed": 9' in text
+
+
+def test_bounds_report_json_full_text(ex1):
+    assert bounds_report_to_json(bounds_report(ex1)) == (
+        "{\n"
+        '  "q": 3,\n'
+        '  "d_min_a": 2,\n'
+        '  "d_min_b": 0,\n'
+        '  "lower_bound": 8,\n'
+        '  "lower_bound_printed": 9,\n'
+        '  "greedy_upper": 10,\n'
+        '  "ratio_bound": [\n'
+        "    5,\n"
+        "    4\n"
+        "  ]\n"
+        "}\n"
+    )
+
+
+@st.composite
+def small_instances(draw):
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 12))
+    arcs = draw(st.frozensets(st.tuples(st.integers(1, n), st.integers(1, m))))
+    return Instance(n=n, m=m, arcs=arcs)
+
+
+@given(small_instances())
+def test_bounds_report_q_matches_greedy_order(inst):
+    # small arc sets give tied and zero out-degrees often
+    assert bounds_report(inst).q == compute_q(inst, greedy_order(inst))
 
 
 def test_soundness_sandwich_random():

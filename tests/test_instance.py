@@ -43,6 +43,20 @@ def test_parse_skips_comments():
         ("a 1 1\n", "arc before header, line 1"),
         ("p cdock 2 2\nq 1 1\n", "line 2"),
         ("", "missing header"),
+        ("p cdock 2 2\na 1_0 1\n", "unexpected character '_', line 2"),
+        ("p cdock 2 2\na +1 1\n", r"unexpected character '\+', line 2"),
+        ("p cdock 1_0 2\n", "unexpected character '_', line 1"),
+        ("p cdock -1 2\n", "unexpected character '-', line 1"),
+        ("p cdock 2 2\x0ba 1 1\n", r"control character U\+000B, line 1"),
+        ("p cdock 2 2\x0ca 1 1\n", r"control character U\+000C, line 1"),
+        ("p cdock 2 2\x1ca 1 1\n", r"control character U\+001C, line 1"),
+        ("p cdock 2 2\x1da 1 1\n", r"control character U\+001D, line 1"),
+        ("p cdock 2 2\x1ea 1 1\n", r"control character U\+001E, line 1"),
+        ("p cdock 2 2\ra 1 1\n", r"control character U\+000D, line 1"),
+        ("p cdock 2 2\na 1 1\x00\n", r"control character U\+0000, line 2"),
+        ("p cdock 2 2\na 1 1\x7f\n", r"control character U\+007F, line 2"),
+        ("c \x0ca 1 1\np cdock 2 2\n", r"control character U\+000C, line 1"),
+        ("a 1 1\np cdock 1_0 2\n", "arc before header, line 1"),
     ],
 )
 def test_parse_errors(text, fragment):
@@ -67,6 +81,18 @@ def test_parse_rejects_non_ascii(text, message):
 def test_parse_non_ascii_comments():
     text = "c caf\u00e9 \u0661\np cdock 2 2\nc \ufeff\na 1 1\nc\n"
     assert parse_instance(text) == Instance(n=2, m=2, arcs=frozenset({(1, 1)}))
+
+
+def test_parse_crlf_round_trip(ex1):
+    crlf = serialize_instance(ex1, comments=["crossdock gen --n 6"]).replace("\n", "\r\n")
+    assert parse_instance(crlf) == ex1
+    assert parse_instance(crlf.removesuffix("\n")) == ex1
+    assert serialize_instance(parse_instance(crlf)) == serialize_instance(ex1)
+
+
+def test_parse_comments_keep_signs_and_tabs():
+    text = "c gen random --n 2 --p 0.5 +x_y\np cdock 2 2\na 1\t2\n"
+    assert parse_instance(text) == Instance(n=2, m=2, arcs=frozenset({(1, 2)}))
 
 
 def test_constructor_rejects_bad_sizes():

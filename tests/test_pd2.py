@@ -152,6 +152,35 @@ def test_trace_and_blocks_json(ex1):
     assert '"label": 3' in bj and '"overhang_len": 2' in bj
 
 
+def _json_block(label, a_ops, b_ops, offset_len, overhang_len):
+    def ints(xs):
+        if not xs:
+            return "[]"
+        return "[\n" + ",\n".join(f"      {x}" for x in xs) + "\n    ]"
+
+    return (
+        "  {\n"
+        f'    "label": {label},\n'
+        f'    "a_ops": {ints(a_ops)},\n'
+        f'    "b_ops": {ints(b_ops)},\n'
+        f'    "offset_len": {offset_len},\n'
+        f'    "overhang_len": {overhang_len}\n'
+        "  }"
+    )
+
+
+def test_blocks_json_full_text(ex1):
+    _, trace = solve_pd2(ex1)
+    expected = "[\n" + ",\n".join(
+        [
+            _json_block(0, [], [1, 7], 0, 0),
+            _json_block(1, [4, 6, 5], [4, 5, 6], 1, 1),
+            _json_block(3, [1, 2, 3], [2, 3], 3, 2),
+        ]
+    ) + "\n]\n"
+    assert blocks_to_json(blocks(ex1, trace)) == expected
+
+
 def test_trace_event_batches_match_degrees(ex1):
     _, trace = solve_pd2(ex1)
     for ev in trace.events:
