@@ -44,10 +44,17 @@ def _fraction(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _read_text(path: str | Path) -> str:
+    """A file's text as written: UTF-8, with no newline translation, so the
+    parser sees every line end and rejects a lone carriage return."""
+    with open(path, encoding="utf-8", newline="") as f:
+        return f.read()
+
+
 def _read_instance(path: str) -> Instance:
     try:
-        return parse_instance(Path(path).read_text())
-    except OSError as exc:
+        return parse_instance(_read_text(path))
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     except InstanceError as exc:
         raise CliError(f"{path}: {exc}") from exc
@@ -122,7 +129,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     inst = _read_instance(args.infile)
     try:
-        sched = schedule_from_json(Path(args.schedule).read_text())
+        sched = schedule_from_json(_read_text(args.schedule))
     except OSError as exc:
         raise CliError(f"cannot read {args.schedule}: {exc}") from exc
     except ValueError as exc:
@@ -148,8 +155,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     rows = []
     for path in sorted(p for p in directory.iterdir() if p.is_file()):
         try:
-            inst = parse_instance(path.read_text())
-        except (OSError, InstanceError) as exc:
+            inst = parse_instance(_read_text(path))
+        except (OSError, UnicodeDecodeError, InstanceError) as exc:
             print(f"skipping {path.name}: {exc}", file=sys.stderr)
             continue
         rep = bounds_report(inst)
@@ -267,10 +274,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CliError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,12 +7,15 @@ schedule meets the class lower bound max{n+2, m} (max{n+2, m+1} without
 pendant B-operations), hence is optimal.  The bookkeeping keeps no copy of
 the shared adjacency: one done-flag per operation marks what has run.
 
-The event trace decomposes into blocks: a block opens whenever the picked
-degree exceeds the current block's label, and the label equals the number
-of machine-1 operations the block runs before its first machine-2
-operation (the block's offset).  The machine-2 operations precedence-forced
-past the block's last machine-1 completion (the overhang) number 1 or 2
-for labels >= 2, which is what makes the stitched schedule tight.
+The trace is the one record of a run: one pick event per B-operation, in
+machine-2 order, each with the batch it ran on machine 1 (a zero pick reads
+as degree 0 with an empty batch).  It decomposes into blocks: a block opens
+whenever the picked degree exceeds the current block's label, and the label
+equals the number of machine-1 operations the block runs before its first
+machine-2 operation (the block's offset).  The machine-2 operations
+precedence-forced past the block's last machine-1 completion (the overhang)
+number 1 or 2 for labels >= 2, which is what makes the stitched schedule
+tight.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import asdict, dataclass
+from typing import ClassVar
 
 from .instance import DegreeProfile, Instance, degree_profile
 from .schedule import Schedule, _list_schedule, release_times
@@ -36,7 +40,15 @@ class NotD2Error(ValueError):
 
 @dataclass(frozen=True)
 class ZeroPick:
+    """A pick of a B-operation with no pending predecessor.
+
+    It reads as a pick of degree 0 with an empty batch; both are class
+    constants, not fields, so a zero pick holds and prints only ``b_index``.
+    """
+
     b_index: int
+    picked_degree: ClassVar[int] = 0
+    a_batch: ClassVar[tuple[int, ...]] = ()
 
 
 @dataclass(frozen=True)
@@ -84,22 +96,17 @@ def solve_pd2(inst: Instance) -> tuple[Schedule, Pd2Trace]:
     heap = [(d, j) for j, d in enumerate(prof.in_deg, start=1)]
     heapq.heapify(heap)
 
-    m1_seq: list[int] = []
-    m2_seq: list[int] = []
     events: list[ZeroPick | DegPick] = []
-
     while heap:
         d, j = heapq.heappop(heap)
         if done_b[j] or d != deg[j]:
             continue
         done_b[j] = True
-        m2_seq.append(j)
         if d == 0:
             events.append(ZeroPick(b_index=j))
             continue
         batch = tuple(a for a in pred[j] if not done_a[a])
         events.append(DegPick(b_index=j, picked_degree=d, a_batch=batch))
-        m1_seq.extend(batch)
         for a in batch:
             done_a[a] = True
             for t in succ[a]:
@@ -108,11 +115,10 @@ def solve_pd2(inst: Instance) -> tuple[Schedule, Pd2Trace]:
                 deg[t] -= 1
                 heapq.heappush(heap, (deg[t], t))
 
-    # A-operations whose successors were all completed via other batches
-    # never enter a batch; append them (ascending) to keep machine 1 full.
-    m1_seq.extend(a for a in range(1, inst.n + 1) if not done_a[a])
-    pi = tuple(m1_seq)
-    sched = _list_schedule(inst, pi, release_times(inst, pi), m2_seq)
+    # Every A-operation has a successor, whose pick runs every predecessor
+    # not yet done, so the batches cover machine 1 (release_times checks it).
+    pi = tuple(a for ev in events for a in ev.a_batch)
+    sched = _list_schedule(inst, pi, release_times(inst, pi), [ev.b_index for ev in events])
     return sched, Pd2Trace(events=tuple(events))
 
 
@@ -129,53 +135,39 @@ def blocks(inst: Instance, trace: Pd2Trace) -> tuple[Block, ...]:
     prof = degree_profile(inst)
     seen_a: set[int] = set()
     seen_b: set[int] = set()
+    groups: list[tuple[int, list[int], list[int]]] = []  # (label, a_ops, b_ops)
     for ev in trace.events:
-        if ev.b_index in seen_b or not (1 <= ev.b_index <= inst.m):
-            raise ValueError(f"trace/instance mismatch at B{ev.b_index}")
-        seen_b.add(ev.b_index)
-        if isinstance(ev, DegPick):
-            if len(ev.a_batch) != ev.picked_degree:
-                raise ValueError(f"batch size mismatch at B{ev.b_index}")
-            for a in ev.a_batch:
-                if a in seen_a or a not in prof.pred[ev.b_index]:
-                    raise ValueError(f"trace/instance mismatch at A{a}")
-                seen_a.add(a)
+        j = ev.b_index
+        if j in seen_b or not (1 <= j <= inst.m):
+            raise ValueError(f"trace/instance mismatch at B{j}")
+        seen_b.add(j)
+        if len(ev.a_batch) != ev.picked_degree:
+            raise ValueError(f"batch size mismatch at B{j}")
+        for a in ev.a_batch:
+            if a in seen_a or a not in prof.pred[j]:
+                raise ValueError(f"trace/instance mismatch at A{a}")
+            seen_a.add(a)
+        if not groups or ev.picked_degree > groups[-1][0]:
+            groups.append((ev.picked_degree, [], []))
+        groups[-1][1].extend(ev.a_batch)
+        groups[-1][2].append(j)
     if seen_b != set(range(1, inst.m + 1)):
         raise ValueError("trace does not cover every B-operation")
 
-    groups: list[tuple[int, list[int], list[int]]] = []  # (label, a_ops, b_ops)
-    current: tuple[int, list[int], list[int]] | None = None
-    for ev in trace.events:
-        if isinstance(ev, ZeroPick):
-            if current is None:
-                current = (0, [], [])
-                groups.append(current)
-            current[2].append(ev.b_index)
-        else:
-            if current is None or ev.picked_degree > current[0]:
-                current = (ev.picked_degree, [], [])
-                groups.append(current)
-            current[1].extend(ev.a_batch)
-            current[2].append(ev.b_index)
-
     result = []
     for label, a_ops, b_ops in groups:
-        pos = {a: k for k, a in enumerate(a_ops)}
+        # B_j is ready once its last predecessor inside the block is done;
+        # walking a_ops in order, the last position written is that one.
+        ready: dict[int, int] = {}
+        for done, a in enumerate(a_ops, start=1):
+            for j in prof.succ[a]:
+                ready[j] = done
         n_a = len(a_ops)
-        t = 0
-        starts = []
-        overhang = 0
-        for j in b_ops:
-            ready = max((pos[i] + 1 for i in prof.pred[j] if i in pos), default=0)
-            # precedence-forced past the block's machine-1 tail; operations
-            # merely queued behind machine 2 do not count
-            if n_a and ready >= n_a:
-                overhang += 1
-            t = max(t, ready)
-            starts.append(t)
-            t += 1
-        offset = min(starts) if starts else 0
-        offset = min(offset, n_a)
+        # precedence-forced past the block's machine-1 tail; operations
+        # merely queued behind machine 2 do not count
+        overhang = sum(1 for j in b_ops if ready.get(j, 0) >= n_a) if n_a else 0
+        # machine-2 starts never decrease, so the block's first pick starts first
+        offset = min(ready.get(b_ops[0], 0), n_a)
         result.append(
             Block(
                 label=label,

@@ -6,7 +6,9 @@ The reference functions below are the implementations that ``greedy_order``,
 key, a position dict, a sort by release time, a walk over ``sorted(arcs)``
 and dict-based adjacency.  ``old_solve_pd2`` is ``solve_pd2`` before it
 shared the machine-2 list scheduler: private predecessor sets and its own
-layout loop.  The library must agree with them exactly.
+layout loop.  ``old_blocks`` is ``blocks`` before it read zero and degree
+picks one way: an ``isinstance`` split, a position dict and a start-time
+loop per block.  The library must agree with them exactly.
 """
 
 import heapq
@@ -18,6 +20,7 @@ from hypothesis import given, strategies as st
 
 import crossdock.instance as instance_module
 from crossdock import (
+    Block,
     DegPick,
     Instance,
     Pd2Trace,
@@ -222,6 +225,118 @@ def d2_instances_with_pendants(draw):
     b = draw(st.integers(2, 60))
     pendants = draw(st.integers(0, b - 2))
     return gen_d2(draw(st.integers(1, 60)), b, pendants, draw(st.integers(0, 2**32)))
+
+
+def old_blocks(inst, trace):
+    prof = degree_profile(inst)
+    seen_a = set()
+    seen_b = set()
+    for ev in trace.events:
+        if ev.b_index in seen_b or not (1 <= ev.b_index <= inst.m):
+            raise ValueError(f"trace/instance mismatch at B{ev.b_index}")
+        seen_b.add(ev.b_index)
+        if isinstance(ev, DegPick):
+            if len(ev.a_batch) != ev.picked_degree:
+                raise ValueError(f"batch size mismatch at B{ev.b_index}")
+            for a in ev.a_batch:
+                if a in seen_a or a not in prof.pred[ev.b_index]:
+                    raise ValueError(f"trace/instance mismatch at A{a}")
+                seen_a.add(a)
+    if seen_b != set(range(1, inst.m + 1)):
+        raise ValueError("trace does not cover every B-operation")
+    groups = []
+    current = None
+    for ev in trace.events:
+        if isinstance(ev, ZeroPick):
+            if current is None:
+                current = (0, [], [])
+                groups.append(current)
+            current[2].append(ev.b_index)
+        else:
+            if current is None or ev.picked_degree > current[0]:
+                current = (ev.picked_degree, [], [])
+                groups.append(current)
+            current[1].extend(ev.a_batch)
+            current[2].append(ev.b_index)
+    result = []
+    for label, a_ops, b_ops in groups:
+        pos = {a: k for k, a in enumerate(a_ops)}
+        n_a = len(a_ops)
+        t = 0
+        starts = []
+        overhang = 0
+        for j in b_ops:
+            ready = max((pos[i] + 1 for i in prof.pred[j] if i in pos), default=0)
+            if n_a and ready >= n_a:
+                overhang += 1
+            t = max(t, ready)
+            starts.append(t)
+            t += 1
+        offset = min(min(starts) if starts else 0, n_a)
+        result.append(Block(label, tuple(a_ops), tuple(b_ops), offset, overhang))
+    return tuple(result)
+
+
+@st.composite
+def validated_traces(draw):
+    """A trace ``blocks`` accepts but ``solve_pd2`` need not produce: every B
+    once in shuffled order, each running a random sub-batch, in random
+    order, of its predecessors not yet run."""
+    inst = draw(random_instances())
+    rng = draw(st.randoms(use_true_random=False))
+    order = list(range(1, inst.m + 1))
+    rng.shuffle(order)
+    pred = degree_profile(inst).pred
+    done = set()
+    events = []
+    for j in order:
+        batch = [a for a in pred[j] if a not in done and rng.random() < 0.6]
+        rng.shuffle(batch)
+        done.update(batch)
+        if batch or rng.random() < 0.5:
+            events.append(DegPick(b_index=j, picked_degree=len(batch), a_batch=tuple(batch)))
+        else:
+            events.append(ZeroPick(b_index=j))
+    return inst, Pd2Trace(events=tuple(events))
+
+
+@st.composite
+def solved_d2_traces(draw):
+    inst = draw(d2_instances_with_pendants())
+    return inst, solve_pd2(inst)[1]
+
+
+@st.composite
+def tampered_traces(draw):
+    """A validated trace with one event dropped, repeated or altered."""
+    inst, trace = draw(validated_traces())
+    events = list(trace.events)
+    k = draw(st.integers(0, len(events) - 1))
+    ev = events[k]
+    how = draw(st.sampled_from(["drop", "repeat", "degree", "foreign_a"]))
+    if how == "drop":
+        del events[k]
+    elif how == "repeat":
+        events.append(ev)
+    elif how == "degree":
+        events[k] = DegPick(ev.b_index, ev.picked_degree + 1, ev.a_batch)
+    else:
+        a = draw(st.integers(1, inst.n + 1))
+        events[k] = DegPick(ev.b_index, len(ev.a_batch) + 1, (*ev.a_batch, a))
+    return inst, Pd2Trace(events=tuple(events))
+
+
+def outcome(fn, inst, trace):
+    try:
+        return fn(inst, trace)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@given(st.one_of(solved_d2_traces(), validated_traces(), tampered_traces()))
+def test_blocks_match_position_dict_copy(case):
+    inst, trace = case
+    assert outcome(blocks, inst, trace) == outcome(old_blocks, inst, trace)
 
 
 @given(d2_instances_with_pendants())

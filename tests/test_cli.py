@@ -211,9 +211,11 @@ def test_bench_csv_md_same_values(tmp_path, capsys):
 def test_bench_skips_unreadable(tmp_path, capsys):
     (tmp_path / "ex1.cd").write_text(EX1_TEXT)
     (tmp_path / "junk.cd").write_text("not an instance\n")
+    (tmp_path / "latin1.cd").write_bytes(b"c caf\xe9\n" + EX1_TEXT.encode())
     assert main(["bench", "--dir", str(tmp_path), "--format", "csv"]) == 0
     captured = capsys.readouterr()
     assert "skipping junk.cd" in captured.err
+    assert "skipping latin1.cd: 'utf-8' codec can't decode byte 0xe9" in captured.err
     assert "ex1.cd" in captured.out
 
 
@@ -290,6 +292,7 @@ def test_solve_rejects_byte_order_mark(tmp_path, capsys):
     [
         ("p cdock 2 2\na 1_0 1\n", "unexpected character '_', line 2"),
         ("p cdock 2 2\x1ca 1 1\n", "control character U+001C, line 1"),
+        ("p cdock 1 1\ra 1 1\n", "control character U+000D, line 1"),
     ],
 )
 def test_solve_rejects_irregular_characters(tmp_path, capsys, text, message):
@@ -297,6 +300,31 @@ def test_solve_rejects_irregular_characters(tmp_path, capsys, text, message):
     path.write_text(text)
     assert main(["solve", "--alg", "greedy", "--in", str(path)]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_solve_and_verify_read_crlf_files(tmp_path, capsys):
+    inst_path = tmp_path / "ex1.cd"
+    inst_path.write_bytes(EX1_TEXT.replace("\n", "\r\n").encode())
+    sched_path = tmp_path / "ex1.json"
+    assert main(["solve", "--alg", "pd2", "--in", str(inst_path), "--out", str(sched_path)]) == 0
+    assert "makespan 8" in capsys.readouterr().out
+    sched_path.write_bytes(sched_path.read_bytes().replace(b"\n", b"\r\n"))
+    assert main(["verify", "--in", str(inst_path), "--schedule", str(sched_path)]) == 0
+    assert capsys.readouterr().out == "feasible, makespan 8\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "bound", "verify"])
+def test_invalid_utf8_exits_2_with_path(command, ex1_file, tmp_path, capsys):
+    path = tmp_path / "latin1.cd"
+    path.write_bytes(b"c caf\xe9\n" + EX1_TEXT.encode())
+    argv = {
+        "solve": ["solve", "--alg", "greedy", "--in", str(path)],
+        "bound": ["bound", "--in", str(path)],
+        "verify": ["verify", "--in", str(ex1_file), "--schedule", str(path)],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "'utf-8' codec can't decode byte 0xe9" in err
 
 
 def test_bench_rejects_unknown_algorithm(ex1_file, capsys):

@@ -1,0 +1,58 @@
+"""Property forms of the paper's claims on drawn instances.
+
+The exact subset DP is the optimum these are checked against; the seeded
+loops in ``test_exact_dp.py`` cover the same claims at n = 10-14.
+"""
+
+from hypothesis import given, strategies as st
+
+from crossdock import (
+    Instance,
+    blocks,
+    bounds_report,
+    gen_d2,
+    lemma1_bound,
+    makespan,
+    solve_exact,
+    solve_greedy,
+    solve_pd2,
+)
+
+
+@st.composite
+def arc_sets(draw, max_size):
+    n = draw(st.integers(1, max_size))
+    m = draw(st.integers(1, max_size))
+    arcs = draw(st.frozensets(st.tuples(st.integers(1, n), st.integers(1, m))))
+    return Instance(n=n, m=m, arcs=arcs)
+
+
+@st.composite
+def d2_instances(draw, max_a, max_b):
+    b = draw(st.integers(2, max_b))
+    pendants = draw(st.integers(0, b - 2))
+    return gen_d2(draw(st.integers(1, max_a)), b, pendants, draw(st.integers(0, 2**32)))
+
+
+@given(arc_sets(max_size=10))
+def test_bounds_sandwich_the_optimum_and_greedy(inst):
+    rep = bounds_report(inst)
+    opt = solve_exact(inst).optimal_makespan
+    assert rep.lower_bound <= opt <= makespan(solve_greedy(inst)) <= rep.greedy_upper
+
+
+@given(d2_instances(max_a=12, max_b=12))
+def test_pd2_meets_lemma1_bound_and_is_optimal(inst):
+    sched, _ = solve_pd2(inst)
+    assert makespan(sched) == lemma1_bound(inst) == solve_exact(inst).optimal_makespan
+
+
+@given(d2_instances(max_a=60, max_b=60))
+def test_block_lemma(inst):
+    _, trace = solve_pd2(inst)
+    a_blocks = [blk for blk in blocks(inst, trace) if blk.a_ops]
+    for blk in a_blocks:
+        assert blk.offset_len == blk.label
+        if blk.label >= 2:
+            assert blk.overhang_len in (1, 2)
+    assert a_blocks[-1].overhang_len == 2

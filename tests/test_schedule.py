@@ -52,6 +52,17 @@ def test_release_times_dominate_degrees_and_predecessors():
                 assert r[j - 1] >= pos[i] + 1
 
 
+@pytest.mark.parametrize("fn", [release_times, complete_m2_erd])
+@pytest.mark.parametrize(
+    "pi",
+    [(4, 6, 5, 1, 2), (4, 6, 5, 1, 2, 2), (4, 6, 5, 1, 2, 7), (4, 6, 5, 1, 2, 3, 3), ()],
+    ids=["short", "repeated", "out_of_range", "long_repeated", "empty"],
+)
+def test_machine1_order_must_be_a_permutation(ex1, fn, pi):
+    with pytest.raises(ValueError, match=r"not a permutation of 1\.\.6"):
+        fn(ex1, pi)
+
+
 def test_erd_ex1(ex1):
     sched = complete_m2_erd(ex1, EX1_GREEDY_PI)
     assert sched.start_b == (0, 6, 7, 2, 3, 4, 1)
