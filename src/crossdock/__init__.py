@@ -4,8 +4,7 @@ Solvers for the makespan problem where machine-2 operations wait on
 subsets of machine-1 operations: a degree-greedy heuristic with a
 certified worst-case ratio, an exact polynomial algorithm for the class
 where every machine-1 operation has two successors, an exact O(2^n * n)
-subset dynamic program for any instance with n <= 20, and brute-force
-oracles for validating them at small scale.
+subset dynamic program for any instance with n <= 20.
 """
 
 from .instance import (
@@ -22,7 +21,6 @@ from .schedule import (
     FeasibilityReport,
     Permutation,
     Schedule,
-    best_m2_bruteforce,
     check_feasible,
     complete_m2_erd,
     makespan,
@@ -55,7 +53,6 @@ from .pd2 import (
 )
 from .exact import (
     ExactResult,
-    optimal_makespan_statespace,
     solve_exact,
 )
 from .generators import TightParams, gen_d2, gen_random, gen_tight
@@ -76,7 +73,6 @@ __all__ = [
     "Schedule",
     "TightParams",
     "ZeroPick",
-    "best_m2_bruteforce",
     "blocks",
     "blocks_to_json",
     "bounds_report",
@@ -94,7 +90,6 @@ __all__ = [
     "lower_bound",
     "lower_bound_printed_form",
     "makespan",
-    "optimal_makespan_statespace",
     "parse_instance",
     "release_times",
     "render_gantt",

@@ -1,4 +1,4 @@
-"""Ground-truth solvers: a subset dynamic program and a full state-space search.
+"""Ground-truth solver: a subset dynamic program over machine-1 prefix sets.
 
 ``solve_exact`` finds the best machine-1 order, machine 2 being completed
 by the ERD rule, with a bottleneck dynamic program over prefix sets in
@@ -17,10 +17,6 @@ prefix S is then
     G(full) = max(n, m),   G(S) = max(h(S), min_{a not in S} G(S + {a})),
 
 and the optimum is G({}).  The 2^n table caps n at ``EXACT_MAX_N``.
-
-The state-space search below it makes no modelling assumptions at all
-(it allows idling on either machine) and exists to validate the
-reduction to machine-1 orders on tiny instances.
 """
 
 from __future__ import annotations
@@ -103,35 +99,3 @@ def solve_exact(inst: Instance, max_n: int = EXACT_DEFAULT_LIMIT) -> ExactResult
     sched = complete_m2_erd(inst, tuple(pi))
     assert makespan(sched) == opt
     return ExactResult(schedule=sched, optimal_makespan=opt, permutations_examined=full + 1)
-
-
-def optimal_makespan_statespace(inst: Instance) -> int:
-    """Exhaustive search over all integer schedules with starts < n+m.
-
-    Breadth-first over (time, set of finished A, set of finished B) with
-    idling allowed on both machines; every feasible schedule corresponds
-    to some trajectory, so this is assumption-free.  Exponential in n+m.
-    """
-    pred_mask = [sum(1 << (i - 1) for i in row) for row in degree_profile(inst).pred[1:]]
-    full_a = (1 << inst.n) - 1
-    full_b = (1 << inst.m) - 1
-    horizon = inst.n + inst.m
-    states = {(0, 0)}
-    for t in range(1, horizon + 1):
-        nxt: set[tuple[int, int]] = set()
-        for done_a, done_b in states:
-            a_moves = [done_a]
-            for i in range(inst.n):
-                if not done_a >> i & 1:
-                    a_moves.append(done_a | 1 << i)
-            b_moves = [done_b]
-            for j in range(inst.m):
-                if not done_b >> j & 1 and pred_mask[j] & done_a == pred_mask[j]:
-                    b_moves.append(done_b | 1 << j)
-            for na in a_moves:
-                for nb in b_moves:
-                    nxt.add((na, nb))
-        states = nxt
-        if (full_a, full_b) in states:
-            return t
-    raise AssertionError(f"no complete schedule within horizon {horizon}")

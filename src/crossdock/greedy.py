@@ -58,13 +58,16 @@ def solve_greedy(inst: Instance) -> Schedule:
     return complete_m2_erd(inst, greedy_order(inst))
 
 
-def compute_q(inst: Instance, pi: Permutation) -> int:
-    """Smallest q with sum of the first q out-degrees > total arcs - m."""
-    out_deg = degree_profile(inst).out_deg
+def compute_q(inst: Instance) -> int:
+    """Smallest q whose q largest out-degrees sum to more than total arcs - m.
+
+    That is the shortest prefix of any order sorted by descending
+    out-degree, the greedy order included, so the tie-break plays no part.
+    """
     threshold = len(inst.arcs) - inst.m
     prefix = 0
-    for q, a in enumerate(pi, start=1):
-        prefix += out_deg[a - 1]
+    for q, d in enumerate(sorted(degree_profile(inst).out_deg, reverse=True), start=1):
+        prefix += d
         if prefix > threshold:
             return q
     raise AssertionError("unreachable: inequality holds at q=n since m >= 1")
@@ -83,10 +86,7 @@ def lower_bound_printed_form(inst: Instance) -> int:
 
 def bounds_report(inst: Instance) -> BoundsReport:
     prof = degree_profile(inst)
-    # q depends only on the out-degrees in descending order, not on the
-    # greedy tie-break, so any order sorted by out-degree gives it.
-    out_deg_at = (0, *prof.out_deg).__getitem__
-    q = compute_q(inst, tuple(sorted(range(1, inst.n + 1), key=out_deg_at, reverse=True)))
+    q = compute_q(inst)
     lb = lower_bound(inst)
     upper = max(q + inst.m, inst.n)
     return BoundsReport(

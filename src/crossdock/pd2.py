@@ -4,8 +4,10 @@ The algorithm repeatedly takes the pending B-operation of minimal current
 in-degree (zero-degree ones go straight onto machine 2), runs its
 remaining predecessors on machine 1, and updates degrees.  The resulting
 schedule meets the class lower bound max{n+2, m} (max{n+2, m+1} without
-pendant B-operations), hence is optimal.  The bookkeeping keeps no copy of
-the shared adjacency: one done-flag per operation marks what has run.
+pendant B-operations), hence is optimal.  One private generator, ``_run``,
+is the pick loop: ``solve_pd2`` builds its events from it and ``blocks``
+replays it.  The bookkeeping keeps no copy of the shared adjacency: one
+done-flag per operation marks what has run.
 
 The trace is the one record of a run: one pick event per B-operation, in
 machine-2 order, each with the batch it ran on machine 1 (a zero pick reads
@@ -15,14 +17,17 @@ equals the number of machine-1 operations the block runs before its first
 machine-2 operation (the block's offset).  The machine-2 operations
 precedence-forced past the block's last machine-1 completion (the overhang)
 number 1 or 2 for labels >= 2, which is what makes the stitched schedule
-tight.
+tight.  That lemma speaks of pd2 runs only, so ``blocks`` accepts only the
+trace of its instance's run.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
+from itertools import zip_longest
 from typing import ClassVar
 
 from .instance import DegreeProfile, Instance, degree_profile
@@ -80,41 +85,56 @@ def _require_d2(inst: Instance) -> DegreeProfile:
     return prof
 
 
-def solve_pd2(inst: Instance) -> tuple[Schedule, Pd2Trace]:
-    """Run the degree-driven exact algorithm; returns schedule and trace.
+def _run(prof: DegreeProfile) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+    """The pd2 run: yields (b_index, picked_degree, batch) in machine-2 order.
 
-    A lazy min-heap on (current degree, index) realizes both steps: stale
-    entries are skipped, zero-degree pops are direct machine-2 picks, and
-    positive-degree pops run a batch on machine 1: the entries of the
-    sorted ``prof.pred[j]`` whose done-flag is still clear.
+    Each step takes the pending B-operation of least (current degree,
+    index); its batch is the entries of the sorted ``prof.pred[j]`` whose
+    done-flag is still clear, empty at degree 0.  A bucket queue realizes
+    the order: one index heap per degree level, and a ``low`` pointer
+    that falls on each decrement and rises past empty levels.  Degrees
+    only fall, so an entry whose level no longer matches is stale and
+    skipped when popped.
     """
-    prof = _require_d2(inst)
     succ, pred = prof.succ, prof.pred
     deg = [0, *prof.in_deg]
-    done_a = [False] * (inst.n + 1)
-    done_b = [False] * (inst.m + 1)
-    heap = [(d, j) for j, d in enumerate(prof.in_deg, start=1)]
-    heapq.heapify(heap)
-
-    events: list[ZeroPick | DegPick] = []
-    while heap:
-        d, j = heapq.heappop(heap)
-        if done_b[j] or d != deg[j]:
+    done_a = [False] * len(succ)
+    done_b = [False] * len(deg)
+    levels: list[list[int]] = [[] for _ in range(max(deg) + 1)]
+    for j in range(1, len(deg)):
+        levels[deg[j]].append(j)  # ascending, so each level is a heap
+    heappop, heappush = heapq.heappop, heapq.heappush
+    low, top = 0, len(levels)
+    while low < top:
+        level = levels[low]
+        if not level:
+            low += 1
+            continue
+        j = heappop(level)
+        if done_b[j] or deg[j] != low:
             continue
         done_b[j] = True
-        if d == 0:
-            events.append(ZeroPick(b_index=j))
+        if low == 0:
+            yield j, 0, ()
             continue
-        batch = tuple(a for a in pred[j] if not done_a[a])
-        events.append(DegPick(b_index=j, picked_degree=d, a_batch=batch))
+        batch = tuple([a for a in pred[j] if not done_a[a]])
+        yield j, low, batch
         for a in batch:
             done_a[a] = True
             for t in succ[a]:
                 if done_b[t]:
                     continue
-                deg[t] -= 1
-                heapq.heappush(heap, (deg[t], t))
+                d = deg[t] - 1
+                deg[t] = d
+                heappush(levels[d], t)
+                if d < low:
+                    low = d
 
+
+def solve_pd2(inst: Instance) -> tuple[Schedule, Pd2Trace]:
+    """Run the degree-driven exact algorithm; returns schedule and trace."""
+    prof = _require_d2(inst)
+    events = [DegPick(j, d, batch) if d else ZeroPick(j) for j, d, batch in _run(prof)]
     # Every A-operation has a successor, whose pick runs every predecessor
     # not yet done, so the batches cover machine 1 (release_times checks it).
     pi = tuple(a for ev in events for a in ev.a_batch)
@@ -131,28 +151,28 @@ def lemma1_bound(inst: Instance) -> int:
 
 
 def blocks(inst: Instance, trace: Pd2Trace) -> tuple[Block, ...]:
-    """Cut the trace into blocks and measure each laid out in isolation."""
-    prof = degree_profile(inst)
-    seen_a: set[int] = set()
-    seen_b: set[int] = set()
+    """Cut the trace into blocks and measure each laid out in isolation.
+
+    The block lemma holds for pd2 runs only, and pd2 is deterministic, so
+    the trace must equal the one ``solve_pd2(inst)`` returns: the run is
+    replayed, and the first event that differs from it, or is missing or
+    extra, raises ``ValueError``.
+    """
+    prof = _require_d2(inst)
     groups: list[tuple[int, list[int], list[int]]] = []  # (label, a_ops, b_ops)
-    for ev in trace.events:
-        j = ev.b_index
-        if j in seen_b or not (1 <= j <= inst.m):
-            raise ValueError(f"trace/instance mismatch at B{j}")
-        seen_b.add(j)
-        if len(ev.a_batch) != ev.picked_degree:
-            raise ValueError(f"batch size mismatch at B{j}")
-        for a in ev.a_batch:
-            if a in seen_a or a not in prof.pred[j]:
-                raise ValueError(f"trace/instance mismatch at A{a}")
-            seen_a.add(a)
-        if not groups or ev.picked_degree > groups[-1][0]:
-            groups.append((ev.picked_degree, [], []))
-        groups[-1][1].extend(ev.a_batch)
-        groups[-1][2].append(j)
-    if seen_b != set(range(1, inst.m + 1)):
-        raise ValueError("trace does not cover every B-operation")
+    label = -1
+    for k, (ev, step) in enumerate(zip_longest(trace.events, _run(prof))):
+        got = None if ev is None else (type(ev), ev.b_index, ev.picked_degree, ev.a_batch)
+        want = None if step is None else (DegPick if step[1] else ZeroPick, *step)
+        if got != want:
+            b = (got or want)[1]
+            raise ValueError(f"trace is not the pd2 run of this instance at event {k} (B{b})")
+        j, d, batch = step
+        if d > label:
+            label, a_ops, b_ops = d, [], []
+            groups.append((label, a_ops, b_ops))
+        a_ops.extend(batch)
+        b_ops.append(j)
 
     result = []
     for label, a_ops, b_ops in groups:

@@ -3,8 +3,8 @@
 Machine 1 has no precedence constraints of its own, so a schedule is
 explored through permutations of the A-operations, run back-to-back from
 time 0.  Given that assignment, machine 2 is completed by the
-earliest-release-date (ERD) rule, which is makespan-optimal; a factorial
-brute-force over machine-2 orders serves as the independent check.
+earliest-release-date (ERD) rule, which is makespan-optimal; the tests
+check it against a factorial brute force over machine-2 orders.
 """
 
 from __future__ import annotations
@@ -89,35 +89,6 @@ def complete_m2_erd(inst: Instance, pi: Permutation) -> Schedule:
     for j, rj in enumerate(r, start=1):
         buckets[rj].append(j)
     return _list_schedule(inst, pi, r, itertools.chain.from_iterable(buckets))
-
-
-def best_m2_bruteforce(inst: Instance, pi: Permutation) -> Schedule:
-    """Try every machine-2 order; oracle for the ERD rule's optimality.
-
-    Returns the schedule of the lexicographically smallest optimal order.
-    Limited to m <= 9.
-    """
-    if inst.m > 9:
-        raise ValueError(f"brute force limited to m <= 9, got m={inst.m}")
-    r = release_times(inst, pi)
-    start_a = [0] * inst.n
-    for idx, a in enumerate(pi):
-        start_a[a - 1] = idx
-    best_mk = None
-    best_starts = None
-    for order in itertools.permutations(range(1, inst.m + 1)):
-        t = 0
-        starts = [0] * inst.m
-        for j in order:
-            t = max(t, r[j - 1])
-            starts[j - 1] = t
-            t += 1
-        mk = max(t, inst.n)
-        if best_mk is None or mk < best_mk:
-            best_mk = mk
-            best_starts = starts
-    assert best_starts is not None
-    return Schedule(start_a=tuple(start_a), start_b=tuple(best_starts))
 
 
 def check_feasible(inst: Instance, sched: Schedule) -> FeasibilityReport:

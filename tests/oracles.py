@@ -1,10 +1,16 @@
-"""Test-side oracle: machine-1 permutation enumeration.
+"""Test-side oracles: brute-force searches that validate the solvers.
 
-This is the n! search ``solve_exact`` used before the subset DP.  It
-completes every machine-1 order by the ERD rule and keeps the
-lexicographically first optimal one, optionally pruning orders that only
-swap A-operations with identical successor sets.  It shares no logic with
-the DP, so the two cross-check each other at n <= 7.
+``enumerate_exact`` is the n! search ``solve_exact`` used before the
+subset DP.  It completes every machine-1 order by the ERD rule and keeps
+the lexicographically first optimal one, optionally pruning orders that
+only swap A-operations with identical successor sets.  It shares no logic
+with the DP, so the two cross-check each other at n <= 7.
+
+``prefix_q`` is the q statistic over a given machine-1 order.
+``best_m2_bruteforce`` tries every machine-2 order for a fixed machine-1
+order, the check on the ERD rule.  ``optimal_makespan_statespace`` makes
+no modelling assumptions at all (it allows idling on either machine) and
+validates the reduction to machine-1 orders on tiny instances.
 """
 
 from __future__ import annotations
@@ -13,7 +19,16 @@ import itertools
 from math import factorial
 from typing import Iterator
 
-from crossdock import ExactResult, Instance, complete_m2_erd, degree_profile, makespan
+from crossdock import (
+    ExactResult,
+    Instance,
+    Permutation,
+    Schedule,
+    complete_m2_erd,
+    degree_profile,
+    makespan,
+    release_times,
+)
 
 
 def _successor_groups(inst: Instance) -> list[list[int]]:
@@ -99,3 +114,77 @@ def enumerate_exact(inst: Instance, prune: bool = True) -> ExactResult:
     sched = complete_m2_erd(inst, best_pi)
     assert makespan(sched) == best_mk
     return ExactResult(schedule=sched, optimal_makespan=best_mk, permutations_examined=examined)
+
+
+def prefix_q(inst: Instance, pi: Permutation) -> int:
+    """Smallest q with the out-degrees of pi's first q entries summing to
+    more than the arc total minus m: the statistic as the paper defines it,
+    over a given machine-1 order."""
+    out_deg = degree_profile(inst).out_deg
+    prefix = 0
+    for q, a in enumerate(pi, start=1):
+        prefix += out_deg[a - 1]
+        if prefix > len(inst.arcs) - inst.m:
+            return q
+    raise AssertionError("unreachable: inequality holds at q=n since m >= 1")
+
+
+def best_m2_bruteforce(inst: Instance, pi: Permutation) -> Schedule:
+    """Try every machine-2 order; oracle for the ERD rule's optimality.
+
+    Returns the schedule of the lexicographically smallest optimal order.
+    Limited to m <= 9.
+    """
+    if inst.m > 9:
+        raise ValueError(f"brute force limited to m <= 9, got m={inst.m}")
+    r = release_times(inst, pi)
+    start_a = [0] * inst.n
+    for idx, a in enumerate(pi):
+        start_a[a - 1] = idx
+    best_mk = None
+    best_starts = None
+    for order in itertools.permutations(range(1, inst.m + 1)):
+        t = 0
+        starts = [0] * inst.m
+        for j in order:
+            t = max(t, r[j - 1])
+            starts[j - 1] = t
+            t += 1
+        mk = max(t, inst.n)
+        if best_mk is None or mk < best_mk:
+            best_mk = mk
+            best_starts = starts
+    assert best_starts is not None
+    return Schedule(start_a=tuple(start_a), start_b=tuple(best_starts))
+
+
+def optimal_makespan_statespace(inst: Instance) -> int:
+    """Exhaustive search over all integer schedules with starts < n+m.
+
+    Breadth-first over (time, set of finished A, set of finished B) with
+    idling allowed on both machines; every feasible schedule corresponds
+    to some trajectory, so this is assumption-free.  Exponential in n+m.
+    """
+    pred_mask = [sum(1 << (i - 1) for i in row) for row in degree_profile(inst).pred[1:]]
+    full_a = (1 << inst.n) - 1
+    full_b = (1 << inst.m) - 1
+    horizon = inst.n + inst.m
+    states = {(0, 0)}
+    for t in range(1, horizon + 1):
+        nxt: set[tuple[int, int]] = set()
+        for done_a, done_b in states:
+            a_moves = [done_a]
+            for i in range(inst.n):
+                if not done_a >> i & 1:
+                    a_moves.append(done_a | 1 << i)
+            b_moves = [done_b]
+            for j in range(inst.m):
+                if not done_b >> j & 1 and pred_mask[j] & done_a == pred_mask[j]:
+                    b_moves.append(done_b | 1 << j)
+            for na in a_moves:
+                for nb in b_moves:
+                    nxt.add((na, nb))
+        states = nxt
+        if (full_a, full_b) in states:
+            return t
+    raise AssertionError(f"no complete schedule within horizon {horizon}")

@@ -12,7 +12,6 @@ from crossdock import (
     DegPick,
     Instance,
     ZeroPick,
-    best_m2_bruteforce,
     blocks,
     bounds_report,
     complete_m2_erd,
@@ -21,17 +20,16 @@ from crossdock import (
     gen_d2,
     gen_random,
     gen_tight,
-    greedy_order,
     lemma1_bound,
     lower_bound,
     lower_bound_printed_form,
     makespan,
-    optimal_makespan_statespace,
     solve_exact,
     solve_greedy,
     solve_pd2,
     TightParams,
 )
+from oracles import best_m2_bruteforce, optimal_makespan_statespace
 
 
 def _report(num: int, name: str) -> None:
@@ -78,7 +76,7 @@ def test_criterion_2_tight_family_attainment():
     tf = gen_tight(TightParams(k, l, s))
     assert solve_exact(tf).optimal_makespan == 10 == 2 * k + s + 1
     assert makespan(solve_greedy(tf)) == 12 == 2 * k + s + l + 1
-    q = compute_q(tf, greedy_order(tf))
+    q = compute_q(tf)
     assert q == 3 == l + 1
     prof = degree_profile(tf)
     bound = Fraction(
@@ -91,7 +89,7 @@ def test_criterion_2_tight_family_attainment():
     for k, l, s in [(5, 3, 4), (6, 2, 5)]:
         tf = gen_tight(TightParams(k, l, s))
         assert makespan(solve_greedy(tf)) == 2 * k + s + l + 1
-        assert compute_q(tf, greedy_order(tf)) == l + 1
+        assert compute_q(tf) == l + 1
         assert lower_bound(tf) == 2 * k + s + 1
         rep = bounds_report(tf)
         assert rep.greedy_upper == 2 * k + s + l + 1

@@ -8,7 +8,9 @@ and dict-based adjacency.  ``old_solve_pd2`` is ``solve_pd2`` before it
 shared the machine-2 list scheduler: private predecessor sets and its own
 layout loop.  ``old_blocks`` is ``blocks`` before it read zero and degree
 picks one way: an ``isinstance`` split, a position dict and a start-time
-loop per block.  The library must agree with them exactly.
+loop per block.  The library must agree with them exactly, except that
+``blocks`` now rejects every trace but the pd2 run's, which ``old_blocks``
+only spot-checked.
 """
 
 import heapq
@@ -23,6 +25,7 @@ from crossdock import (
     Block,
     DegPick,
     Instance,
+    NotD2Error,
     Pd2Trace,
     Schedule,
     ZeroPick,
@@ -279,10 +282,10 @@ def old_blocks(inst, trace):
 
 @st.composite
 def validated_traces(draw):
-    """A trace ``blocks`` accepts but ``solve_pd2`` need not produce: every B
-    once in shuffled order, each running a random sub-batch, in random
-    order, of its predecessors not yet run."""
-    inst = draw(random_instances())
+    """A trace ``old_blocks`` accepts but ``solve_pd2`` need not produce:
+    every B once in shuffled order, each running a random sub-batch, in
+    random order, of its predecessors not yet run."""
+    inst = draw(st.one_of(random_instances(), d2_instances_with_pendants()))
     rng = draw(st.randoms(use_true_random=False))
     order = list(range(1, inst.m + 1))
     rng.shuffle(order)
@@ -308,8 +311,8 @@ def solved_d2_traces(draw):
 
 @st.composite
 def tampered_traces(draw):
-    """A validated trace with one event dropped, repeated or altered."""
-    inst, trace = draw(validated_traces())
+    """A validated or solved trace with one event dropped, repeated or altered."""
+    inst, trace = draw(st.one_of(validated_traces(), solved_d2_traces()))
     events = list(trace.events)
     k = draw(st.integers(0, len(events) - 1))
     ev = events[k]
@@ -326,17 +329,19 @@ def tampered_traces(draw):
     return inst, Pd2Trace(events=tuple(events))
 
 
-def outcome(fn, inst, trace):
-    try:
-        return fn(inst, trace)
-    except ValueError as exc:
-        return f"ValueError: {exc}"
-
-
 @given(st.one_of(solved_d2_traces(), validated_traces(), tampered_traces()))
 def test_blocks_match_position_dict_copy(case):
+    """The pd2 run's trace gives ``old_blocks``'s blocks; any other raises."""
     inst, trace = case
-    assert outcome(blocks, inst, trace) == outcome(old_blocks, inst, trace)
+    try:
+        solved = solve_pd2(inst)[1]
+    except NotD2Error:
+        solved = None
+    if trace == solved:
+        assert blocks(inst, trace) == old_blocks(inst, trace)
+    else:
+        with pytest.raises(ValueError):
+            blocks(inst, trace)
 
 
 @given(d2_instances_with_pendants())

@@ -8,11 +8,10 @@ from crossdock import (
     gen_random,
     gen_tight,
     makespan,
-    optimal_makespan_statespace,
     solve_exact,
     TightParams,
 )
-from oracles import enumerate_exact, search_space_size
+from oracles import enumerate_exact, optimal_makespan_statespace, search_space_size
 
 
 def test_solve_exact_ex1(ex1):

@@ -19,13 +19,12 @@ from crossdock import (
     gen_tight,
     lemma1_bound,
     makespan,
-    optimal_makespan_statespace,
     solve_exact,
     solve_greedy,
     solve_pd2,
 )
 from crossdock.exact import EXACT_MAX_N
-from oracles import enumerate_exact
+from oracles import enumerate_exact, optimal_makespan_statespace
 
 
 def tight_params(max_total: int):

@@ -86,7 +86,7 @@ def test_gen_tight_shape_and_degrees():
 
 
 def test_gen_tight_certificate_small():
-    from crossdock import compute_q, greedy_order, makespan, solve_exact, solve_greedy, bounds_report
+    from crossdock import compute_q, makespan, solve_exact, solve_greedy, bounds_report
     from fractions import Fraction
 
     for k, l, s in [(3, 2, 3), (3, 3, 3)]:
@@ -94,6 +94,6 @@ def test_gen_tight_certificate_small():
         if tf.n <= 9:
             assert solve_exact(tf).optimal_makespan == 2 * k + s + 1
         assert makespan(solve_greedy(tf)) == 2 * k + s + l + 1
-        assert compute_q(tf, greedy_order(tf)) == l + 1
+        assert compute_q(tf) == l + 1
         rep = bounds_report(tf)
         assert Fraction(2 * k + s + l + 1, 2 * k + s + 1) == rep.ratio_bound

@@ -20,6 +20,7 @@ from crossdock import (
     TightParams,
 )
 from conftest import EX1_GREEDY_PI
+from oracles import prefix_q
 
 
 def test_greedy_order_ex1(ex1):
@@ -69,16 +70,16 @@ def test_solve_greedy_no_arcs():
 def test_compute_q_tight_family():
     for k, l, s in [(3, 2, 3), (4, 3, 3), (5, 2, 4)]:
         tf = gen_tight(TightParams(k, l, s))
-        assert compute_q(tf, greedy_order(tf)) == l + 1
+        assert compute_q(tf) == l + 1
 
 
 def test_compute_q_ex1(ex1):
     # total out-degree 12, m=7: first prefix sum above 5 is 6, at q=3
-    assert compute_q(ex1, greedy_order(ex1)) == 3
+    assert compute_q(ex1) == 3
 
 
 def test_compute_q_vacuous(cex):
-    assert compute_q(cex, (1,)) == 1
+    assert compute_q(cex) == 1
 
 
 def test_lower_bound_tight():
@@ -155,7 +156,7 @@ def small_instances(draw):
 @given(small_instances())
 def test_bounds_report_q_matches_greedy_order(inst):
     # small arc sets give tied and zero out-degrees often
-    assert bounds_report(inst).q == compute_q(inst, greedy_order(inst))
+    assert bounds_report(inst).q == compute_q(inst) == prefix_q(inst, greedy_order(inst))
 
 
 def test_soundness_sandwich_random():

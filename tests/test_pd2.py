@@ -6,6 +6,7 @@ from crossdock import (
     DegPick,
     Instance,
     NotD2Error,
+    Pd2Trace,
     ZeroPick,
     blocks,
     blocks_to_json,
@@ -119,6 +120,48 @@ def test_blocks_rejects_mismatched_trace(ex1):
     _, trace = solve_pd2(other)
     with pytest.raises(ValueError):
         blocks(ex1, trace)
+
+
+def _k22():
+    """Two A-operations, both predecessors of both B-operations."""
+    return Instance(n=2, m=2, arcs=frozenset({(1, 1), (2, 1), (1, 2), (2, 2)}))
+
+
+def test_blocks_rejects_traces_that_skip_predecessors():
+    inst = _k22()
+    assert solve_pd2(inst)[1].events == (DegPick(1, 2, (1, 2)), ZeroPick(2))
+    # B1 picked at degree 0 (label-0 block), and B1 at degree 1 with one
+    # of its two predecessors (label-1 block): neither is the pd2 run.
+    for events in [(ZeroPick(1), ZeroPick(2)), (DegPick(1, 1, (2,)), ZeroPick(2))]:
+        with pytest.raises(ValueError, match="event 0 \\(B1\\)"):
+            blocks(inst, Pd2Trace(events=events))
+
+
+def test_blocks_rejects_zero_pick_as_degree_pick():
+    inst = _k22()
+    with pytest.raises(ValueError, match="event 1 \\(B2\\)"):
+        blocks(inst, Pd2Trace(events=(DegPick(1, 2, (1, 2)), DegPick(2, 0, ()))))
+
+
+def test_blocks_rejects_swapped_events(ex1):
+    events = list(solve_pd2(ex1)[1].events)
+    events[3], events[4] = events[4], events[3]
+    with pytest.raises(ValueError, match="event 3 \\(B6\\)"):
+        blocks(ex1, Pd2Trace(events=tuple(events)))
+
+
+def test_blocks_rejects_truncated_and_extended_traces(ex1):
+    events = solve_pd2(ex1)[1].events
+    with pytest.raises(ValueError, match="event 6 \\(B3\\)"):
+        blocks(ex1, Pd2Trace(events=events[:-1]))
+    with pytest.raises(ValueError, match="event 7 \\(B1\\)"):
+        blocks(ex1, Pd2Trace(events=(*events, ZeroPick(1))))
+
+
+def test_blocks_rejects_non_d2(cex):
+    trace = Pd2Trace(events=tuple(ZeroPick(j) for j in range(1, cex.m + 1)))
+    with pytest.raises(NotD2Error):
+        blocks(cex, trace)
 
 
 def test_block_structure_invariants():

@@ -5,7 +5,6 @@ import pytest
 from crossdock import (
     Instance,
     Schedule,
-    best_m2_bruteforce,
     check_feasible,
     complete_m2_erd,
     degree_profile,
@@ -20,6 +19,7 @@ from crossdock import (
     TightParams,
 )
 from conftest import EX1_GREEDY_PI
+from oracles import best_m2_bruteforce
 
 
 def test_release_times_ex1(ex1):
