@@ -12,6 +12,7 @@ from .instance import (
     DegreeProfile,
     Instance,
     InstanceError,
+    MAX_OPS,
     classify,
     degree_profile,
     parse_instance,
@@ -67,6 +68,7 @@ __all__ = [
     "FeasibilityReport",
     "Instance",
     "InstanceError",
+    "MAX_OPS",
     "NotD2Error",
     "Pd2Trace",
     "Permutation",

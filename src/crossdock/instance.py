@@ -10,9 +10,17 @@ memory and on disk.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from operator import le, lt
 from typing import Iterable, Iterator
+
+# The largest n or m the parser accepts: 50 times the largest instances the
+# solvers are benchmarked on (n = m = 200k), and small enough that the O(n)
+# and O(m) lists every solver allocates fit in memory.  A larger header is an
+# InstanceError before any arc is read.
+MAX_OPS = 10**7
 
 
 class InstanceError(ValueError):
@@ -33,6 +41,21 @@ class Instance:
         for i, j in self.arcs:
             if not (1 <= i <= self.n and 1 <= j <= self.m):
                 raise InstanceError(f"arc ({i},{j}) out of range for n={self.n}, m={self.m}")
+
+    @classmethod
+    def _from_rows(
+        cls,
+        n: int,
+        m: int,
+        arcs: frozenset[tuple[int, int]],
+        rows: list[tuple[int, tuple[int, ...]]],
+    ) -> Instance:
+        """An instance whose arcs the caller has range-checked, so
+        ``__post_init__`` is skipped.  ``rows`` pairs each A-index that has
+        arcs with its sorted successor tuple; the profile build consumes it."""
+        inst = cls.__new__(cls)
+        inst.__dict__.update(n=n, m=m, arcs=arcs, _rows=rows)
+        return inst
 
     def sorted_arcs(self) -> list[tuple[int, int]]:
         return sorted(self.arcs)
@@ -80,15 +103,23 @@ def degree_profile(inst: Instance) -> DegreeProfile:
 
 
 def _build_profile(inst: Instance) -> DegreeProfile:
-    succ: list[list[int]] = [[] for _ in range(inst.n + 1)]
+    # The canonical parser leaves the sorted successor rows behind; any
+    # other instance groups and sorts its arcs here.
+    rows = inst.__dict__.pop("_rows", None)
+    if rows is None:
+        succ = [[] for _ in range(inst.n + 1)]
+        for i, j in inst.arcs:
+            succ[i].append(j)
+        for row in succ:
+            row.sort()
+    else:
+        succ = [()] * (inst.n + 1)
+        for i, row in rows:
+            succ[i] = row
     pred: list[list[int]] = [[] for _ in range(inst.m + 1)]
-    for i, j in inst.arcs:
-        succ[i].append(j)
     # Walking A-operations in index order fills every pred list already sorted.
     for i in range(1, inst.n + 1):
-        row = succ[i]
-        row.sort()
-        for j in row:
+        for j in succ[i]:
             pred[j].append(i)
     return DegreeProfile(
         out_deg=tuple(map(len, succ[1:])),
@@ -131,6 +162,94 @@ def _checked(lines: Iterable[str]) -> Iterator[str]:
         yield raw
 
 
+_HEADER = re.compile(r"p cdock ([0-9]+) ([0-9]+)")
+# Bytes a canonical arc block may hold: the arc tag, digits, space, newline.
+_ARC_BLOCK = b"a0123456789 \n"
+
+
+def _parse_canonical(text: str) -> Instance | None:
+    """The instance of text in the layout ``serialize_instance`` writes, or
+    None for any other text, valid or not.
+
+    That layout is: "c" comment lines, the header, then one "a <i> <j>\n"
+    line per arc with single spaces, in strictly increasing (i, j) order.
+    Every check runs over the whole arc block at once, so the text is never
+    walked line by line.  Returning None is never an error: the caller
+    falls back to the line parser, which accepts or rejects the text itself.
+    """
+    start = 0
+    while text.startswith("c", start):
+        end = text.find("\n", start)
+        line = text[start:end]
+        if end < 0 or not (line == "c" or line.startswith("c ")) or _COMMENT_IRREGULAR.search(line):
+            return None
+        start = end + 1
+    end = text.find("\n", start)
+    header = _HEADER.fullmatch(text, start, end) if end >= 0 else None
+    if header is None:
+        return None
+    # Digit strings past int()'s length limit raise ValueError here, as in
+    # the line parser, which then reports them.
+    try:
+        n, m = int(header[1]), int(header[2])
+    except ValueError:
+        return None
+    if not (1 <= n <= MAX_OPS and 1 <= m <= MAX_OPS):
+        return None
+    body = text[end + 1 :]
+    if not body.isascii():
+        return None
+    block = body.encode("ascii")
+    del body
+    count = block.count(b"\n")
+    # Only tags, digits, spaces and newlines; the block ends at a newline;
+    # every line starts with the one tag it holds and has two spaces.
+    if block and (
+        block.translate(None, _ARC_BLOCK)
+        or block[:1] != b"a"
+        or block[-1:] != b"\n"
+        or block.count(b"a") != count
+        or block.count(b"\na") != count - 1
+        or block.count(b" ") != 2 * count
+    ):
+        return None
+    tokens = block.split()
+    del block
+    # With the counts above, 3 tokens a line with every line's first token
+    # "a" means no line has a doubled, leading or trailing space.
+    if len(tokens) != 3 * count or tokens[0::3].count(b"a") != count:
+        return None
+    try:
+        heads = list(map(int, tokens[1::3]))
+        tails = tuple(map(int, tokens[2::3]))
+    except ValueError:
+        return None
+    del tokens
+    if count and not (
+        1 <= heads[0]
+        and heads[-1] <= n
+        and 1 <= min(tails)
+        and max(tails) <= m
+        and all(map(le, heads, heads[1:]))
+    ):
+        return None
+    # One (i, successors of A_i) pair per A-operation with arcs: its run of
+    # the sorted heads, sliced out of the tails.
+    rows = []
+    lo = 0
+    while lo < count:
+        i = heads[lo]
+        hi = bisect_right(heads, i, lo)
+        row = tails[lo:hi]
+        if not all(map(lt, row, row[1:])):
+            return None
+        rows.append((i, row))
+        lo = hi
+    # A frozenset built straight from an iterator keeps the table it grew,
+    # up to twice the size of one copied from a set.
+    return Instance._from_rows(n, m, frozenset(set(zip(heads, tails))), rows)
+
+
 def parse_instance(text: str) -> Instance:
     """Parse the line-oriented instance format.
 
@@ -140,8 +259,19 @@ def parse_instance(text: str) -> Instance:
     Lines end at a newline (a carriage return before it is dropped) and
     numbers are ASCII digits only.  Only comments may hold non-ASCII text,
     so digits from other scripts and a leading byte-order mark are errors,
-    as are signs, underscores and control characters other than tab.
+    as are signs, underscores and control characters other than tab.  n and
+    m may not exceed ``MAX_OPS``; a larger header is an error at that line.
+
+    Text in the canonical layout that ``serialize_instance`` writes (comments
+    first, single spaces, arcs in (i, j) order, a final newline) is read in
+    one pass over the whole text, with its successor rows kept for the
+    profile.  Any other text, and every invalid one, goes to the line
+    parser, the one place that raises, so an error names the same line
+    whichever layout the text is in.
     """
+    inst = _parse_canonical(text)
+    if inst is not None:
+        return inst
     lines: Iterable[str] = text.split("\n")
     # isascii() is a flag lookup and translate() one C-level pass.  Only text
     # holding something irregular gets the per-line check, run lazily so an
@@ -181,6 +311,8 @@ def parse_instance(text: str) -> Instance:
                 raise InstanceError(f"malformed header, line {lineno}") from None
             if n < 1 or m < 1:
                 raise InstanceError(f"n and m must be positive, line {lineno}")
+            if n > MAX_OPS or m > MAX_OPS:
+                raise InstanceError(f"n and m must be at most {MAX_OPS}, line {lineno}")
         else:
             raise InstanceError(f"unrecognized line type {fields[0]!r}, line {lineno}")
     if n is None or m is None:

@@ -37,7 +37,7 @@ def validate_permutation(inst: Instance, pi: Permutation) -> None:
 
 
 def makespan(sched: Schedule) -> int:
-    return max(*sched.start_a, *sched.start_b, -1) + 1
+    return max(max(sched.start_a, default=-1), max(sched.start_b, default=-1)) + 1
 
 
 def release_times(inst: Instance, pi: Permutation) -> tuple[int, ...]:
@@ -47,9 +47,15 @@ def release_times(inst: Instance, pi: Permutation) -> tuple[int, ...]:
     completion among its predecessors, 0 when it has none.  That is never
     below its in-degree: d predecessors cannot all finish before time d.
     Walking pi in order, each assignment overwrites a smaller value, so the
-    last one written is the maximum.
+    last one written is the maximum.  Raises ``ValueError`` unless pi is a
+    permutation of 1..n.
     """
     validate_permutation(inst, pi)
+    return _release_times(inst, pi)
+
+
+def _release_times(inst: Instance, pi: Permutation) -> tuple[int, ...]:
+    """``release_times`` for an order its caller built as a permutation."""
     succ = degree_profile(inst).succ
     r = [0] * (inst.m + 1)
     for done, a in enumerate(pi, start=1):
@@ -83,8 +89,15 @@ def complete_m2_erd(inst: Instance, pi: Permutation) -> Schedule:
     B-operations run in non-decreasing release time (ties by index), each
     at the earliest moment past its release and the previous completion.
     Release times lie in 0..n, so a bucket per time replaces the sort.
+    Raises ``ValueError`` unless pi is a permutation of 1..n.
     """
-    r = release_times(inst, pi)
+    validate_permutation(inst, pi)
+    return _complete_m2_erd(inst, pi)
+
+
+def _complete_m2_erd(inst: Instance, pi: Permutation) -> Schedule:
+    """``complete_m2_erd`` for an order its caller built as a permutation."""
+    r = _release_times(inst, pi)
     buckets: list[list[int]] = [[] for _ in range(inst.n + 1)]
     for j, rj in enumerate(r, start=1):
         buckets[rj].append(j)

@@ -6,6 +6,10 @@ the lexicographically first optimal one, optionally pruning orders that
 only swap A-operations with identical successor sets.  It shares no logic
 with the DP, so the two cross-check each other at n <= 7.
 
+``parse_instance_lines`` is the line-by-line instance parser as it was
+before the canonical whole-text path, the reference the differential parse
+tests compare ``parse_instance`` against.
+
 ``prefix_q`` is the q statistic over a given machine-1 order.
 ``best_m2_bruteforce`` tries every machine-2 order for a fixed machine-1
 order, the check on the ERD rule.  ``optimal_makespan_statespace`` makes
@@ -16,12 +20,14 @@ validates the reduction to machine-1 orders on tiny instances.
 from __future__ import annotations
 
 import itertools
+import re
 from math import factorial
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from crossdock import (
     ExactResult,
     Instance,
+    InstanceError,
     Permutation,
     Schedule,
     complete_m2_erd,
@@ -188,3 +194,73 @@ def optimal_makespan_statespace(inst: Instance) -> int:
         if (full_a, full_b) in states:
             return t
     raise AssertionError(f"no complete schedule within horizon {horizon}")
+
+
+# The line parser's character checks, copied so the oracle shares no code
+# with the parser under test.
+_PLAIN = bytes(range(0x20, 0x7F)).translate(None, b"+-_") + b"\t\n"
+_COMMENT_IRREGULAR = re.compile(r"[\x00-\x08\x0a-\x1f\x7f]")
+_DATA_IRREGULAR = re.compile(r"[^\t\x20-\x7e]|[-+_]")
+
+
+def _checked(lines: Iterable[str]) -> Iterator[str]:
+    for lineno, raw in enumerate(lines, start=1):
+        body = raw.removesuffix("\r")
+        line = body.strip()
+        comment = line == "c" or line.startswith("c ")
+        found = (_COMMENT_IRREGULAR if comment else _DATA_IRREGULAR).search(body)
+        if found is not None:
+            ch = found.group()
+            if ch in "+-_":
+                raise InstanceError(f"unexpected character {ch!r}, line {lineno}")
+            kind = "control" if ch.isascii() else "non-ASCII"
+            raise InstanceError(f"{kind} character U+{ord(ch):04X}, line {lineno}")
+        yield raw
+
+
+def parse_instance_lines(text: str) -> Instance:
+    """Parse instance text one line at a time, through the public constructor.
+
+    It has no size cap, so it agrees with ``parse_instance`` on every text
+    whose header is within ``MAX_OPS``.
+    """
+    lines: Iterable[str] = text.split("\n")
+    if not text.isascii() or text.encode("ascii").translate(None, _PLAIN):
+        lines = _checked(lines)
+    n = m = None
+    arcs: set[tuple[int, int]] = set()
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line == "c" or line.startswith("c "):
+            continue
+        fields = line.split()
+        if fields[0] == "a":
+            if n is None:
+                raise InstanceError(f"arc before header, line {lineno}")
+            if len(fields) != 3:
+                raise InstanceError(f"malformed arc line, line {lineno}")
+            try:
+                i, j = int(fields[1]), int(fields[2])
+            except ValueError:
+                raise InstanceError(f"malformed arc line, line {lineno}") from None
+            if not (1 <= i <= n and 1 <= j <= m):
+                raise InstanceError(f"index out of range, line {lineno}")
+            if (i, j) in arcs:
+                raise InstanceError(f"duplicate arc, line {lineno}")
+            arcs.add((i, j))
+        elif fields[0] == "p":
+            if n is not None:
+                raise InstanceError(f"duplicate header, line {lineno}")
+            if len(fields) != 4 or fields[1] != "cdock":
+                raise InstanceError(f"malformed header, line {lineno}")
+            try:
+                n, m = int(fields[2]), int(fields[3])
+            except ValueError:
+                raise InstanceError(f"malformed header, line {lineno}") from None
+            if n < 1 or m < 1:
+                raise InstanceError(f"n and m must be positive, line {lineno}")
+        else:
+            raise InstanceError(f"unrecognized line type {fields[0]!r}, line {lineno}")
+    if n is None or m is None:
+        raise InstanceError("missing header")
+    return Instance(n=n, m=m, arcs=frozenset(arcs))

@@ -1,4 +1,5 @@
-"""Property forms of the paper's claims on drawn instances.
+"""Property forms of the paper's claims on drawn instances, and of the
+instance-text and schedule-JSON round trips.
 
 The exact subset DP is the optimum these are checked against; the seeded
 loops in ``test_exact_dp.py`` cover the same claims at n = 10-14.
@@ -8,11 +9,16 @@ from hypothesis import given, strategies as st
 
 from crossdock import (
     Instance,
+    Schedule,
     blocks,
     bounds_report,
     gen_d2,
     lemma1_bound,
     makespan,
+    parse_instance,
+    schedule_from_json,
+    schedule_to_json,
+    serialize_instance,
     solve_exact,
     solve_greedy,
     solve_pd2,
@@ -56,3 +62,28 @@ def test_block_lemma(inst):
         if blk.label >= 2:
             assert blk.overhang_len in (1, 2)
     assert a_blocks[-1].overhang_len == 2
+
+
+# Comment text that the parser keeps out of the instance: no line breaks or
+# control characters, any other character allowed.
+comment_text = st.text(
+    st.characters(blacklist_categories=("Cc", "Cs"), blacklist_characters="\u2028\u2029"), max_size=10
+)
+
+
+@given(arc_sets(max_size=30), st.lists(comment_text, max_size=3))
+def test_parse_inverts_serialize(inst, comments):
+    text = serialize_instance(inst, comments)
+    parsed = parse_instance(text)
+    assert parsed == inst
+    assert parsed.profile == Instance(n=inst.n, m=inst.m, arcs=inst.arcs).profile
+    assert serialize_instance(parsed, comments) == text
+
+
+@given(
+    st.lists(st.integers(-(2**70), 2**70), max_size=20),
+    st.lists(st.integers(-(2**70), 2**70), max_size=20),
+)
+def test_schedule_json_round_trip(start_a, start_b):
+    sched = Schedule(start_a=tuple(start_a), start_b=tuple(start_b))
+    assert schedule_from_json(schedule_to_json(sched)) == sched

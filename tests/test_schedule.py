@@ -55,12 +55,36 @@ def test_release_times_dominate_degrees_and_predecessors():
 @pytest.mark.parametrize("fn", [release_times, complete_m2_erd])
 @pytest.mark.parametrize(
     "pi",
-    [(4, 6, 5, 1, 2), (4, 6, 5, 1, 2, 2), (4, 6, 5, 1, 2, 7), (4, 6, 5, 1, 2, 3, 3), ()],
-    ids=["short", "repeated", "out_of_range", "long_repeated", "empty"],
+    [
+        (4, 6, 5, 1, 2), (4, 6, 5, 1, 2, 2), (4, 6, 5, 1, 2, 7), (4, 6, 5, 1, 2, 3, 3), (),
+        (4, 6, 5, 1, 1, 3), (4, 6, 5, 0, 2, 3), (4, 6, 5, -1, 2, 3), (4, 6, 5, 1, 2, 3, 7),
+    ],
+    ids=[
+        "short", "repeated", "out_of_range", "long_repeated", "empty",
+        "duplicate_and_gap", "zero", "negative", "long",
+    ],
 )
 def test_machine1_order_must_be_a_permutation(ex1, fn, pi):
     with pytest.raises(ValueError, match=r"not a permutation of 1\.\.6"):
         fn(ex1, pi)
+
+
+def test_solvers_skip_the_order_check(monkeypatch):
+    # Solvers build their machine-1 orders as permutations and call the
+    # unchecked forms; the public functions still check.
+    from crossdock import gen_d2, schedule as schedule_module, solve_exact, solve_greedy, solve_pd2
+
+    calls = []
+    real_check = schedule_module.validate_permutation
+    monkeypatch.setattr(
+        schedule_module, "validate_permutation", lambda inst, pi: calls.append(pi) or real_check(inst, pi)
+    )
+    solve_greedy(gen_random(6, 5, 0.5, 2))
+    solve_pd2(gen_d2(6, 5, 1, 2))
+    solve_exact(gen_random(6, 5, 0.5, 2))
+    assert calls == []
+    release_times(gen_random(2, 2, 0.5, 2), (2, 1))
+    assert calls == [(2, 1)]
 
 
 def test_erd_ex1(ex1):
@@ -234,3 +258,11 @@ def test_schedule_json_rejects_coercion(text, fragment):
 def test_schedule_json_makespan_optional():
     sched = schedule_from_json('{"start_a": [0], "start_b": [1]}')
     assert sched == Schedule(start_a=(0,), start_b=(1,))
+
+
+def test_empty_schedule_json_round_trip():
+    # No starts at all: makespan 0, not a crash inside max().
+    text = '{"makespan": 0, "start_a": [], "start_b": []}'
+    sched = schedule_from_json(text)
+    assert sched == Schedule(start_a=(), start_b=()) and makespan(sched) == 0
+    assert schedule_from_json(schedule_to_json(sched)) == sched
