@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .instance import Instance, degree_profile
-from .schedule import Schedule, _complete_m2_erd, makespan
+from .schedule import Schedule, complete_m2_erd, makespan
 
 # The DP table holds 2^n Python ints: 8 MB of references at n = 20, filled
 # in about 3.4 s (CPython 3.11 on a 2-vCPU Xeon host; n = 16 takes 0.18 s).
@@ -96,6 +96,6 @@ def solve_exact(inst: Instance, max_n: int = EXACT_DEFAULT_LIMIT) -> ExactResult
         a = next(a for a in range(n) if not s >> a & 1 and g[s | 1 << a] <= opt)
         pi.append(a + 1)
         s |= 1 << a
-    sched = _complete_m2_erd(inst, tuple(pi))
+    sched = complete_m2_erd(inst, tuple(pi))
     assert makespan(sched) == opt
     return ExactResult(schedule=sched, optimal_makespan=opt, permutations_examined=full + 1)

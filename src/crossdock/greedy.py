@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .instance import Instance, degree_profile
-from .schedule import Permutation, Schedule, _complete_m2_erd
+from .schedule import Permutation, Schedule, complete_m2_erd
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ def greedy_order(inst: Instance) -> Permutation:
 
 
 def solve_greedy(inst: Instance) -> Schedule:
-    return _complete_m2_erd(inst, greedy_order(inst))
+    return complete_m2_erd(inst, greedy_order(inst))
 
 
 def compute_q(inst: Instance) -> int:

@@ -13,7 +13,8 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from operator import le, lt
+from itertools import repeat
+from operator import add, floordiv, le, lt, mod, mul
 from typing import Iterable, Iterator
 
 # The largest n or m the parser accepts: 50 times the largest instances the
@@ -172,10 +173,11 @@ def _parse_canonical(text: str) -> Instance | None:
     None for any other text, valid or not.
 
     That layout is: "c" comment lines, the header, then one "a <i> <j>\n"
-    line per arc with single spaces, in strictly increasing (i, j) order.
-    Every check runs over the whole arc block at once, so the text is never
-    walked line by line.  Returning None is never an error: the caller
-    falls back to the line parser, which accepts or rejects the text itself.
+    line per arc with single spaces.  The serializer writes the arcs in
+    (i, j) order; arcs in any other order are sorted here.  Every check runs
+    over the whole arc block at once, so the text is never walked line by
+    line.  Returning None is never an error: the caller falls back to the
+    line parser, which accepts or rejects the text itself.
     """
     start = 0
     while text.startswith("c", start):
@@ -225,13 +227,16 @@ def _parse_canonical(text: str) -> Instance | None:
     except ValueError:
         return None
     del tokens
-    if count and not (
-        1 <= heads[0]
-        and heads[-1] <= n
-        and 1 <= min(tails)
-        and max(tails) <= m
-        and all(map(le, heads, heads[1:]))
-    ):
+    if count and not (1 <= min(tails) and max(tails) <= m):
+        return None
+    if not all(map(le, heads, heads[1:])):
+        # Arcs in another order: sort them as one int each, i * (m + 1) + j,
+        # which orders as (i, j) does now that 1 <= j <= m.
+        keys = sorted(map(add, map(mul, heads, repeat(m + 1)), tails))
+        heads = list(map(floordiv, keys, repeat(m + 1)))
+        tails = tuple(map(mod, keys, repeat(m + 1)))
+        del keys
+    if count and not (1 <= heads[0] and heads[-1] <= n):
         return None
     # One (i, successors of A_i) pair per A-operation with arcs: its run of
     # the sorted heads, sliced out of the tails.
@@ -242,7 +247,10 @@ def _parse_canonical(text: str) -> Instance | None:
         hi = bisect_right(heads, i, lo)
         row = tails[lo:hi]
         if not all(map(lt, row, row[1:])):
-            return None
+            # A row out of order is sorted; one with a repeated arc stays so.
+            row = tuple(sorted(row))
+            if not all(map(lt, row, row[1:])):
+                return None
         rows.append((i, row))
         lo = hi
     # A frozenset built straight from an iterator keeps the table it grew,
@@ -263,9 +271,10 @@ def parse_instance(text: str) -> Instance:
     m may not exceed ``MAX_OPS``; a larger header is an error at that line.
 
     Text in the canonical layout that ``serialize_instance`` writes (comments
-    first, single spaces, arcs in (i, j) order, a final newline) is read in
-    one pass over the whole text, with its successor rows kept for the
-    profile.  Any other text, and every invalid one, goes to the line
+    first, single spaces, a final newline, arcs in any order) is read in one
+    pass over the whole text, with its successor rows kept for the profile.
+    Any other text (a carriage return, tab, extra space, blank line or
+    comment after the header), and every invalid one, goes to the line
     parser, the one place that raises, so an error names the same line
     whichever layout the text is in.
     """

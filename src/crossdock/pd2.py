@@ -31,7 +31,7 @@ from itertools import zip_longest
 from typing import ClassVar
 
 from .instance import DegreeProfile, Instance, degree_profile
-from .schedule import Schedule, _list_schedule, _release_times
+from .schedule import Schedule, _list_schedule, release_times
 
 
 class NotD2Error(ValueError):
@@ -136,9 +136,9 @@ def solve_pd2(inst: Instance) -> tuple[Schedule, Pd2Trace]:
     prof = _require_d2(inst)
     events = [DegPick(j, d, batch) if d else ZeroPick(j) for j, d, batch in _run(prof)]
     # Every A-operation has a successor, whose pick runs every predecessor
-    # not yet done, so the batches cover machine 1, each A-operation once.
+    # not yet done, so the batches cover machine 1 (release_times checks it).
     pi = tuple(a for ev in events for a in ev.a_batch)
-    sched = _list_schedule(inst, pi, _release_times(inst, pi), [ev.b_index for ev in events])
+    sched = _list_schedule(inst, pi, release_times(inst, pi), [ev.b_index for ev in events])
     return sched, Pd2Trace(events=tuple(events))
 
 

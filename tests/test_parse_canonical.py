@@ -1,7 +1,7 @@
 """The canonical whole-text parse against the line-by-line reference parser.
 
-``parse_instance`` reads text in ``serialize_instance``'s layout in one pass
-and hands every other text to its line parser.  On any text the two paths
+``parse_instance`` reads text in ``serialize_instance``'s layout, arcs in
+any order, in one pass and hands every other text to its line parser.  On any text the two paths
 must agree with ``oracles.parse_instance_lines``: an equal instance with an
 equal profile, or the same ``InstanceError`` message, line number included.
 """
@@ -193,23 +193,34 @@ def test_overlong_numbers_take_the_line_parser(text):
         "p cdock 2 2\na 1 1 \n",
         "p cdock 2 2\n a 1 1\n",
         "p cdock 2 2\nc mid\na 1 1\n",
-        "p cdock 2 2\na 1 2\na 1 1\n",
-        "p cdock 2 2\na 2 1\na 1 1\n",
-        "p cdock 2 2\na 2 1\na 1 2\n",
         "p cdock 2 2\na 1 1",
         "p cdock 2 2\n\na 1 1\n",
         "p  cdock 2 2\na 1 1\n",
     ],
     ids=[
         "crlf", "tab", "double_space", "trailing_space", "leading_space",
-        "comment_after_header", "row_unsorted", "rows_unsorted", "rows_unsorted_rising",
-        "no_final_newline", "blank_line", "header_spacing",
+        "comment_after_header", "no_final_newline", "blank_line", "header_spacing",
     ],
 )
 def test_valid_non_canonical_texts_take_the_line_parser(text):
     assert instance_module._parse_canonical(text) is None
     assert_same_outcome(text)
     assert parse_instance(text).arcs
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "p cdock 2 2\na 1 2\na 1 1\n",
+        "p cdock 2 2\na 2 1\na 1 1\n",
+        "p cdock 2 2\na 2 1\na 1 2\n",
+        "p cdock 3 3\na 3 1\na 1 3\na 2 2\na 1 1\n",
+    ],
+    ids=["row_unsorted", "rows_unsorted", "rows_unsorted_rising", "shuffled"],
+)
+def test_arcs_out_of_order_take_the_whole_text_path(text):
+    assert instance_module._parse_canonical(text) is not None
+    assert_same_outcome(text)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -221,8 +232,11 @@ def test_parsers_agree_on_generated_instances(seed):
         assert outcome(parse_instance, text) == expected
         comment, header, *arcs = text.splitlines()
         reversed_text = "\n".join([comment, header, *reversed(arcs)]) + "\n"
-        assert instance_module._parse_canonical(reversed_text) is None
+        assert instance_module._parse_canonical(reversed_text) is not None
         assert outcome(parse_instance, reversed_text) == expected
+        crlf_text = reversed_text.replace("\n", "\r\n")
+        assert instance_module._parse_canonical(crlf_text) is None
+        assert outcome(parse_instance, crlf_text) == expected
 
 
 # -- the size cap -------------------------------------------------------------

@@ -5,6 +5,8 @@ The exact subset DP is the optimum these are checked against; the seeded
 loops in ``test_exact_dp.py`` cover the same claims at n = 10-14.
 """
 
+import json
+
 from hypothesis import given, strategies as st
 
 from crossdock import (
@@ -86,4 +88,7 @@ def test_parse_inverts_serialize(inst, comments):
 )
 def test_schedule_json_round_trip(start_a, start_b):
     sched = Schedule(start_a=tuple(start_a), start_b=tuple(start_b))
-    assert schedule_from_json(schedule_to_json(sched)) == sched
+    text = schedule_to_json(sched)
+    assert schedule_from_json(text) == sched
+    # One past the latest start, and never below 0.
+    assert json.loads(text)["makespan"] == max([0] + [s + 1 for s in start_a + start_b])
