@@ -5,8 +5,9 @@ in-degree (zero-degree ones go straight onto machine 2), runs its
 remaining predecessors on machine 1, and updates degrees.  The resulting
 schedule meets the class lower bound max{n+2, m} (max{n+2, m+1} without
 pendant B-operations), hence is optimal.  One private generator, ``_run``,
-is the pick loop: ``solve_pd2`` builds its events from it and ``blocks``
-replays it.  The bookkeeping keeps no copy of the shared adjacency: one
+is the pick loop: ``solve_pd2`` builds its events from it, and ``blocks``
+replays it for any trace that ``solve_pd2`` did not just build for the
+same instance.  The bookkeeping keeps no copy of the shared adjacency: one
 done-flag per operation marks what has run.
 
 The trace is the one record of a run: one pick event per B-operation, in
@@ -18,7 +19,11 @@ machine-2 operation (the block's offset).  The machine-2 operations
 precedence-forced past the block's last machine-1 completion (the overhang)
 number 1 or 2 for labels >= 2, which is what makes the stitched schedule
 tight.  That lemma speaks of pd2 runs only, so ``blocks`` accepts only the
-trace of its instance's run.
+trace of its instance's run.  A trace that ``solve_pd2`` returns carries a
+private mark, not a field, holding the profile it ran on and the events
+tuple it built.  When ``blocks`` is given the instance of that profile and
+the trace still holds that tuple, the trace is the run by construction and
+the replay is skipped.
 """
 
 from __future__ import annotations
@@ -66,6 +71,11 @@ class DegPick:
 @dataclass(frozen=True)
 class Pd2Trace:
     events: tuple[ZeroPick | DegPick, ...]
+
+    def __getstate__(self) -> dict:
+        # Pickles and copies leave out the run mark (see solve_pd2), which
+        # holds the whole profile and could not survive the trip anyway.
+        return {"events": self.events}
 
 
 @dataclass(frozen=True)
@@ -139,7 +149,10 @@ def solve_pd2(inst: Instance) -> tuple[Schedule, Pd2Trace]:
     # not yet done, so the batches cover machine 1 (release_times checks it).
     pi = tuple(a for ev in events for a in ev.a_batch)
     sched = _list_schedule(inst, pi, release_times(inst, pi), [ev.b_index for ev in events])
-    return sched, Pd2Trace(events=tuple(events))
+    trace = Pd2Trace(events=tuple(events))
+    # The run mark: not a field, so it stays out of ==, hash, repr and JSON.
+    object.__setattr__(trace, "_run_of", (prof, trace.events))
+    return sched, trace
 
 
 def lemma1_bound(inst: Instance) -> int:
@@ -150,24 +163,37 @@ def lemma1_bound(inst: Instance) -> int:
     return max(inst.n + 2, inst.m + 1)
 
 
-def blocks(inst: Instance, trace: Pd2Trace) -> tuple[Block, ...]:
-    """Cut the trace into blocks and measure each laid out in isolation.
-
-    The block lemma holds for pd2 runs only, and pd2 is deterministic, so
-    the trace must equal the one ``solve_pd2(inst)`` returns: the run is
-    replayed, and the first event that differs from it, or is missing or
-    extra, raises ``ValueError``.
-    """
-    prof = _require_d2(inst)
-    groups: list[tuple[int, list[int], list[int]]] = []  # (label, a_ops, b_ops)
-    label = -1
+def _replay(trace: Pd2Trace, prof: DegreeProfile) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+    """The steps of the pd2 run on ``prof``, each checked against its event."""
     for k, (ev, step) in enumerate(zip_longest(trace.events, _run(prof))):
         got = None if ev is None else (type(ev), ev.b_index, ev.picked_degree, ev.a_batch)
         want = None if step is None else (DegPick if step[1] else ZeroPick, *step)
         if got != want:
             b = (got or want)[1]
             raise ValueError(f"trace is not the pd2 run of this instance at event {k} (B{b})")
-        j, d, batch = step
+        yield step
+
+
+def blocks(inst: Instance, trace: Pd2Trace) -> tuple[Block, ...]:
+    """Cut the trace into blocks and measure each laid out in isolation.
+
+    The block lemma holds for pd2 runs only, and pd2 is deterministic, so
+    the trace must equal the one ``solve_pd2(inst)`` returns.  A trace that
+    ``solve_pd2`` built on this instance's profile, with its events tuple
+    untouched, is that run and is grouped as it stands.  Any other trace
+    (hand-built, replaced, unpickled, or solved on a distinct instance) is
+    checked by replaying the run: the first event that differs from it, or
+    is missing or extra, raises ``ValueError``.
+    """
+    prof = _require_d2(inst)
+    run_of = getattr(trace, "_run_of", None)
+    if run_of is not None and run_of[0] is prof and run_of[1] is trace.events:
+        steps = ((ev.b_index, ev.picked_degree, ev.a_batch) for ev in trace.events)
+    else:
+        steps = _replay(trace, prof)
+    groups: list[tuple[int, list[int], list[int]]] = []  # (label, a_ops, b_ops)
+    label = -1
+    for j, d, batch in steps:
         if d > label:
             label, a_ops, b_ops = d, [], []
             groups.append((label, a_ops, b_ops))

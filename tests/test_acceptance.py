@@ -194,3 +194,22 @@ def test_criterion_9_permutation_reduction_metatest():
     assert violations == 0
     assert time.perf_counter() - t0 < 120.0
     _report(9, "full schedule-space search agrees with permutation search")
+
+
+def test_criterion_10_exactness_at_larger_n():
+    t0 = time.perf_counter()
+    for seed in range(40):
+        rng = random.Random(40_000 + seed)
+        n, m = rng.randint(12, 14), rng.randint(12, 14)
+        inst = gen_d2(n, m, rng.randint(0, m - 2), seed)
+        sched, _ = solve_pd2(inst)
+        assert makespan(sched) == solve_exact(inst).optimal_makespan == lemma1_bound(inst)
+    for seed in range(40):
+        rng = random.Random(50_000 + seed)
+        n, m = rng.randint(12, 14), rng.randint(12, 14)
+        inst = gen_random(n, m, rng.random(), seed)
+        rep = bounds_report(inst)
+        opt = solve_exact(inst).optimal_makespan
+        assert rep.lower_bound <= opt <= makespan(solve_greedy(inst)) <= rep.greedy_upper
+    assert time.perf_counter() - t0 < 60.0
+    _report(10, "pd2 optimality and greedy sandwich at n = 12-14")

@@ -1,0 +1,115 @@
+"""The run mark: ``blocks`` skips its replay for a trace ``solve_pd2`` built.
+
+``solve_pd2`` marks the trace it returns with the profile it ran on and the
+events tuple it built.  ``blocks`` groups such a trace directly when the
+profile is its instance's and the tuple is the trace's; every other trace
+is checked by replaying the run.  These tests pin both paths: the mark
+shows in no comparison or output, the solved trace skips the replay, and
+every trace that is not the mark's own goes through the replay and is
+refused or accepted as before.  ``test_properties.py`` checks that the
+solved trace and its unmarked copy give the same blocks.
+"""
+
+import copy
+import dataclasses
+import pickle
+
+import pytest
+
+import crossdock.pd2 as pd2
+from crossdock import (
+    Instance,
+    Pd2Trace,
+    ZeroPick,
+    blocks,
+    gen_d2,
+    solve_pd2,
+    trace_to_json,
+)
+
+NOT_THE_RUN = "trace is not the pd2 run of this instance at event"
+
+
+@pytest.fixture
+def replays(monkeypatch):
+    """Count the pd2 runs started from here on (solve_pd2 and replays)."""
+    runs = []
+    run = pd2._run
+
+    def counted(prof):
+        runs.append(prof)
+        return run(prof)
+
+    monkeypatch.setattr(pd2, "_run", counted)
+    return runs
+
+
+def test_mark_is_invisible(ex1):
+    _, trace = solve_pd2(ex1)
+    plain = Pd2Trace(trace.events)
+    assert trace == plain and hash(trace) == hash(plain)
+    assert repr(trace) == repr(plain)
+    assert dataclasses.asdict(trace) == dataclasses.asdict(plain)
+    assert trace_to_json(trace) == trace_to_json(plain)
+    assert pickle.dumps(trace) == pickle.dumps(plain)
+    assert [f.name for f in dataclasses.fields(trace)] == ["events"]
+
+
+def test_solved_trace_skips_the_replay(ex1, replays):
+    _, trace = solve_pd2(ex1)
+    assert len(replays) == 1
+    blocks(ex1, trace)
+    assert len(replays) == 1
+    blocks(ex1, Pd2Trace(trace.events))
+    assert len(replays) == 2
+
+
+def test_trace_of_another_instance_is_refused():
+    inst, other = gen_d2(12, 12, 2, 1), gen_d2(12, 12, 2, 2)
+    assert inst != other
+    _, trace = solve_pd2(other)
+    with pytest.raises(ValueError, match=NOT_THE_RUN):
+        blocks(inst, trace)
+
+
+def test_equal_but_distinct_instance_goes_through_the_replay(ex1, replays):
+    _, trace = solve_pd2(ex1)
+    twin = Instance(n=ex1.n, m=ex1.m, arcs=ex1.arcs)
+    assert twin == ex1 and twin is not ex1
+    assert blocks(twin, trace) == blocks(ex1, trace)
+    assert len(replays) == 2
+
+
+def test_replaced_trace_goes_through_the_replay(ex1):
+    _, trace = solve_pd2(ex1)
+    short = dataclasses.replace(trace, events=trace.events[:-1])
+    with pytest.raises(ValueError, match=f"{NOT_THE_RUN} 6 \\(B3\\)"):
+        blocks(ex1, short)
+
+
+@pytest.mark.parametrize(
+    "trip", [lambda t: pickle.loads(pickle.dumps(t)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"],
+)
+def test_copied_trace_goes_through_the_replay(ex1, replays, trip):
+    _, trace = solve_pd2(ex1)
+    again = trip(trace)
+    assert again == trace
+    assert blocks(ex1, again) == blocks(ex1, trace)
+    assert len(replays) == 2
+
+
+def test_swapped_events_go_through_the_replay(ex1, replays):
+    _, trace = solve_pd2(ex1)
+    events = trace.events
+    object.__setattr__(trace, "events", events[:-1])
+    with pytest.raises(ValueError, match=f"{NOT_THE_RUN} 6 \\(B3\\)"):
+        blocks(ex1, trace)
+    object.__setattr__(trace, "events", (*events, ZeroPick(1)))
+    with pytest.raises(ValueError, match=f"{NOT_THE_RUN} 7 \\(B1\\)"):
+        blocks(ex1, trace)
+    # an equal tuple that is not the one solve_pd2 built is replayed too
+    object.__setattr__(trace, "events", tuple(list(events)))
+    assert trace.events == events and trace.events is not events
+    assert blocks(ex1, trace) == blocks(ex1, Pd2Trace(events))
+    assert len(replays) == 5

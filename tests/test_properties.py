@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 
 from crossdock import (
     Instance,
+    Pd2Trace,
     Schedule,
     blocks,
     bounds_report,
@@ -64,6 +65,13 @@ def test_block_lemma(inst):
         if blk.label >= 2:
             assert blk.overhang_len in (1, 2)
     assert a_blocks[-1].overhang_len == 2
+
+
+@given(d2_instances(max_a=60, max_b=60))
+def test_solved_trace_gives_the_replayed_blocks(inst):
+    # solve_pd2's trace skips blocks' replay; an unmarked copy takes it
+    _, trace = solve_pd2(inst)
+    assert blocks(inst, trace) == blocks(inst, Pd2Trace(trace.events))
 
 
 # Comment text that the parser keeps out of the instance: no line breaks or
