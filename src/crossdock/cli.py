@@ -152,6 +152,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         if a not in _SOLVERS:
             raise CliError(f"unknown algorithm {a!r}")
 
+    header = [
+        "instance", "n", "m", "arcs", "algorithm", "makespan",
+        "lower_bound", "greedy_upper", "ratio", "ratio_bound", "wall_time_ms",
+    ]
     rows = []
     for path in sorted(p for p in directory.iterdir() if p.is_file()):
         try:
@@ -176,37 +180,21 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         exact = results.get("exact")
         for alg, (mk, elapsed_ms) in sorted(results.items()):
             ratio = "" if exact is None else _fraction(Fraction(mk, exact[0]))
-            rows.append(
-                {
-                    "instance": path.name,
-                    "n": inst.n,
-                    "m": inst.m,
-                    "arcs": len(inst.arcs),
-                    "algorithm": alg,
-                    "makespan": mk,
-                    "lower_bound": rep.lower_bound,
-                    "greedy_upper": rep.greedy_upper if alg == "greedy" else "",
-                    "ratio": ratio,
-                    "ratio_bound": _fraction(rep.ratio_bound),
-                    "wall_time_ms": f"{elapsed_ms:.3f}",
-                }
-            )
+            rows.append([
+                path.name, inst.n, inst.m, len(inst.arcs), alg, mk, rep.lower_bound,
+                rep.greedy_upper if alg == "greedy" else "", ratio,
+                _fraction(rep.ratio_bound), f"{elapsed_ms:.3f}",
+            ])
 
-    header = [
-        "instance", "n", "m", "arcs", "algorithm", "makespan",
-        "lower_bound", "greedy_upper", "ratio", "ratio_bound", "wall_time_ms",
-    ]
     if args.format == "csv":
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=header)
-        writer.writeheader()
-        writer.writerows(rows)
+        csv.writer(buf).writerows([header, *rows])
         sys.stdout.write(buf.getvalue())
     else:
         print("| " + " | ".join(header) + " |")
         print("| " + " | ".join("---" for _ in header) + " |")
         for row in rows:
-            print("| " + " | ".join(str(row[h]) for h in header) + " |")
+            print("| " + " | ".join(map(str, row)) + " |")
     return 0
 
 

@@ -50,11 +50,11 @@ def solve_exact(inst: Instance, max_n: int = EXACT_DEFAULT_LIMIT) -> ExactResult
 
     Returns the schedule of the lexicographically smallest optimal
     permutation; deterministic regardless of evaluation order.  Raises
-    ``ValueError`` when ``inst.n`` exceeds ``max_n``, or ``max_n`` lies
-    outside 1..``EXACT_MAX_N``.
+    ``ValueError`` when ``inst.n`` exceeds ``max_n``, or ``max_n`` is not
+    an int in 1..``EXACT_MAX_N``.
     """
-    if not 1 <= max_n <= EXACT_MAX_N:
-        raise ValueError(f"exact limit must be in 1..{EXACT_MAX_N}, got {max_n}")
+    if type(max_n) is not int or not 1 <= max_n <= EXACT_MAX_N:
+        raise ValueError(f"exact limit max_n must be an integer in 1..{EXACT_MAX_N}, got {max_n!r}")
     n, m = inst.n, inst.m
     if n > max_n:
         raise ValueError(f"instance too large: n={n} > limit {max_n}")

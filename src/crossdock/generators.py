@@ -14,6 +14,14 @@ from numbers import Real
 from .instance import Instance
 
 
+def _require_ints(**params: object) -> None:
+    """Raise ValueError naming the first parameter that is not an int;
+    bool and None are not ints here, so a seed is never silently the clock."""
+    for name, value in params.items():
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TightParams:
     """Parameters of the worst-case family for the greedy ratio bound."""
@@ -23,6 +31,7 @@ class TightParams:
     s: int
 
     def __post_init__(self) -> None:
+        _require_ints(k=self.k, l=self.l, s=self.s)
         if self.l < 1 or self.k < self.l:
             raise ValueError(f"need k >= l >= 1, got k={self.k}, l={self.l}")
         if self.s < 3:
@@ -31,6 +40,7 @@ class TightParams:
 
 def gen_random(n: int, m: int, p: float, seed: int) -> Instance:
     """Arc-Bernoulli bipartite instance: each of the n*m arcs kept with prob p."""
+    _require_ints(n=n, m=m, seed=seed)
     if n < 1 or m < 1:
         raise ValueError(f"n and m must be positive, got n={n}, m={m}")
     if isinstance(p, bool) or not isinstance(p, Real) or not 0 <= p <= 1:
@@ -52,6 +62,7 @@ def gen_d2(a_count: int, b_count: int, pendant_count: int, seed: int) -> Instanc
     B-operations are excluded from sampling and stay pendant.  Sampling
     may leave further B-operations uncovered.
     """
+    _require_ints(a_count=a_count, b_count=b_count, pendant_count=pendant_count, seed=seed)
     if a_count < 1 or b_count < 1:
         raise ValueError(f"counts must be positive, got a={a_count}, b={b_count}")
     if pendant_count < 0 or b_count - pendant_count < 2:

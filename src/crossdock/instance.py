@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from operator import add, floordiv, le, lt, mod, mul
-from typing import Iterable, Iterator
+from typing import Iterable
 
 # The largest n or m the parser accepts: 50 times the largest instances the
 # solvers are benchmarked on (n = m = 200k), and small enough that the O(n)
@@ -37,11 +37,23 @@ class Instance:
     def __post_init__(self) -> None:
         if not isinstance(self.arcs, frozenset):
             object.__setattr__(self, "arcs", frozenset(self.arcs))
-        if self.n < 1 or self.m < 1:
-            raise InstanceError(f"n and m must be positive, got n={self.n}, m={self.m}")
-        for i, j in self.arcs:
-            if not (1 <= i <= self.n and 1 <= j <= self.m):
-                raise InstanceError(f"arc ({i},{j}) out of range for n={self.n}, m={self.m}")
+        # Exact ints in range only, so every instance survives
+        # parse_instance(serialize_instance(x)) == x.
+        n, m = self.n, self.m
+        if type(n) is not int or type(m) is not int:
+            raise InstanceError(f"n and m must be integers, got n={n!r}, m={m!r}")
+        if n < 1 or m < 1:
+            raise InstanceError(f"n and m must be positive, got n={n}, m={m}")
+        if n > MAX_OPS or m > MAX_OPS:
+            raise InstanceError(f"n and m must be at most {MAX_OPS}, got n={n}, m={m}")
+        for arc in self.arcs:
+            if type(arc) is not tuple or len(arc) != 2:
+                raise InstanceError(f"arc {arc!r} is not a pair of indices")
+            i, j = arc
+            if type(i) is not int or type(j) is not int:
+                raise InstanceError(f"arc {arc!r} has a non-integer index")
+            if not (1 <= i <= n and 1 <= j <= m):
+                raise InstanceError(f"arc ({i},{j}) out of range for n={n}, m={m}")
 
     @classmethod
     def _from_rows(
@@ -138,29 +150,11 @@ def classify(inst: Instance) -> Classification:
     )
 
 
-# Printable ASCII, tab and newline, less the signs and digit separator that
-# int() accepts: text of these alone needs no per-line check.
-_PLAIN = bytes(range(0x20, 0x7F)).translate(None, b"+-_") + b"\t\n"
 # Per line, once a closing carriage return is dropped: comments may hold any
-# text but control characters other than tab, other lines only _PLAIN ones.
+# text but control characters other than tab; other lines only tab and
+# printable ASCII, less the signs and digit separator that int() accepts.
 _COMMENT_IRREGULAR = re.compile(r"[\x00-\x08\x0a-\x1f\x7f]")
 _DATA_IRREGULAR = re.compile(r"[^\t\x20-\x7e]|[-+_]")
-
-
-def _checked(lines: Iterable[str]) -> Iterator[str]:
-    """Yield the lines, raising lazily at the first irregular character."""
-    for lineno, raw in enumerate(lines, start=1):
-        body = raw.removesuffix("\r")
-        line = body.strip()
-        comment = line == "c" or line.startswith("c ")
-        found = (_COMMENT_IRREGULAR if comment else _DATA_IRREGULAR).search(body)
-        if found is not None:
-            ch = found.group()
-            if ch in "+-_":
-                raise InstanceError(f"unexpected character {ch!r}, line {lineno}")
-            kind = "control" if ch.isascii() else "non-ASCII"
-            raise InstanceError(f"{kind} character U+{ord(ch):04X}, line {lineno}")
-        yield raw
 
 
 _HEADER = re.compile(r"p cdock ([0-9]+) ([0-9]+)")
@@ -275,23 +269,27 @@ def parse_instance(text: str) -> Instance:
     pass over the whole text, with its successor rows kept for the profile.
     Any other text (a carriage return, tab, extra space, blank line or
     comment after the header), and every invalid one, goes to the line
-    parser, the one place that raises, so an error names the same line
-    whichever layout the text is in.
+    parser, the one place that raises.  It checks each line's characters
+    and then its grammar before it reads the next line, so an error names
+    the same line whichever layout the text is in.
     """
     inst = _parse_canonical(text)
     if inst is not None:
         return inst
-    lines: Iterable[str] = text.split("\n")
-    # isascii() is a flag lookup and translate() one C-level pass.  Only text
-    # holding something irregular gets the per-line check, run lazily so an
-    # earlier line's error is still the one reported.
-    if not text.isascii() or text.encode("ascii").translate(None, _PLAIN):
-        lines = _checked(lines)
     n = m = None
     arcs: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line == "c" or line.startswith("c "):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        body = raw.removesuffix("\r")
+        line = body.strip()
+        comment = line == "c" or line.startswith("c ")
+        found = (_COMMENT_IRREGULAR if comment else _DATA_IRREGULAR).search(body)
+        if found is not None:
+            ch = found.group()
+            if ch in "+-_":
+                raise InstanceError(f"unexpected character {ch!r}, line {lineno}")
+            kind = "control" if ch.isascii() else "non-ASCII"
+            raise InstanceError(f"{kind} character U+{ord(ch):04X}, line {lineno}")
+        if not line or comment:
             continue
         fields = line.split()
         # arc lines dominate, so they are tested first

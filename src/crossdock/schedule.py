@@ -108,18 +108,12 @@ def check_feasible(inst: Instance, sched: Schedule) -> FeasibilityReport:
         for k, s in enumerate(starts, start=1):
             if s < 0:
                 violations.append(f"negative start: {label}{k} at {s}")
-    seen_a: dict[int, int] = {}
-    for i, s in enumerate(sched.start_a, start=1):
-        if s in seen_a:
-            violations.append(f"machine-1 overlap: A{seen_a[s]} and A{i} both at {s}")
-        else:
-            seen_a[s] = i
-    seen_b: dict[int, int] = {}
-    for j, s in enumerate(sched.start_b, start=1):
-        if s in seen_b:
-            violations.append(f"machine-2 overlap: B{seen_b[s]} and B{j} both at {s}")
-        else:
-            seen_b[s] = j
+    for machine, label, starts in ((1, "A", sched.start_a), (2, "B", sched.start_b)):
+        seen: dict[int, int] = {}
+        for k, s in enumerate(starts, start=1):
+            first = seen.setdefault(s, k)
+            if first != k:
+                violations.append(f"machine-{machine} overlap: {label}{first} and {label}{k} both at {s}")
     # succ lists are sorted, so arcs come out in (i, j) order
     start_b = sched.start_b
     for i, row in enumerate(degree_profile(inst).succ[1:], start=1):

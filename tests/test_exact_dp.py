@@ -97,7 +97,7 @@ def test_dp_attains_tight_family_formula():
         assert solve_exact(gen_tight(p)).optimal_makespan == 2 * p.k + p.s + 1, p
 
 
-@pytest.mark.parametrize("limit", [0, -1, EXACT_MAX_N + 1])
+@pytest.mark.parametrize("limit", [0, -1, EXACT_MAX_N + 1, 10.5, True, None, "16"])
 def test_solve_exact_rejects_limit_outside_range(limit):
     with pytest.raises(ValueError, match=f"1..{EXACT_MAX_N}"):
         solve_exact(Instance(n=1, m=1, arcs=frozenset()), max_n=limit)

@@ -30,6 +30,15 @@ def test_gen_random_deterministic():
 def test_gen_random_rejects_bad_sizes():
     with pytest.raises(ValueError):
         gen_random(0, 3, 0.5, seed=1)
+    # Random(None) would seed from the OS: a different instance every call.
+    with pytest.raises(ValueError, match="seed must be an integer, got None"):
+        gen_random(3, 3, 0.5, None)
+    with pytest.raises(ValueError, match="seed must be an integer, got True"):
+        gen_random(3, 3, 0.5, True)
+    with pytest.raises(ValueError, match="n must be an integer, got 3.0"):
+        gen_random(3.0, 3, 0.5, seed=1)
+    with pytest.raises(ValueError, match="m must be an integer, got '3'"):
+        gen_random(3, "3", 0.5, seed=1)
 
 
 @pytest.mark.parametrize("p", [float("nan"), -0.1, 1.5, float("inf"), "0.5", None, True])
@@ -64,6 +73,14 @@ def test_gen_d2_deterministic():
 def test_gen_d2_rejects_bad_params():
     with pytest.raises(ValueError):
         gen_d2(a_count=2, b_count=3, pendant_count=2, seed=1)
+    with pytest.raises(ValueError, match="a_count must be an integer, got True"):
+        gen_d2(True, 3, 0, 1)
+    with pytest.raises(ValueError, match="b_count must be an integer, got 3.0"):
+        gen_d2(2, 3.0, 0, 1)
+    with pytest.raises(ValueError, match="pendant_count must be an integer, got None"):
+        gen_d2(2, 3, None, 1)
+    with pytest.raises(ValueError, match="seed must be an integer, got None"):
+        gen_d2(2, 3, 0, None)
 
 
 def test_tight_params_validation():
@@ -73,6 +90,12 @@ def test_tight_params_validation():
         TightParams(k=3, l=2, s=2)  # s < 3
     with pytest.raises(ValueError):
         TightParams(k=3, l=0, s=3)
+    with pytest.raises(ValueError, match="l must be an integer, got 2.5"):
+        TightParams(3, 2.5, 3)
+    with pytest.raises(ValueError, match="k must be an integer, got True"):
+        TightParams(True, 1, 3)
+    with pytest.raises(ValueError, match="s must be an integer, got None"):
+        TightParams(3, 2, None)
 
 
 def test_gen_tight_shape_and_degrees():

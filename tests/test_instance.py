@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from crossdock import (
+    MAX_OPS,
     Instance,
     InstanceError,
     classify,
@@ -100,6 +101,25 @@ def test_constructor_rejects_bad_sizes():
         Instance(n=0, m=1, arcs=frozenset())
     with pytest.raises(InstanceError):
         Instance(n=1, m=1, arcs=frozenset({(1, 2)}))
+    # Each of these would serialize to text that parse_instance rejects.
+    with pytest.raises(InstanceError, match=re.escape("arc (True, 1) has a non-integer index")):
+        Instance(n=1, m=1, arcs={(True, 1)})
+    with pytest.raises(InstanceError, match=re.escape("arc (1.0, 2) has a non-integer index")):
+        Instance(n=2, m=2, arcs={(1.0, 2)})
+    with pytest.raises(InstanceError, match=f"at most {MAX_OPS}, got n={MAX_OPS + 1}"):
+        Instance(n=MAX_OPS + 1, m=1, arcs=())
+    with pytest.raises(InstanceError, match=f"at most {MAX_OPS}, got n=1, m={MAX_OPS + 1}"):
+        Instance(n=1, m=MAX_OPS + 1, arcs=())
+    with pytest.raises(InstanceError, match=re.escape("arc (1, 1, 1) is not a pair of indices")):
+        Instance(n=1, m=1, arcs={(1, 1, 1)})
+    with pytest.raises(InstanceError, match=re.escape("arc 1 is not a pair of indices")):
+        Instance(n=1, m=1, arcs={1})
+    with pytest.raises(InstanceError, match=re.escape("got n=2.0, m=1")):
+        Instance(n=2.0, m=1, arcs=())
+    with pytest.raises(InstanceError, match=re.escape("got n=1, m=True")):
+        Instance(n=1, m=True, arcs=())
+    # The largest sizes stay valid.
+    assert Instance(n=MAX_OPS, m=1, arcs=()).n == MAX_OPS
 
 
 def test_serialize_smallest():

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from crossdock import (
+    FeasibilityReport,
     Instance,
     Schedule,
     check_feasible,
@@ -167,6 +168,28 @@ def test_check_feasible_negative_start():
     inst = Instance(n=1, m=1, arcs=frozenset())
     report = check_feasible(inst, Schedule(start_a=(-1,), start_b=(0,)))
     assert any("negative start" in v for v in report.violations)
+
+
+def test_check_feasible_violation_order():
+    # Negative starts (A then B), machine-1 then machine-2 overlaps, each
+    # against the first operation at that time, then broken arcs in (i, j)
+    # order.
+    inst = Instance(n=4, m=3, arcs={(1, 1), (2, 2), (2, 3), (3, 3), (4, 1)})
+    report = check_feasible(inst, Schedule(start_a=(2, -1, 2, 2), start_b=(1, -2, 1)))
+    assert report == FeasibilityReport(
+        ok=False,
+        violations=(
+            "negative start: A2 at -1",
+            "negative start: B2 at -2",
+            "machine-1 overlap: A1 and A3 both at 2",
+            "machine-1 overlap: A1 and A4 both at 2",
+            "machine-2 overlap: B1 and B3 both at 1",
+            "precedence violation on arc (1,1)",
+            "precedence violation on arc (2,2)",
+            "precedence violation on arc (3,3)",
+            "precedence violation on arc (4,1)",
+        ),
+    )
 
 
 def test_makespan_values(ex1):
