@@ -17,10 +17,10 @@ from itertools import repeat
 from operator import add, floordiv, le, lt, mod, mul
 from typing import Iterable
 
-# The largest n or m the parser accepts: 50 times the largest instances the
+# The largest n or m an instance may have: 50 times the largest instances the
 # solvers are benchmarked on (n = m = 200k), and small enough that the O(n)
 # and O(m) lists every solver allocates fit in memory.  A larger header is an
-# InstanceError before any arc is read.
+# InstanceError before any arc is read, as is a larger constructed Instance.
 MAX_OPS = 10**7
 
 
@@ -40,20 +40,14 @@ class Instance:
         # Exact ints in range only, so every instance survives
         # parse_instance(serialize_instance(x)) == x.
         n, m = self.n, self.m
-        if type(n) is not int or type(m) is not int:
-            raise InstanceError(f"n and m must be integers, got n={n!r}, m={m!r}")
-        if n < 1 or m < 1:
-            raise InstanceError(f"n and m must be positive, got n={n}, m={m}")
-        if n > MAX_OPS or m > MAX_OPS:
-            raise InstanceError(f"n and m must be at most {MAX_OPS}, got n={n}, m={m}")
+        if not (type(n) is int and type(m) is int and 1 <= n <= MAX_OPS and 1 <= m <= MAX_OPS):
+            raise InstanceError(f"n and m must be integers in 1..{MAX_OPS}, got n={n!r}, m={m!r}")
         for arc in self.arcs:
             if type(arc) is not tuple or len(arc) != 2:
                 raise InstanceError(f"arc {arc!r} is not a pair of indices")
             i, j = arc
-            if type(i) is not int or type(j) is not int:
-                raise InstanceError(f"arc {arc!r} has a non-integer index")
-            if not (1 <= i <= n and 1 <= j <= m):
-                raise InstanceError(f"arc ({i},{j}) out of range for n={n}, m={m}")
+            if not (type(i) is int and type(j) is int and 1 <= i <= n and 1 <= j <= m):
+                raise InstanceError(f"arc {arc!r} is not a pair of integers in 1..{n} x 1..{m}")
 
     @classmethod
     def _from_rows(

@@ -113,7 +113,9 @@ def check_feasible(inst: Instance, sched: Schedule) -> FeasibilityReport:
         for k, s in enumerate(starts, start=1):
             first = seen.setdefault(s, k)
             if first != k:
-                violations.append(f"machine-{machine} overlap: {label}{first} and {label}{k} both at {s}")
+                violations.append(
+                    f"machine-{machine} overlap: {label}{first} and {label}{k} both at {s}"
+                )
     # succ lists are sorted, so arcs come out in (i, j) order
     start_b = sched.start_b
     for i, row in enumerate(degree_profile(inst).succ[1:], start=1):

@@ -102,13 +102,13 @@ def test_constructor_rejects_bad_sizes():
     with pytest.raises(InstanceError):
         Instance(n=1, m=1, arcs=frozenset({(1, 2)}))
     # Each of these would serialize to text that parse_instance rejects.
-    with pytest.raises(InstanceError, match=re.escape("arc (True, 1) has a non-integer index")):
+    with pytest.raises(InstanceError, match=re.escape("arc (True, 1) is not a pair of integers")):
         Instance(n=1, m=1, arcs={(True, 1)})
-    with pytest.raises(InstanceError, match=re.escape("arc (1.0, 2) has a non-integer index")):
+    with pytest.raises(InstanceError, match=re.escape("arc (1.0, 2) is not a pair of integers")):
         Instance(n=2, m=2, arcs={(1.0, 2)})
-    with pytest.raises(InstanceError, match=f"at most {MAX_OPS}, got n={MAX_OPS + 1}"):
+    with pytest.raises(InstanceError, match=f"in 1..{MAX_OPS}, got n={MAX_OPS + 1}, m=1"):
         Instance(n=MAX_OPS + 1, m=1, arcs=())
-    with pytest.raises(InstanceError, match=f"at most {MAX_OPS}, got n=1, m={MAX_OPS + 1}"):
+    with pytest.raises(InstanceError, match=f"in 1..{MAX_OPS}, got n=1, m={MAX_OPS + 1}"):
         Instance(n=1, m=MAX_OPS + 1, arcs=())
     with pytest.raises(InstanceError, match=re.escape("arc (1, 1, 1) is not a pair of indices")):
         Instance(n=1, m=1, arcs={(1, 1, 1)})
