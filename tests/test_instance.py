@@ -101,7 +101,7 @@ def test_constructor_rejects_bad_sizes():
         Instance(n=0, m=1, arcs=frozenset())
     with pytest.raises(InstanceError):
         Instance(n=1, m=1, arcs=frozenset({(1, 2)}))
-    # Each of these would serialize to text that parse_instance rejects.
+    # None of these could round-trip through serialize_instance and parse_instance.
     with pytest.raises(InstanceError, match=re.escape("arc (True, 1) is not a pair of integers")):
         Instance(n=1, m=1, arcs={(True, 1)})
     with pytest.raises(InstanceError, match=re.escape("arc (1.0, 2) is not a pair of integers")):
