@@ -77,7 +77,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     text = serialize_instance(inst, comments=[f"crossdock {cmd}"])
     cls = classify(inst)
     summary = (
-        f"n={inst.n} m={inst.m} arcs={len(inst.arcs)} "
+        f"n={inst.n} m={inst.m} arcs={sum(inst.profile.out_deg)} "
         f"is_d2={str(cls.is_d2).lower()} has_pendant_b={str(cls.has_pendant_b).lower()}"
     )
     if args.out:
@@ -181,7 +181,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         for alg, (mk, elapsed_ms) in sorted(results.items()):
             ratio = "" if exact is None else _fraction(Fraction(mk, exact[0]))
             rows.append([
-                path.name, inst.n, inst.m, len(inst.arcs), alg, mk, rep.lower_bound,
+                path.name, inst.n, inst.m, sum(inst.profile.out_deg), alg, mk, rep.lower_bound,
                 rep.greedy_upper if alg == "greedy" else "", ratio,
                 _fraction(rep.ratio_bound), f"{elapsed_ms:.3f}",
             ])

@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from numbers import Real
 
-from .instance import Instance
+from .instance import MAX_OPS, Instance
 
 
 def _require_ints(**params: object) -> None:
@@ -20,6 +20,14 @@ def _require_ints(**params: object) -> None:
     for name, value in params.items():
         if type(value) is not int:
             raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _require_max_ops(**counts: int) -> None:
+    """Raise ValueError naming the first operation count above ``MAX_OPS``,
+    before anything is drawn; ``Instance`` would refuse it only afterwards."""
+    for name, value in counts.items():
+        if value > MAX_OPS:
+            raise ValueError(f"{name} must be at most {MAX_OPS}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -36,6 +44,7 @@ class TightParams:
             raise ValueError(f"need k >= l >= 1, got k={self.k}, l={self.l}")
         if self.s < 3:
             raise ValueError(f"need s >= 3, got s={self.s}")
+        _require_max_ops(**{"n = k+l+s": self.k + self.l + self.s, "m = 2k+s": 2 * self.k + self.s})
 
 
 def gen_random(n: int, m: int, p: float, seed: int) -> Instance:
@@ -43,6 +52,7 @@ def gen_random(n: int, m: int, p: float, seed: int) -> Instance:
     _require_ints(n=n, m=m, seed=seed)
     if n < 1 or m < 1:
         raise ValueError(f"n and m must be positive, got n={n}, m={m}")
+    _require_max_ops(n=n, m=m)
     if isinstance(p, bool) or not isinstance(p, Real) or not 0 <= p <= 1:
         raise ValueError(f"p must be a real number in [0, 1], got {p!r}")
     rng = random.Random(seed)
@@ -65,6 +75,7 @@ def gen_d2(a_count: int, b_count: int, pendant_count: int, seed: int) -> Instanc
     _require_ints(a_count=a_count, b_count=b_count, pendant_count=pendant_count, seed=seed)
     if a_count < 1 or b_count < 1:
         raise ValueError(f"counts must be positive, got a={a_count}, b={b_count}")
+    _require_max_ops(a_count=a_count, b_count=b_count)
     if pendant_count < 0 or b_count - pendant_count < 2:
         raise ValueError(
             f"need at least 2 non-pendant B-operations, got b={b_count}, pendants={pendant_count}"

@@ -64,9 +64,10 @@ def compute_q(inst: Instance) -> int:
     That is the shortest prefix of any order sorted by descending
     out-degree, the greedy order included, so the tie-break plays no part.
     """
-    threshold = len(inst.arcs) - inst.m
+    out_deg = degree_profile(inst).out_deg
+    threshold = sum(out_deg) - inst.m
     prefix = 0
-    for q, d in enumerate(sorted(degree_profile(inst).out_deg, reverse=True), start=1):
+    for q, d in enumerate(sorted(out_deg, reverse=True), start=1):
         prefix += d
         if prefix > threshold:
             return q

@@ -13,7 +13,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add, floordiv, le, lt, mod, mul
 from typing import Iterable
 
@@ -30,6 +30,14 @@ class InstanceError(ValueError):
 
 @dataclass(frozen=True)
 class Instance:
+    """n A-operations, m B-operations and the arcs (i, j) between them.
+
+    A parsed instance keeps its successor rows and builds ``arcs`` from the
+    profile on first read; until then ``arcs`` is not in its ``__dict__``.  Reading the field, ``==``, ``hash``, ``repr``,
+    ``asdict``, ``replace``, pickling or copying builds it; each then gives
+    what an instance constructed with those arcs gives.
+    """
+
     n: int
     m: int
     arcs: frozenset[tuple[int, int]]
@@ -50,19 +58,28 @@ class Instance:
                 raise InstanceError(f"arc {arc!r} is not a pair of integers in 1..{n} x 1..{m}")
 
     @classmethod
-    def _from_rows(
-        cls,
-        n: int,
-        m: int,
-        arcs: frozenset[tuple[int, int]],
-        rows: list[tuple[int, tuple[int, ...]]],
-    ) -> Instance:
+    def _from_rows(cls, n: int, m: int, rows: list[tuple[int, tuple[int, ...]]]) -> Instance:
         """An instance whose arcs the caller has range-checked, so
         ``__post_init__`` is skipped.  ``rows`` pairs each A-index that has
-        arcs with its sorted successor tuple; the profile build consumes it."""
+        arcs with its sorted successor tuple; the profile build consumes it,
+        and ``arcs`` is built from the profile when first read."""
         inst = cls.__new__(cls)
-        inst.__dict__.update(n=n, m=m, arcs=arcs, _rows=rows)
+        inst.__dict__.update(n=n, m=m, _rows=rows)
         return inst
+
+    def __getattr__(self, name: str) -> frozenset[tuple[int, int]]:
+        # Called only when normal lookup fails.  Any name but "arcs" fails
+        # without touching self, so unpickling and copying (which look up
+        # hooks on an empty instance) never start a build.
+        if name != "arcs":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        succ = self.profile.succ
+        heads = chain.from_iterable(map(repeat, range(len(succ)), map(len, succ)))
+        # A frozenset built straight from an iterator keeps the table it grew,
+        # up to twice the size of one copied from a set.
+        arcs = frozenset(set(zip(heads, chain.from_iterable(succ))))
+        self.__dict__["arcs"] = arcs
+        return arcs
 
     def sorted_arcs(self) -> list[tuple[int, int]]:
         return sorted(self.arcs)
@@ -220,32 +237,37 @@ def _parse_canonical(text: str) -> Instance | None:
     if count and not (1 <= min(tails) and max(tails) <= m):
         return None
     if not all(map(le, heads, heads[1:])):
-        # Arcs in another order: sort them as one int each, i * (m + 1) + j,
-        # which orders as (i, j) does now that 1 <= j <= m.
-        keys = sorted(map(add, map(mul, heads, repeat(m + 1)), tails))
-        heads = list(map(floordiv, keys, repeat(m + 1)))
-        tails = tuple(map(mod, keys, repeat(m + 1)))
-        del keys
+        # Arcs in another order: sort them as one int each (see _split_keys).
+        heads, tails = _split_keys(sorted(map(add, map(mul, heads, repeat(m + 1)), tails)), m)
     if count and not (1 <= heads[0] and heads[-1] <= n):
         return None
-    # One (i, successors of A_i) pair per A-operation with arcs: its run of
-    # the sorted heads, sliced out of the tails.
+    rows = _group_rows(heads, tails)
+    return None if rows is None else Instance._from_rows(n, m, rows)
+
+
+def _split_keys(keys: list[int], m: int) -> tuple[list[int], tuple[int, ...]]:
+    """The heads and tails of sorted arc keys i * (m + 1) + j, which order
+    as (i, j) does when 1 <= j <= m."""
+    return list(map(floordiv, keys, repeat(m + 1))), tuple(map(mod, keys, repeat(m + 1)))
+
+
+def _group_rows(heads: list[int], tails: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]] | None:
+    """One (i, successors of A_i) pair per A-operation with arcs: its run of
+    the sorted heads, sliced out of the tails and sorted if out of order.
+    None if a row repeats an arc."""
     rows = []
-    lo = 0
+    lo, count = 0, len(heads)
     while lo < count:
         i = heads[lo]
         hi = bisect_right(heads, i, lo)
         row = tails[lo:hi]
         if not all(map(lt, row, row[1:])):
-            # A row out of order is sorted; one with a repeated arc stays so.
             row = tuple(sorted(row))
             if not all(map(lt, row, row[1:])):
                 return None
         rows.append((i, row))
         lo = hi
-    # A frozenset built straight from an iterator keeps the table it grew,
-    # up to twice the size of one copied from a set.
-    return Instance._from_rows(n, m, frozenset(set(zip(heads, tails))), rows)
+    return rows
 
 
 def parse_instance(text: str) -> Instance:
@@ -262,18 +284,19 @@ def parse_instance(text: str) -> Instance:
 
     Text in the canonical layout that ``serialize_instance`` writes (comments
     first, single spaces, a final newline, arcs in any order) is read in one
-    pass over the whole text, with its successor rows kept for the profile.
-    Any other text (a carriage return, tab, extra space, blank line or
-    comment after the header), and every invalid one, goes to the line
-    parser, the one place that raises.  It checks each line's characters
-    and then its grammar before it reads the next line, so an error names
-    the same line whichever layout the text is in.
+    pass over the whole text.  Any other text (a carriage return, tab,
+    extra space, blank line or comment after the header), and every invalid
+    one, goes to the line parser, the one place that raises.  It checks
+    each line's characters and then its grammar before it reads the next
+    line, so an error names the same line whichever layout the text is in.
+    Either way the instance keeps its sorted successor rows for the profile
+    and builds ``arcs`` only when something reads it.
     """
     inst = _parse_canonical(text)
     if inst is not None:
         return inst
     n = m = None
-    arcs: set[tuple[int, int]] = set()
+    keys: set[int] = set()  # one int per arc, as _split_keys reads them
     for lineno, raw in enumerate(text.split("\n"), start=1):
         body = raw.removesuffix("\r")
         line = body.strip()
@@ -300,9 +323,10 @@ def parse_instance(text: str) -> Instance:
                 raise InstanceError(f"malformed arc line, line {lineno}") from None
             if not (1 <= i <= n and 1 <= j <= m):
                 raise InstanceError(f"index out of range, line {lineno}")
-            if (i, j) in arcs:
+            key = i * width + j
+            if key in keys:
                 raise InstanceError(f"duplicate arc, line {lineno}")
-            arcs.add((i, j))
+            keys.add(key)
         elif fields[0] == "p":
             if n is not None:
                 raise InstanceError(f"duplicate header, line {lineno}")
@@ -316,11 +340,14 @@ def parse_instance(text: str) -> Instance:
                 raise InstanceError(f"n and m must be positive, line {lineno}")
             if n > MAX_OPS or m > MAX_OPS:
                 raise InstanceError(f"n and m must be at most {MAX_OPS}, line {lineno}")
+            width = m + 1
         else:
             raise InstanceError(f"unrecognized line type {fields[0]!r}, line {lineno}")
     if n is None or m is None:
         raise InstanceError("missing header")
-    return Instance(n=n, m=m, arcs=frozenset(arcs))
+    # Every arc was range-checked and de-duplicated above, so the result
+    # skips __post_init__'s second walk over them, and no row repeats an arc.
+    return Instance._from_rows(n, m, _group_rows(*_split_keys(sorted(keys), m)))
 
 
 def serialize_instance(inst: Instance, comments: Iterable[str] = ()) -> str:

@@ -5,10 +5,10 @@ in-degree (zero-degree ones go straight onto machine 2), runs its
 remaining predecessors on machine 1, and updates degrees.  The resulting
 schedule meets the class lower bound max{n+2, m} (max{n+2, m+1} without
 pendant B-operations), hence is optimal.  One private generator, ``_run``,
-is the pick loop: ``solve_pd2`` builds its events from it, and ``blocks``
-replays it for any trace that ``solve_pd2`` did not just build for the
-same instance.  The bookkeeping keeps no copy of the shared adjacency: one
-done-flag per operation marks what has run.
+is the pick loop: ``solve_pd2`` builds its schedule from its steps, and
+``blocks`` replays it for any trace that ``solve_pd2`` did not just build
+for the same instance.  The bookkeeping keeps no copy of the shared
+adjacency: one done-flag per operation marks what has run.
 
 The trace is the one record of a run: one pick event per B-operation, in
 machine-2 order, each with the batch it ran on machine 1 (a zero pick reads
@@ -19,11 +19,13 @@ machine-2 operation (the block's offset).  The machine-2 operations
 precedence-forced past the block's last machine-1 completion (the overhang)
 number 1 or 2 for labels >= 2, which is what makes the stitched schedule
 tight.  That lemma speaks of pd2 runs only, so ``blocks`` accepts only the
-trace of its instance's run.  A trace that ``solve_pd2`` returns carries a
+trace of its instance's run.  A trace that ``solve_pd2`` returns keeps the
+run's raw steps and builds its events from them on the first read, so a
+caller that never reads them never pays for them.  It also carries a
 private mark, not a field, holding the profile it ran on and the events
-tuple it built.  When ``blocks`` is given the instance of that profile and
-the trace still holds that tuple, the trace is the run by construction and
-the replay is skipped.
+tuple once built (None before).  When ``blocks`` is given the instance of
+that profile and the trace holds that tuple (or still none), the trace is
+the run by construction: the replay is skipped and the steps are grouped.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ import heapq
 import json
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass
-from itertools import zip_longest
+from itertools import chain, zip_longest
+from operator import itemgetter
 from typing import ClassVar
 
 from .instance import DegreeProfile, Instance, degree_profile
@@ -73,9 +76,21 @@ class Pd2Trace:
     events: tuple[ZeroPick | DegPick, ...]
 
     def __getstate__(self) -> dict:
-        # Pickles and copies leave out the run mark (see solve_pd2), which
-        # holds the whole profile and could not survive the trip anyway.
+        # Pickles and copies leave out the run mark and the steps (see
+        # solve_pd2); the mark holds the whole profile and could not survive
+        # the trip anyway.
         return {"events": self.events}
+
+    def __getattr__(self, name: str) -> tuple[ZeroPick | DegPick, ...]:
+        # Called only when normal lookup fails: on a trace from solve_pd2,
+        # the first read of events builds them from the steps and re-points
+        # the mark at them.  Any other name fails without touching self, so
+        # unpickling and copying never start a build.
+        if name != "events":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        events = tuple([DegPick(j, d, batch) if d else ZeroPick(j) for j, d, batch in self._steps])
+        self.__dict__.update(events=events, _run_of=(self._run_of[0], events))
+        return events
 
 
 @dataclass(frozen=True)
@@ -144,14 +159,15 @@ def _run(prof: DegreeProfile) -> Iterator[tuple[int, int, tuple[int, ...]]]:
 def solve_pd2(inst: Instance) -> tuple[Schedule, Pd2Trace]:
     """Run the degree-driven exact algorithm; returns schedule and trace."""
     prof = _require_d2(inst)
-    events = [DegPick(j, d, batch) if d else ZeroPick(j) for j, d, batch in _run(prof)]
+    steps = list(_run(prof))
     # Every A-operation has a successor, whose pick runs every predecessor
     # not yet done, so the batches cover machine 1 (release_times checks it).
-    pi = tuple(a for ev in events for a in ev.a_batch)
-    sched = _list_schedule(inst, pi, release_times(inst, pi), [ev.b_index for ev in events])
-    trace = Pd2Trace(events=tuple(events))
-    # The run mark: not a field, so it stays out of ==, hash, repr and JSON.
-    object.__setattr__(trace, "_run_of", (prof, trace.events))
+    pi = tuple(chain.from_iterable(map(itemgetter(2), steps)))
+    sched = _list_schedule(inst, pi, release_times(inst, pi), map(itemgetter(0), steps))
+    # The steps and the run mark (the profile, and the events tuple once
+    # built) are not fields, so they stay out of ==, hash, repr and JSON.
+    trace = Pd2Trace.__new__(Pd2Trace)
+    trace.__dict__.update(_steps=steps, _run_of=(prof, None))
     return sched, trace
 
 
@@ -180,15 +196,17 @@ def blocks(inst: Instance, trace: Pd2Trace) -> tuple[Block, ...]:
     The block lemma holds for pd2 runs only, and pd2 is deterministic, so
     the trace must equal the one ``solve_pd2(inst)`` returns.  A trace that
     ``solve_pd2`` built on this instance's profile, with its events tuple
-    untouched, is that run and is grouped as it stands.  Any other trace
+    untouched (or not yet built), is that run: its steps are grouped as they
+    stand, and its events are not built.  Any other trace
     (hand-built, replaced, unpickled, or solved on a distinct instance) is
     checked by replaying the run: the first event that differs from it, or
     is missing or extra, raises ``ValueError``.
     """
     prof = _require_d2(inst)
     run_of = getattr(trace, "_run_of", None)
-    if run_of is not None and run_of[0] is prof and run_of[1] is trace.events:
-        steps = ((ev.b_index, ev.picked_degree, ev.a_batch) for ev in trace.events)
+    # Before the first read of events both sides are None.
+    if run_of is not None and run_of[0] is prof and vars(trace).get("events") is run_of[1]:
+        steps = trace._steps
     else:
         steps = _replay(trace, prof)
     groups: list[tuple[int, list[int], list[int]]] = []  # (label, a_ops, b_ops)

@@ -1,6 +1,8 @@
 import pytest
 
+import crossdock.generators as generators
 from crossdock import (
+    MAX_OPS,
     classify,
     degree_profile,
     gen_d2,
@@ -39,6 +41,10 @@ def test_gen_random_rejects_bad_sizes():
         gen_random(3.0, 3, 0.5, seed=1)
     with pytest.raises(ValueError, match="m must be an integer, got '3'"):
         gen_random(3, "3", 0.5, seed=1)
+    with pytest.raises(ValueError, match=f"n must be at most {MAX_OPS}, got {MAX_OPS + 1}"):
+        gen_random(MAX_OPS + 1, 1, 0.0, seed=1)
+    with pytest.raises(ValueError, match=f"m must be at most {MAX_OPS}, got {MAX_OPS + 1}"):
+        gen_random(1, MAX_OPS + 1, 0.5, seed=1)
 
 
 @pytest.mark.parametrize("p", [float("nan"), -0.1, 1.5, float("inf"), "0.5", None, True])
@@ -81,6 +87,10 @@ def test_gen_d2_rejects_bad_params():
         gen_d2(2, 3, None, 1)
     with pytest.raises(ValueError, match="seed must be an integer, got None"):
         gen_d2(2, 3, 0, None)
+    with pytest.raises(ValueError, match=f"a_count must be at most {MAX_OPS}, got {MAX_OPS + 1}"):
+        gen_d2(MAX_OPS + 1, 3, 0, 1)
+    with pytest.raises(ValueError, match=f"b_count must be at most {MAX_OPS}, got {MAX_OPS + 1}"):
+        gen_d2(2, MAX_OPS + 1, 0, 1)
 
 
 def test_tight_params_validation():
@@ -96,6 +106,26 @@ def test_tight_params_validation():
         TightParams(True, 1, 3)
     with pytest.raises(ValueError, match="s must be an integer, got None"):
         TightParams(3, 2, None)
+    with pytest.raises(ValueError, match=f"n = k\\+l\\+s must be at most {MAX_OPS}, got {MAX_OPS + 1}"):
+        TightParams(3, 3, MAX_OPS - 5)
+    with pytest.raises(ValueError, match=f"m = 2k\\+s must be at most {MAX_OPS}, got {MAX_OPS + 2}"):
+        TightParams(MAX_OPS // 2 - 1, 1, 4)
+    assert TightParams(3, 3, MAX_OPS - 6).s == MAX_OPS - 6  # n = m = MAX_OPS itself
+
+
+def test_generators_refuse_max_ops_before_drawing(monkeypatch):
+    def no_draw(seed):
+        raise AssertionError("a generator drew before refusing its sizes")
+
+    monkeypatch.setattr(generators.random, "Random", no_draw)
+    for call in (
+        lambda: gen_random(MAX_OPS + 1, 1, 0.0, 1),
+        lambda: gen_random(1, MAX_OPS + 1, 1.0, 1),
+        lambda: gen_d2(MAX_OPS + 1, 2, 0, 1),
+        lambda: gen_d2(1, MAX_OPS + 1, 0, 1),
+    ):
+        with pytest.raises(ValueError, match=f"must be at most {MAX_OPS}"):
+            call()
 
 
 def test_gen_tight_shape_and_degrees():

@@ -1,0 +1,154 @@
+"""``Instance.arcs`` and ``Pd2Trace.events`` are built on first read.
+
+A parsed instance keeps its successor rows and builds its arc set from the
+profile only when something reads it; a trace that
+``solve_pd2`` returns keeps the run's steps and builds its events the same
+way.  These tests pin both halves: the library and CLI pipelines never
+build either view, and once built, each view's object behaves exactly as
+its eagerly built twin under ``==``, ``hash``, ``repr``, ``asdict``,
+``replace``, pickle, ``copy`` and ``deepcopy``.
+"""
+
+import copy
+import dataclasses
+import pickle
+
+import pytest
+from hypothesis import given, strategies as st
+
+import crossdock.cli as cli
+import crossdock.pd2 as pd2
+from crossdock import (
+    DegPick,
+    Instance,
+    Pd2Trace,
+    ZeroPick,
+    blocks,
+    bounds_report,
+    check_feasible,
+    classify,
+    gen_d2,
+    gen_random,
+    lemma1_bound,
+    parse_instance,
+    serialize_instance,
+    solve_greedy,
+    solve_pd2,
+    trace_to_json,
+)
+
+
+# Canonical text takes the whole-text parse, CRLF text the line parser.
+LAYOUTS = pytest.mark.parametrize(
+    "layout", [lambda t: t, lambda t: t.replace("\n", "\r\n")], ids=["lf", "crlf"]
+)
+
+
+@LAYOUTS
+def test_pd2_pipeline_builds_neither_view(layout):
+    inst = parse_instance(layout(serialize_instance(gen_d2(300, 300, 6, 1))))
+    assert classify(inst).is_d2
+    sched, trace = solve_pd2(inst)
+    assert lemma1_bound(inst) == max(inst.n + 2, inst.m)
+    assert blocks(inst, trace)
+    assert check_feasible(inst, sched).ok
+    assert "arcs" not in vars(inst)
+    assert "events" not in vars(trace)
+
+
+@LAYOUTS
+def test_greedy_pipeline_builds_no_arcs(layout):
+    inst = parse_instance(layout(serialize_instance(gen_random(40, 50, 0.3, 1))))
+    sched = solve_greedy(inst)
+    assert bounds_report(inst).q >= 1
+    assert check_feasible(inst, sched).ok
+    assert "arcs" not in vars(inst)
+
+
+def test_cli_solve_and_verify_build_neither_view(tmp_path, monkeypatch, capsys):
+    instances, traces = [], []
+
+    def parse(text):
+        instances.append(parse_instance(text))
+        return instances[-1]
+
+    def solve(inst):
+        sched, trace = solve_pd2(inst)
+        traces.append(trace)
+        return sched, trace
+
+    monkeypatch.setattr(cli, "parse_instance", parse)
+    monkeypatch.setattr(cli, "solve_pd2", solve)
+    for name, inst, alg in (
+        ("d2", gen_d2(60, 50, 2, 3), "pd2"),
+        ("random", gen_random(30, 40, 0.2, 3), "greedy"),
+    ):
+        path, sched = tmp_path / f"{name}.cd", tmp_path / f"{name}.json"
+        path.write_text(serialize_instance(inst))
+        assert cli.main(["solve", "--alg", alg, "--in", str(path), "--out", str(sched), "--gantt"]) == 0
+        assert cli.main(["verify", "--in", str(path), "--schedule", str(sched)]) == 0
+    capsys.readouterr()
+    assert len(instances) == 4 and len(traces) == 1
+    assert not any("arcs" in vars(inst) for inst in instances)
+    assert "events" not in vars(traces[0])
+
+
+def _same_under_every_view(fresh, eager, field, check_pickle_bytes):
+    """Each operation on a fresh lazy object gives what it gives on ``eager``.
+
+    ``fresh()`` returns a new object whose view ``field`` is not yet built,
+    so every operation below is the first to read it.
+    """
+    lazy = fresh()
+    assert field not in vars(lazy)
+    assert lazy == eager and eager == fresh()
+    assert hash(fresh()) == hash(eager)
+    assert repr(fresh()) == repr(eager)
+    assert dataclasses.asdict(fresh()) == dataclasses.asdict(eager)
+    assert repr(dataclasses.replace(fresh())) == repr(dataclasses.replace(eager))
+    for trip in (lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy):
+        again = trip(fresh())
+        assert again == eager and repr(again) == repr(eager)
+    if check_pickle_bytes:
+        assert pickle.dumps(fresh()) == pickle.dumps(eager)
+    assert field in vars(lazy) and getattr(lazy, field) == getattr(eager, field)
+
+
+@given(
+    st.integers(1, 12).flatmap(
+        lambda n: st.integers(1, 12).flatmap(
+            lambda m: st.tuples(
+                st.just(n), st.just(m),
+                st.frozensets(st.tuples(st.integers(1, n), st.integers(1, m)), max_size=40),
+            )
+        )
+    )
+)
+def test_lazy_arcs_match_an_eager_instance(case):
+    n, m, arcs = case
+    # A set's iteration order, and so repr and pickle bytes, follows the
+    # order its elements went in.  Eager parsing built arcs as
+    # frozenset(set(...)) in (i, j) order; the twin is built the same way.
+    eager = Instance(n, m, frozenset(set(sorted(arcs))))
+    text = serialize_instance(eager)
+    _same_under_every_view(lambda: parse_instance(text), eager, "arcs", check_pickle_bytes=False)
+    assert parse_instance(text).profile == eager.profile
+
+
+def _eager_trace(inst):
+    """The trace as ``solve_pd2`` built it before events became lazy."""
+    prof = pd2._require_d2(inst)
+    return Pd2Trace(tuple([DegPick(j, d, b) if d else ZeroPick(j) for j, d, b in pd2._run(prof)]))
+
+
+@given(
+    st.integers(2, 40).flatmap(
+        lambda b: st.tuples(st.integers(1, 40), st.just(b), st.integers(0, b - 2), st.integers(0, 2**32))
+    )
+)
+def test_lazy_events_match_an_eager_trace(params):
+    inst = gen_d2(*params)
+    eager = _eager_trace(inst)
+    _same_under_every_view(lambda: solve_pd2(inst)[1], eager, "events", check_pickle_bytes=True)
+    assert trace_to_json(solve_pd2(inst)[1]) == trace_to_json(eager)
+    assert blocks(inst, solve_pd2(inst)[1]) == blocks(inst, eager)
