@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import sys
 import time
 from fractions import Fraction
@@ -198,11 +199,27 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+def _int_arg(text: str, low: int = 0, high: float = math.inf) -> int:
+    """An integer option in low..high, in ASCII digits only.  int() alone
+    also takes a sign, "_", spaces and other scripts' digits, and the value
+    used, which ``gen`` records, would not be the one typed."""
+    if not (text.isascii() and text.isdigit() and low <= int(text) <= high):
+        expected = "of ASCII digits" if high == math.inf else f"in {low}..{high}"
+        raise argparse.ArgumentTypeError(f"must be an integer {expected}, got {text!r}")
+    return int(text)
+
+
 def _exact_limit(text: str) -> int:
     """``--exact-limit``: an integer the exact solver's 2^n table allows."""
-    if not (text.isascii() and text.isdigit() and 1 <= int(text) <= EXACT_MAX_N):
-        raise argparse.ArgumentTypeError(f"must be an integer in 1..{EXACT_MAX_N}, got {text!r}")
-    return int(text)
+    return _int_arg(text, 1, EXACT_MAX_N)
+
+
+def _p_arg(text: str) -> float:
+    """``--p``: a float in ASCII without "_"; float() alone also takes
+    other scripts' digits and "_"."""
+    if not text.isascii() or "_" in text:
+        raise argparse.ArgumentTypeError(f"must be a real number in ASCII without '_', got {text!r}")
+    return float(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -212,21 +229,21 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate an instance file")
     gen_sub = gen.add_subparsers(dest="kind", required=True)
     g_rand = gen_sub.add_parser("random", help="arc-Bernoulli instance")
-    g_rand.add_argument("--n", type=int, required=True)
-    g_rand.add_argument("--m", type=int, required=True)
-    g_rand.add_argument("--p", type=float, required=True)
-    g_rand.add_argument("--seed", type=int, required=True)
+    g_rand.add_argument("--n", type=_int_arg, required=True)
+    g_rand.add_argument("--m", type=_int_arg, required=True)
+    g_rand.add_argument("--p", type=_p_arg, required=True)
+    g_rand.add_argument("--seed", type=_int_arg, required=True)
     g_rand.add_argument("--out")
     g_d2 = gen_sub.add_parser("d2", help="two-successor-class instance")
-    g_d2.add_argument("--a", type=int, required=True)
-    g_d2.add_argument("--b", type=int, required=True)
-    g_d2.add_argument("--pendants", type=int, default=0)
-    g_d2.add_argument("--seed", type=int, required=True)
+    g_d2.add_argument("--a", type=_int_arg, required=True)
+    g_d2.add_argument("--b", type=_int_arg, required=True)
+    g_d2.add_argument("--pendants", type=_int_arg, default=0)
+    g_d2.add_argument("--seed", type=_int_arg, required=True)
     g_d2.add_argument("--out")
     g_tight = gen_sub.add_parser("tight", help="worst-case ratio family")
-    g_tight.add_argument("--k", type=int, required=True)
-    g_tight.add_argument("--l", type=int, required=True)
-    g_tight.add_argument("--s", type=int, required=True)
+    g_tight.add_argument("--k", type=_int_arg, required=True)
+    g_tight.add_argument("--l", type=_int_arg, required=True)
+    g_tight.add_argument("--s", type=_int_arg, required=True)
     g_tight.add_argument("--out")
     gen.set_defaults(func=_cmd_gen)
 

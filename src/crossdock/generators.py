@@ -2,7 +2,9 @@
 
 All randomness comes from ``random.Random(seed)`` (the stdlib Mersenne
 Twister), so a (parameters, seed) pair reproduces the same instance on
-any platform.  Arcs are always drawn in a fixed traversal order.
+any platform; a negative seed is refused, since ``Random(-s)`` draws what
+``Random(s)`` does.  Arcs are drawn in a fixed traversal order into sorted
+successor rows, as the parser builds them, so ``arcs`` is built on first read.
 """
 
 from __future__ import annotations
@@ -20,6 +22,13 @@ def _require_ints(**params: object) -> None:
     for name, value in params.items():
         if type(value) is not int:
             raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _rng(seed: int) -> random.Random:
+    """The random stream of a seed that ``_require_ints`` has passed."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return random.Random(seed)
 
 
 def _require_max_ops(**counts: int) -> None:
@@ -55,13 +64,10 @@ def gen_random(n: int, m: int, p: float, seed: int) -> Instance:
     _require_max_ops(n=n, m=m)
     if isinstance(p, bool) or not isinstance(p, Real) or not 0 <= p <= 1:
         raise ValueError(f"p must be a real number in [0, 1], got {p!r}")
-    rng = random.Random(seed)
-    arcs = set()
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            if rng.random() < p:
-                arcs.add((i, j))
-    return Instance(n=n, m=m, arcs=frozenset(arcs))
+    rand = _rng(seed).random
+    cols = range(1, m + 1)
+    rows = [(i, tuple([j for j in cols if rand() < p])) for i in range(1, n + 1)]
+    return Instance._from_rows(n, m, rows)
 
 
 def gen_d2(a_count: int, b_count: int, pendant_count: int, seed: int) -> Instance:
@@ -80,13 +86,10 @@ def gen_d2(a_count: int, b_count: int, pendant_count: int, seed: int) -> Instanc
         raise ValueError(
             f"need at least 2 non-pendant B-operations, got b={b_count}, pendants={pendant_count}"
         )
-    rng = random.Random(seed)
+    sample = _rng(seed).sample
     pool = range(1, b_count - pendant_count + 1)
-    arcs = set()
-    for i in range(1, a_count + 1):
-        for j in rng.sample(pool, 2):
-            arcs.add((i, j))
-    return Instance(n=a_count, m=b_count, arcs=frozenset(arcs))
+    rows = [(i, tuple(sorted(sample(pool, 2)))) for i in range(1, a_count + 1)]
+    return Instance._from_rows(a_count, b_count, rows)
 
 
 def gen_tight(params: TightParams) -> Instance:
@@ -101,13 +104,8 @@ def gen_tight(params: TightParams) -> Instance:
     k, l, s = params.k, params.l, params.s
     n = k + l + s
     m = 2 * k + s
-    arcs = set()
-    for i in range(1, k + 1):
-        arcs.add((i, 2 * i - 1))
-        arcs.add((i, 2 * i))
-    for i in range(k + 1, k + l + 1):
-        for j in range(2 * k + 1, m + 1):
-            arcs.add((i, j))
-    for t in range(1, s + 1):
-        arcs.add((k + l + t, 2 * k + t))
-    return Instance(n=n, m=m, arcs=frozenset(arcs))
+    last = tuple(range(2 * k + 1, m + 1))
+    rows = [(i, (2 * i - 1, 2 * i)) for i in range(1, k + 1)]
+    rows += [(i, last) for i in range(k + 1, k + l + 1)]
+    rows += [(k + l + t, (2 * k + t,)) for t in range(1, s + 1)]
+    return Instance._from_rows(n, m, rows)

@@ -32,8 +32,9 @@ class InstanceError(ValueError):
 class Instance:
     """n A-operations, m B-operations and the arcs (i, j) between them.
 
-    A parsed instance keeps its successor rows and builds ``arcs`` from the
-    profile on first read; until then ``arcs`` is not in its ``__dict__``.  Reading the field, ``==``, ``hash``, ``repr``,
+    A parsed or generated instance holds sorted successor rows and builds
+    ``arcs`` from the profile on first read; until then ``arcs`` is not in
+    its ``__dict__``.  Reading the field, ``==``, ``hash``, ``repr``,
     ``asdict``, ``replace``, pickling or copying builds it; each then gives
     what an instance constructed with those arcs gives.
     """
@@ -59,10 +60,11 @@ class Instance:
 
     @classmethod
     def _from_rows(cls, n: int, m: int, rows: list[tuple[int, tuple[int, ...]]]) -> Instance:
-        """An instance whose arcs the caller has range-checked, so
-        ``__post_init__`` is skipped.  ``rows`` pairs each A-index that has
-        arcs with its sorted successor tuple; the profile build consumes it,
-        and ``arcs`` is built from the profile when first read."""
+        """An instance whose arcs the parser or a generator has checked, so
+        ``__post_init__`` is skipped.  ``rows`` pairs rising A-indices with
+        their sorted successor tuples (an index without arcs may be missing).
+        They are kept until the profile is built; ``arcs`` is built from the
+        profile when read."""
         inst = cls.__new__(cls)
         inst.__dict__.update(n=n, m=m, _rows=rows)
         return inst
@@ -81,16 +83,16 @@ class Instance:
         self.__dict__["arcs"] = arcs
         return arcs
 
-    def sorted_arcs(self) -> list[tuple[int, int]]:
-        return sorted(self.arcs)
-
     @cached_property
     def profile(self) -> DegreeProfile:
         """The instance's adjacency, built on first use; see ``degree_profile``.
 
         Not a dataclass field, so it stays out of ``==``, ``hash`` and ``repr``.
+        The rows, if any, are dropped once it is built.
         """
-        return _build_profile(self)
+        profile = _build_profile(self)
+        self.__dict__.pop("_rows", None)
+        return profile
 
 
 @dataclass(frozen=True)
@@ -127,9 +129,9 @@ def degree_profile(inst: Instance) -> DegreeProfile:
 
 
 def _build_profile(inst: Instance) -> DegreeProfile:
-    # The canonical parser leaves the sorted successor rows behind; any
+    # A parsed or generated instance holds its sorted successor rows; any
     # other instance groups and sorts its arcs here.
-    rows = inst.__dict__.pop("_rows", None)
+    rows = inst.__dict__.get("_rows")
     if rows is None:
         succ = [[] for _ in range(inst.n + 1)]
         for i, j in inst.arcs:
@@ -354,8 +356,12 @@ def serialize_instance(inst: Instance, comments: Iterable[str] = ()) -> str:
     """Emit the canonical text form: comments, header, arcs in (i, j) order.
 
     parse_instance(serialize_instance(x)) == x for every valid instance.
+    Arcs are written from the successor rows, or the profile once built.
     """
+    rows = inst.__dict__.get("_rows")
+    if rows is None:
+        rows = enumerate(inst.profile.succ)
     lines = [f"c {c}" for c in comments]
     lines.append(f"p cdock {inst.n} {inst.m}")
-    lines.extend(f"a {i} {j}" for i, j in inst.sorted_arcs())
+    lines.extend(f"a {i} {j}" for i, row in rows for j in row)
     return "\n".join(lines) + "\n"

@@ -173,6 +173,49 @@ def test_gen_random_rejects_nan_p(capsys):
     assert "p must be a real number in [0, 1], got nan" in capsys.readouterr().err
 
 
+RANDOM_ARGS = ["random", "--n", "3", "--m", "4", "--p", "0.25", "--seed", "0"]
+
+
+def _with(argv, option, value):
+    return [*argv[: argv.index(option) + 1], value, *argv[argv.index(option) + 2 :]]
+
+
+@pytest.mark.parametrize(
+    "argv,option",
+    [
+        (_with(RANDOM_ARGS, "--n", "٣"), "--n"),
+        (_with(RANDOM_ARGS, "--m", "3 "), "--m"),
+        (_with(RANDOM_ARGS, "--seed", "1_0"), "--seed"),
+        (_with(RANDOM_ARGS, "--seed", "-1"), "--seed"),
+        (_with(RANDOM_ARGS, "--p", "٠.5"), "--p"),
+        (_with(RANDOM_ARGS, "--p", "0.2_5"), "--p"),
+        (["d2", "--a", "+3", "--b", "4", "--seed", "1"], "--a"),
+        (["d2", "--a", "3", "--b", "4", "--pendants", "-1", "--seed", "1"], "--pendants"),
+        (["d2", "--a", "3", "--b", "4", "--seed", "-1"], "--seed"),
+        (["tight", "--k", " 3", "--l", "1", "--s", "3"], "--k"),
+        (["tight", "--k", "3", "--l", "+1", "--s", "3"], "--l"),
+        (["tight", "--k", "3", "--l", "1", "--s", "3.0"], "--s"),
+    ],
+    ids=[
+        "n-arabic-indic", "m-space", "seed-underscore", "seed-negative", "p-arabic-indic",
+        "p-underscore", "a-plus", "pendants-negative", "d2-seed-negative", "k-space",
+        "l-plus", "s-float",
+    ],
+)
+def test_gen_takes_numbers_only_as_typed(argv, option, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"argument {option}: must be" in captured.err
+    assert captured.out == ""
+
+
+def test_gen_records_the_numbers_typed(capsys):
+    assert main(["gen", *RANDOM_ARGS]) == 0
+    assert capsys.readouterr().out.startswith("c crossdock gen random --n 3 --m 4 --p 0.25 --seed 0\n")
+
+
 def test_bench_rows(tmp_path, capsys):
     (tmp_path / "ex1.cd").write_text(EX1_TEXT)
     main(["gen", "tight", "--k", "3", "--l", "2", "--s", "3", "--out", str(tmp_path / "tf.cd")])

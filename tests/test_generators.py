@@ -1,3 +1,6 @@
+import hashlib
+from fractions import Fraction
+
 import pytest
 
 import crossdock.generators as generators
@@ -45,6 +48,16 @@ def test_gen_random_rejects_bad_sizes():
         gen_random(MAX_OPS + 1, 1, 0.0, seed=1)
     with pytest.raises(ValueError, match=f"m must be at most {MAX_OPS}, got {MAX_OPS + 1}"):
         gen_random(1, MAX_OPS + 1, 0.5, seed=1)
+
+
+def test_generators_reject_negative_seeds():
+    # Random(-s) draws what Random(s) does, so a negative seed would
+    # silently stand for its absolute value.
+    with pytest.raises(ValueError, match="seed must be non-negative, got -7"):
+        gen_random(5, 5, 0.5, -7)
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        gen_d2(3, 4, 0, -1)
+    assert gen_random(5, 5, 0.5, 0) != gen_random(5, 5, 0.5, 1)
 
 
 @pytest.mark.parametrize("p", [float("nan"), -0.1, 1.5, float("inf"), "0.5", None, True])
@@ -150,3 +163,38 @@ def test_gen_tight_certificate_small():
         assert compute_q(tf) == l + 1
         rep = bounds_report(tf)
         assert Fraction(2 * k + s + l + 1, 2 * k + s + 1) == rep.ratio_bound
+
+
+def _golden_cases():
+    """(generator, parameters, seed) triples with the comments each is
+    serialized with.  Edge cases: p = 0 and p = 1 (as floats and ints), a
+    Fraction p, n = m = 1, m > 256, d2 pools of 2 and of more than 21
+    (``Random.sample`` draws from a set above that), pendants, huge seeds,
+    and ``gen_tight`` with comments."""
+    for n, m in ((1, 1), (1, 7), (7, 1), (4, 5), (9, 12), (3, 300), (2, 600)):
+        for p in (0.0, 1.0, 0, 1, 0.5, 0.1, 0.9, Fraction(1, 3)):
+            for seed in (0, 1, 7, 2**40, 2**70 + 3):
+                yield gen_random(n, m, p, seed), ()
+    for a, b, pendants in ((1, 2, 0), (1, 3, 1), (3, 2, 0), (5, 8, 3), (12, 23, 0), (12, 30, 6), (40, 300, 17), (4, 400, 398)):
+        for seed in (0, 1, 7, 2**40, 2**70 + 3):
+            yield gen_d2(a, b, pendants, seed), ()
+    for k in range(1, 6):
+        for l in range(1, k + 1):
+            for s in (3, 4, 7):
+                yield gen_tight(TightParams(k, l, s)), (f"crossdock gen tight --k {k} --l {l} --s {s}", "", "x y")
+    for seed in range(100):
+        yield gen_random(6, 6, 0.5, seed), ()
+        yield gen_d2(6, 9, 2, seed), ()
+    yield gen_random(2, 3, 0.5, 5), ("comment", "ünïcode")
+
+
+# Recorded from the generators as they drew before any change to how they
+# build instances; any change to a draw, its order or the text changes it.
+GOLDEN_DIGEST = "77f5f0a27b8931477d27dbc7cb7c66bf465784b0c0a528adfe9039f78af91649"
+
+
+def test_generator_output_golden_digest():
+    digest = hashlib.sha256()
+    for inst, comments in _golden_cases():
+        digest.update(serialize_instance(inst, comments).encode())
+    assert digest.hexdigest() == GOLDEN_DIGEST

@@ -1,7 +1,7 @@
 """``Instance.arcs`` and ``Pd2Trace.events`` are built on first read.
 
-A parsed instance keeps its successor rows and builds its arc set from the
-profile only when something reads it; a trace that
+A parsed or generated instance holds its successor rows and builds its arc
+set from the profile only when something reads it; a trace that
 ``solve_pd2`` returns keeps the run's steps and builds its events the same
 way.  These tests pin both halves: the library and CLI pipelines never
 build either view, and once built, each view's object behaves exactly as
@@ -17,11 +17,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 import crossdock.cli as cli
+import crossdock.instance as instance_module
 import crossdock.pd2 as pd2
 from crossdock import (
     DegPick,
     Instance,
     Pd2Trace,
+    TightParams,
     ZeroPick,
     blocks,
     bounds_report,
@@ -29,6 +31,7 @@ from crossdock import (
     classify,
     gen_d2,
     gen_random,
+    gen_tight,
     lemma1_bound,
     parse_instance,
     serialize_instance,
@@ -63,6 +66,39 @@ def test_greedy_pipeline_builds_no_arcs(layout):
     assert bounds_report(inst).q >= 1
     assert check_feasible(inst, sched).ok
     assert "arcs" not in vars(inst)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: gen_random(30, 40, 0.3, 1),
+        lambda: gen_d2(50, 40, 3, 1),
+        lambda: gen_tight(TightParams(4, 2, 3)),
+    ],
+    ids=["random", "d2", "tight"],
+)
+def test_generate_and_serialize_build_neither_view(make):
+    inst = make()
+    text = serialize_instance(inst, comments=["generated"])
+    assert "arcs" not in vars(inst) and "profile" not in vars(inst)
+    # Once the profile is built the rows are dropped, and the serializer
+    # writes the same text from the profile.
+    inst.profile
+    assert "_rows" not in vars(inst)
+    assert serialize_instance(inst, comments=["generated"]) == text
+    assert "arcs" not in vars(inst)
+    assert parse_instance(text) == inst
+
+
+def test_build_profile_leaves_an_instance_whole():
+    # _build_profile once took the rows off the instance it was given,
+    # leaving neither rows nor arcs, and every later read recursed.
+    for inst in (parse_instance("p cdock 2 2\na 1 1\na 2 2\n"), gen_d2(4, 3, 0, 1)):
+        built = instance_module._build_profile(inst)
+        assert inst.profile == built
+        eager = Instance(inst.n, inst.m, inst.arcs)
+        assert inst == eager and eager.profile == built
+    assert inst.arcs == eager.arcs and len(inst.arcs) == 8
 
 
 def test_cli_solve_and_verify_build_neither_view(tmp_path, monkeypatch, capsys):
