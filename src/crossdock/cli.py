@@ -203,10 +203,14 @@ def _int_arg(text: str, low: int = 0, high: float = math.inf) -> int:
     """An integer option in low..high, in ASCII digits only.  int() alone
     also takes a sign, "_", spaces and other scripts' digits, and the value
     used, which ``gen`` records, would not be the one typed."""
-    if not (text.isascii() and text.isdigit() and low <= int(text) <= high):
+    try:
+        value = int(text) if text.isascii() and text.isdigit() else None
+    except ValueError:  # more digits than int() reads
+        value = None
+    if value is None or not low <= value <= high:
         expected = "of ASCII digits" if high == math.inf else f"in {low}..{high}"
         raise argparse.ArgumentTypeError(f"must be an integer {expected}, got {text!r}")
-    return int(text)
+    return value
 
 
 def _exact_limit(text: str) -> int:

@@ -183,23 +183,22 @@ def _with(argv, option, value):
 @pytest.mark.parametrize(
     "argv,option",
     [
-        (_with(RANDOM_ARGS, "--n", "٣"), "--n"),
-        (_with(RANDOM_ARGS, "--m", "3 "), "--m"),
-        (_with(RANDOM_ARGS, "--seed", "1_0"), "--seed"),
-        (_with(RANDOM_ARGS, "--seed", "-1"), "--seed"),
-        (_with(RANDOM_ARGS, "--p", "٠.5"), "--p"),
-        (_with(RANDOM_ARGS, "--p", "0.2_5"), "--p"),
-        (["d2", "--a", "+3", "--b", "4", "--seed", "1"], "--a"),
-        (["d2", "--a", "3", "--b", "4", "--pendants", "-1", "--seed", "1"], "--pendants"),
-        (["d2", "--a", "3", "--b", "4", "--seed", "-1"], "--seed"),
-        (["tight", "--k", " 3", "--l", "1", "--s", "3"], "--k"),
-        (["tight", "--k", "3", "--l", "+1", "--s", "3"], "--l"),
-        (["tight", "--k", "3", "--l", "1", "--s", "3.0"], "--s"),
-    ],
-    ids=[
-        "n-arabic-indic", "m-space", "seed-underscore", "seed-negative", "p-arabic-indic",
-        "p-underscore", "a-plus", "pendants-negative", "d2-seed-negative", "k-space",
-        "l-plus", "s-float",
+        pytest.param(_with(RANDOM_ARGS, "--n", "٣"), "--n", id="n-arabic-indic"),
+        pytest.param(_with(RANDOM_ARGS, "--m", "3 "), "--m", id="m-space"),
+        pytest.param(_with(RANDOM_ARGS, "--seed", "1_0"), "--seed", id="seed-underscore"),
+        pytest.param(_with(RANDOM_ARGS, "--seed", "-1"), "--seed", id="seed-negative"),
+        pytest.param(_with(RANDOM_ARGS, "--seed", "9" * 5000), "--seed", id="seed-past-int-limit"),
+        pytest.param(_with(RANDOM_ARGS, "--p", "٠.5"), "--p", id="p-arabic-indic"),
+        pytest.param(_with(RANDOM_ARGS, "--p", "0.2_5"), "--p", id="p-underscore"),
+        pytest.param(["d2", "--a", "+3", "--b", "4", "--seed", "1"], "--a", id="a-plus"),
+        pytest.param(
+            ["d2", "--a", "3", "--b", "4", "--pendants", "-1", "--seed", "1"], "--pendants",
+            id="pendants-negative",
+        ),
+        pytest.param(["d2", "--a", "3", "--b", "4", "--seed", "-1"], "--seed", id="d2-seed-negative"),
+        pytest.param(["tight", "--k", " 3", "--l", "1", "--s", "3"], "--k", id="k-space"),
+        pytest.param(["tight", "--k", "3", "--l", "+1", "--s", "3"], "--l", id="l-plus"),
+        pytest.param(["tight", "--k", "3", "--l", "1", "--s", "3.0"], "--s", id="s-float"),
     ],
 )
 def test_gen_takes_numbers_only_as_typed(argv, option, capsys):

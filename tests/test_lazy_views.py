@@ -91,14 +91,13 @@ def test_generate_and_serialize_build_neither_view(make):
 
 
 def test_build_profile_leaves_an_instance_whole():
-    # _build_profile once took the rows off the instance it was given,
-    # leaving neither rows nor arcs, and every later read recursed.
-    for inst in (parse_instance("p cdock 2 2\na 1 1\na 2 2\n"), gen_d2(4, 3, 0, 1)):
+    # _build_profile must leave the rows in place: taking them would leave
+    # the instance with neither rows nor arcs, and every later read recurse.
+    for make in (lambda: parse_instance("p cdock 2 2\na 1 1\na 2 2\n"), lambda: gen_d2(4, 3, 0, 1)):
+        inst, twin = make(), make()
         built = instance_module._build_profile(inst)
-        assert inst.profile == built
-        eager = Instance(inst.n, inst.m, inst.arcs)
-        assert inst == eager and eager.profile == built
-    assert inst.arcs == eager.arcs and len(inst.arcs) == 8
+        assert inst.profile == built == twin.profile
+        assert inst.arcs == twin.arcs and inst == twin
 
 
 def test_cli_solve_and_verify_build_neither_view(tmp_path, monkeypatch, capsys):
