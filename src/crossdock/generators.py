@@ -3,8 +3,8 @@
 All randomness comes from ``random.Random(seed)`` (the stdlib Mersenne
 Twister), so a (parameters, seed) pair reproduces the same instance on
 any platform; a negative seed is refused, since ``Random(-s)`` draws what
-``Random(s)`` does.  Arcs are drawn in a fixed traversal order into sorted
-successor rows, as the parser builds them, so ``arcs`` is built on first read.
+``Random(s)`` does.  Arcs are drawn in a fixed traversal order into the
+sorted successor table an ``Instance`` holds, so ``arcs`` is built on first read.
 """
 
 from __future__ import annotations
@@ -66,8 +66,8 @@ def gen_random(n: int, m: int, p: float, seed: int) -> Instance:
         raise ValueError(f"p must be a real number in [0, 1], got {p!r}")
     rand = _rng(seed).random
     cols = range(1, m + 1)
-    rows = [(i, tuple([j for j in cols if rand() < p])) for i in range(1, n + 1)]
-    return Instance._from_rows(n, m, rows)
+    succ = ((), *[tuple([j for j in cols if rand() < p]) for _ in range(n)])
+    return Instance._from_succ(n, m, succ)
 
 
 def gen_d2(a_count: int, b_count: int, pendant_count: int, seed: int) -> Instance:
@@ -88,8 +88,8 @@ def gen_d2(a_count: int, b_count: int, pendant_count: int, seed: int) -> Instanc
         )
     sample = _rng(seed).sample
     pool = range(1, b_count - pendant_count + 1)
-    rows = [(i, tuple(sorted(sample(pool, 2)))) for i in range(1, a_count + 1)]
-    return Instance._from_rows(a_count, b_count, rows)
+    succ = ((), *[tuple(sorted(sample(pool, 2))) for _ in range(a_count)])
+    return Instance._from_succ(a_count, b_count, succ)
 
 
 def gen_tight(params: TightParams) -> Instance:
@@ -105,7 +105,5 @@ def gen_tight(params: TightParams) -> Instance:
     n = k + l + s
     m = 2 * k + s
     last = tuple(range(2 * k + 1, m + 1))
-    rows = [(i, (2 * i - 1, 2 * i)) for i in range(1, k + 1)]
-    rows += [(i, last) for i in range(k + 1, k + l + 1)]
-    rows += [(k + l + t, (2 * k + t,)) for t in range(1, s + 1)]
-    return Instance._from_rows(n, m, rows)
+    pairs = [(2 * i - 1, 2 * i) for i in range(1, k + 1)]
+    return Instance._from_succ(n, m, ((), *pairs, *[last] * l, *[(j,) for j in last]))

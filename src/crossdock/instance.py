@@ -32,11 +32,12 @@ class InstanceError(ValueError):
 class Instance:
     """n A-operations, m B-operations and the arcs (i, j) between them.
 
-    A parsed or generated instance holds sorted successor rows and builds
-    ``arcs`` from the profile on first read; until then ``arcs`` is not in
-    its ``__dict__``.  Reading the field, ``==``, ``hash``, ``repr``,
-    ``asdict``, ``replace``, pickling or copying builds it; each then gives
-    what an instance constructed with those arcs gives.
+    Every instance holds its successor table ``_succ`` (``_succ[i]`` the
+    sorted successors of A_i, ``_succ[0] == ()``), which the profile shares.
+    A parsed or generated instance builds ``arcs`` from it on first read;
+    until then ``arcs`` is not in its ``__dict__``.  Reading the field, ``==``,
+    ``hash``, ``repr``, ``asdict``, ``replace``, pickling or copying builds
+    it; each then gives what an instance constructed with those arcs gives.
     """
 
     n: int
@@ -44,29 +45,32 @@ class Instance:
     arcs: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.arcs, frozenset):
-            object.__setattr__(self, "arcs", frozenset(self.arcs))
         # Exact ints in range only, so every instance survives
         # parse_instance(serialize_instance(x)) == x.
         n, m = self.n, self.m
         if not (type(n) is int and type(m) is int and 1 <= n <= MAX_OPS and 1 <= m <= MAX_OPS):
             raise InstanceError(f"n and m must be integers in 1..{MAX_OPS}, got n={n!r}, m={m!r}")
-        for arc in self.arcs:
+        try:
+            arcs = frozenset(self.arcs)  # the same object if it already is one
+        except TypeError as exc:  # not iterable, or an item that is not hashable
+            raise InstanceError(f"arcs must be an iterable of (i, j) pairs: {exc}") from None
+        object.__setattr__(self, "arcs", arcs)
+        keys = []  # one int per arc, as _split_keys reads them
+        for arc in arcs:
             if type(arc) is not tuple or len(arc) != 2:
                 raise InstanceError(f"arc {arc!r} is not a pair of indices")
             i, j = arc
             if not (type(i) is int and type(j) is int and 1 <= i <= n and 1 <= j <= m):
                 raise InstanceError(f"arc {arc!r} is not a pair of integers in 1..{n} x 1..{m}")
+            keys.append(i * (m + 1) + j)
+        self.__dict__["_succ"] = _succ_table(n, *_split_keys(sorted(keys), m))
 
     @classmethod
-    def _from_rows(cls, n: int, m: int, rows: list[tuple[int, tuple[int, ...]]]) -> Instance:
-        """An instance whose arcs the parser or a generator has checked, so
-        ``__post_init__`` is skipped.  ``rows`` pairs rising A-indices with
-        their sorted successor tuples (an index without arcs may be missing).
-        They are kept until the profile is built; ``arcs`` is built from the
-        profile when read."""
+    def _from_succ(cls, n: int, m: int, succ: tuple[tuple[int, ...], ...]) -> Instance:
+        """An instance whose successor table (kept as ``_succ``) the parser or
+        a generator has built and checked, so ``__post_init__`` is skipped."""
         inst = cls.__new__(cls)
-        inst.__dict__.update(n=n, m=m, _rows=rows)
+        inst.__dict__.update(n=n, m=m, _succ=succ)
         return inst
 
     def __getattr__(self, name: str) -> frozenset[tuple[int, int]]:
@@ -75,7 +79,7 @@ class Instance:
         # hooks on an empty instance) never start a build.
         if name != "arcs":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        succ = self.profile.succ
+        succ = self._succ
         heads = chain.from_iterable(map(repeat, range(len(succ)), map(len, succ)))
         # A frozenset built straight from an iterator keeps the table it grew,
         # up to twice the size of one copied from a set.
@@ -88,11 +92,9 @@ class Instance:
         """The instance's adjacency, built on first use; see ``degree_profile``.
 
         Not a dataclass field, so it stays out of ``==``, ``hash`` and ``repr``.
-        The rows, if any, are dropped once it is built.
+        Its ``succ`` is the instance's own successor table, not a copy.
         """
-        profile = _build_profile(self)
-        self.__dict__.pop("_rows", None)
-        return profile
+        return _build_profile(self)
 
 
 @dataclass(frozen=True)
@@ -129,19 +131,7 @@ def degree_profile(inst: Instance) -> DegreeProfile:
 
 
 def _build_profile(inst: Instance) -> DegreeProfile:
-    # A parsed or generated instance holds its sorted successor rows; any
-    # other instance groups and sorts its arcs here.
-    rows = inst.__dict__.get("_rows")
-    if rows is None:
-        succ = [[] for _ in range(inst.n + 1)]
-        for i, j in inst.arcs:
-            succ[i].append(j)
-        for row in succ:
-            row.sort()
-    else:
-        succ = [()] * (inst.n + 1)
-        for i, row in rows:
-            succ[i] = row
+    succ = inst._succ
     pred: list[list[int]] = [[] for _ in range(inst.m + 1)]
     # Walking A-operations in index order fills every pred list already sorted.
     for i in range(1, inst.n + 1):
@@ -150,7 +140,7 @@ def _build_profile(inst: Instance) -> DegreeProfile:
     return DegreeProfile(
         out_deg=tuple(map(len, succ[1:])),
         in_deg=tuple(map(len, pred[1:])),
-        succ=tuple(map(tuple, succ)),
+        succ=succ,
         pred=tuple(map(tuple, pred)),
     )
 
@@ -243,8 +233,8 @@ def _parse_canonical(text: str) -> Instance | None:
         heads, tails = _split_keys(sorted(map(add, map(mul, heads, repeat(m + 1)), tails)), m)
     if count and not (1 <= heads[0] and heads[-1] <= n):
         return None
-    rows = _group_rows(heads, tails)
-    return None if rows is None else Instance._from_rows(n, m, rows)
+    succ = _succ_table(n, heads, tails)
+    return None if succ is None else Instance._from_succ(n, m, succ)
 
 
 def _split_keys(keys: list[int], m: int) -> tuple[list[int], tuple[int, ...]]:
@@ -253,11 +243,13 @@ def _split_keys(keys: list[int], m: int) -> tuple[list[int], tuple[int, ...]]:
     return list(map(floordiv, keys, repeat(m + 1))), tuple(map(mod, keys, repeat(m + 1)))
 
 
-def _group_rows(heads: list[int], tails: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]] | None:
-    """One (i, successors of A_i) pair per A-operation with arcs: its run of
-    the sorted heads, sliced out of the tails and sorted if out of order.
-    None if a row repeats an arc."""
-    rows = []
+def _succ_table(
+    n: int, heads: list[int], tails: tuple[int, ...]
+) -> tuple[tuple[int, ...], ...] | None:
+    """The successor table of arcs sorted by head, heads in 1..n: each head's
+    run of the tails, sorted if out of order, and () for an A-operation
+    without arcs.  None if a row repeats an arc."""
+    succ: list[tuple[int, ...]] = [()] * (n + 1)
     lo, count = 0, len(heads)
     while lo < count:
         i = heads[lo]
@@ -267,9 +259,9 @@ def _group_rows(heads: list[int], tails: tuple[int, ...]) -> list[tuple[int, tup
             row = tuple(sorted(row))
             if not all(map(lt, row, row[1:])):
                 return None
-        rows.append((i, row))
+        succ[i] = row
         lo = hi
-    return rows
+    return tuple(succ)
 
 
 def parse_instance(text: str) -> Instance:
@@ -291,8 +283,8 @@ def parse_instance(text: str) -> Instance:
     one, goes to the line parser, the one place that raises.  It checks
     each line's characters and then its grammar before it reads the next
     line, so an error names the same line whichever layout the text is in.
-    Either way the instance keeps its sorted successor rows for the profile
-    and builds ``arcs`` only when something reads it.
+    Either way the instance holds its successor table, which the profile
+    shares, and builds ``arcs`` only when something reads it.
     """
     inst = _parse_canonical(text)
     if inst is not None:
@@ -349,19 +341,17 @@ def parse_instance(text: str) -> Instance:
         raise InstanceError("missing header")
     # Every arc was range-checked and de-duplicated above, so the result
     # skips __post_init__'s second walk over them, and no row repeats an arc.
-    return Instance._from_rows(n, m, _group_rows(*_split_keys(sorted(keys), m)))
+    return Instance._from_succ(n, m, _succ_table(n, *_split_keys(sorted(keys), m)))
 
 
 def serialize_instance(inst: Instance, comments: Iterable[str] = ()) -> str:
     """Emit the canonical text form: comments, header, arcs in (i, j) order.
 
     parse_instance(serialize_instance(x)) == x for every valid instance.
-    Arcs are written from the successor rows, or the profile once built.
+    Arcs are written from the successor table, so neither ``arcs`` nor the
+    profile is built.
     """
-    rows = inst.__dict__.get("_rows")
-    if rows is None:
-        rows = enumerate(inst.profile.succ)
     lines = [f"c {c}" for c in comments]
     lines.append(f"p cdock {inst.n} {inst.m}")
-    lines.extend(f"a {i} {j}" for i, row in rows for j in row)
+    lines.extend(f"a {i} {j}" for i, row in enumerate(inst._succ) for j in row)
     return "\n".join(lines) + "\n"

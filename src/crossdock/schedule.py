@@ -32,10 +32,11 @@ class FeasibilityReport:
 
 
 def validate_permutation(inst: Instance, pi: Permutation) -> None:
-    # n entries that cover 1..n: a set and one C-level membership pass,
-    # about a third of the cost of sorting pi.
-    if len(pi) != inst.n or not set(pi).issuperset(range(1, inst.n + 1)):
-        raise ValueError(f"not a permutation of 1..{inst.n}: {pi}")
+    # n exact ints that cover 1..n, in C-level set passes (about a third of
+    # the cost of sorting pi); the type set keeps out True and 1.0.
+    n = inst.n
+    if len(pi) != n or set(map(type, pi)) != {int} or not set(pi).issuperset(range(1, n + 1)):
+        raise ValueError(f"not a permutation of 1..{n}: {pi}")
 
 
 def makespan(sched: Schedule) -> int:
@@ -96,7 +97,7 @@ def complete_m2_erd(inst: Instance, pi: Permutation) -> Schedule:
 
 
 def check_feasible(inst: Instance, sched: Schedule) -> FeasibilityReport:
-    """Collect every violation: overlaps, negative starts, broken arcs."""
+    """Collect every violation: non-integer or negative starts, overlaps, broken arcs."""
     violations: list[str] = []
     if len(sched.start_a) != inst.n or len(sched.start_b) != inst.m:
         violations.append(
@@ -104,10 +105,17 @@ def check_feasible(inst: Instance, sched: Schedule) -> FeasibilityReport:
             f"got {len(sched.start_a)} and {len(sched.start_b)}"
         )
         return FeasibilityReport(ok=False, violations=tuple(violations))
+    typed = True
     for label, starts in (("A", sched.start_a), ("B", sched.start_b)):
         for k, s in enumerate(starts, start=1):
-            if s < 0:
+            if type(s) is not int:
+                typed = False
+                violations.append(f"non-integer start: {label}{k} at {s!r}")
+            elif s < 0:
                 violations.append(f"negative start: {label}{k} at {s}")
+    if not typed:
+        # Overlaps and arcs compare start times, which only ints are.
+        return FeasibilityReport(ok=False, violations=tuple(violations))
     for machine, label, starts in ((1, "A", sched.start_a), (2, "B", sched.start_b)):
         seen: dict[int, int] = {}
         for k, s in enumerate(starts, start=1):

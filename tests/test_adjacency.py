@@ -364,6 +364,7 @@ def test_greedy_order_dense_instance():
 def test_profile_is_cached_and_read_only(ex1):
     prof = degree_profile(ex1)
     assert degree_profile(ex1) is prof is ex1.profile
+    assert prof.succ is ex1._succ  # a constructed instance's own table, not a copy
     assert all(type(row) is tuple for row in prof.succ + prof.pred)
     with pytest.raises(FrozenInstanceError):
         prof.succ = ()

@@ -97,6 +97,13 @@ def test_dp_attains_tight_family_formula():
         assert solve_exact(gen_tight(p)).optimal_makespan == 2 * p.k + p.s + 1, p
 
 
+@pytest.mark.parametrize("k,l,s", [(8, 3, 5), (6, 6, 4), (10, 1, 5), (5, 2, 8), (9, 3, 3)])
+def test_dp_attains_tight_family_formula_at_n_15_16(k, l, s):
+    assert k + l + s in (15, 16)
+    inst = gen_tight(TightParams(k, l, s))
+    assert solve_exact(inst, max_n=16).optimal_makespan == 2 * k + s + 1
+
+
 @pytest.mark.parametrize("limit", [0, -1, EXACT_MAX_N + 1, 10.5, True, None, "16"])
 def test_solve_exact_rejects_limit_outside_range(limit):
     with pytest.raises(ValueError, match=f"1..{EXACT_MAX_N}"):

@@ -114,6 +114,14 @@ def test_constructor_rejects_bad_sizes():
         Instance(n=1, m=1, arcs={(1, 1, 1)})
     with pytest.raises(InstanceError, match=re.escape("arc 1 is not a pair of indices")):
         Instance(n=1, m=1, arcs={1})
+    # Arcs that are not an iterable of hashable items fail before any arc is read.
+    for arcs, reason in (
+        (5, "'int' object is not iterable"),
+        (None, "'NoneType' object is not iterable"),
+        ([[1, 1]], "unhashable type: 'list'"),
+    ):
+        with pytest.raises(InstanceError, match=re.escape(f"iterable of (i, j) pairs: {reason}")):
+            Instance(1, 1, arcs)
     with pytest.raises(InstanceError, match=re.escape("got n=2.0, m=1")):
         Instance(n=2.0, m=1, arcs=())
     with pytest.raises(InstanceError, match=re.escape("got n=1, m=True")):

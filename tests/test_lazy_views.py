@@ -1,7 +1,7 @@
 """``Instance.arcs`` and ``Pd2Trace.events`` are built on first read.
 
-A parsed or generated instance holds its successor rows and builds its arc
-set from the profile only when something reads it; a trace that
+A parsed or generated instance holds its successor table and builds its arc
+set from it only when something reads it; a trace that
 ``solve_pd2`` returns keeps the run's steps and builds its events the same
 way.  These tests pin both halves: the library and CLI pipelines never
 build either view, and once built, each view's object behaves exactly as
@@ -81,13 +81,15 @@ def test_generate_and_serialize_build_neither_view(make):
     inst = make()
     text = serialize_instance(inst, comments=["generated"])
     assert "arcs" not in vars(inst) and "profile" not in vars(inst)
-    # Once the profile is built the rows are dropped, and the serializer
-    # writes the same text from the profile.
-    inst.profile
-    assert "_rows" not in vars(inst)
+    # The profile shares the instance's successor table, and the serializer
+    # writes the same text once it is built.
+    assert inst.profile.succ is inst._succ
     assert serialize_instance(inst, comments=["generated"]) == text
     assert "arcs" not in vars(inst)
     assert parse_instance(text) == inst
+    # Reading arcs on a fresh instance builds no profile either.
+    fresh = make()
+    assert fresh.arcs == inst.arcs and "profile" not in vars(fresh)
 
 
 def test_build_profile_leaves_an_instance_whole():

@@ -35,7 +35,7 @@ def assert_same_outcome(text):
     got = outcome(parse_instance, text)
     assert got == outcome(parse_instance_lines, text)
     if got[0] == "ok":
-        assert "_rows" not in vars(got[1])  # the profile build consumed them
+        assert got[1].profile.succ is got[1]._succ  # one successor table, shared
 
 
 # Comment text: printable ASCII, tab and non-ASCII letters and digits.
@@ -252,7 +252,8 @@ def test_header_beyond_max_ops_is_rejected(text):
 
 
 def test_header_at_max_ops_is_accepted():
-    # The profile is not built, so nothing of size MAX_OPS is allocated.
+    # The profile is not built, so the successor table (one tuple of n + 1
+    # entries) is all that is allocated at size MAX_OPS.
     assert parse_instance(f"p cdock {MAX_OPS} {MAX_OPS}\na 1 1\n").n == MAX_OPS
     assert parse_instance(f"c big\np cdock 1 {MAX_OPS}\na 1 {MAX_OPS}").m == MAX_OPS
 

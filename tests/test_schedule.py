@@ -59,11 +59,12 @@ def test_release_times_dominate_degrees_and_predecessors():
     [
         (4, 6, 5, 1, 2), (4, 6, 5, 1, 2, 2), (4, 6, 5, 1, 2, 7), (4, 6, 5, 1, 2, 3, 3), (),
         (4, 6, 5, 1, 1, 3), (4, 6, 5, 0, 2, 3), (4, 6, 5, -1, 2, 3), (4, 6, 5, 1, 2, 3, 7),
-        (4, 6, 5, 1, 2, 2.5),
+        (4, 6, 5, 1, 2, 2.5), (4, 6, 5, True, 2, 3), (4, 6, 5, 1.0, 2, 3),
     ],
     ids=[
         "short", "repeated", "out_of_range", "long_repeated", "empty",
         "duplicate_and_gap", "zero", "negative", "long", "fractional",
+        "bool_one", "float_one",
     ],
 )
 def test_machine1_order_must_be_a_permutation(ex1, fn, pi):
@@ -168,6 +169,28 @@ def test_check_feasible_negative_start():
     inst = Instance(n=1, m=1, arcs=frozenset())
     report = check_feasible(inst, Schedule(start_a=(-1,), start_b=(0,)))
     assert any("negative start" in v for v in report.violations)
+
+
+def test_check_feasible_non_integer_start():
+    # A start that is not an int is reported in the same walk as a negative
+    # one, A before B; overlaps and arcs are then not compared, and the
+    # chart refuses it.
+    inst = Instance(n=2, m=2, arcs={(1, 1)})
+    assert check_feasible(inst, Schedule(start_a=(0, 1), start_b=(1.5, 2))).violations == (
+        "non-integer start: B1 at 1.5",
+    )
+    report = check_feasible(inst, Schedule(start_a=(-1, True), start_b=(0, 1.0)))
+    assert report.violations == (
+        "negative start: A1 at -1",
+        "non-integer start: A2 at True",
+        "non-integer start: B2 at 1.0",
+    )
+    for bad in ("0", None, [0]):
+        assert check_feasible(inst, Schedule(start_a=(bad, 1), start_b=(2, 2))).violations == (
+            f"non-integer start: A1 at {bad!r}",
+        )
+    with pytest.raises(ValueError, match="non-integer start: A2 at True"):
+        render_gantt(inst, Schedule(start_a=(0, True), start_b=(0, 1)))
 
 
 def test_check_feasible_violation_order():
