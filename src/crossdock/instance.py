@@ -9,6 +9,7 @@ memory and on disk.
 
 from __future__ import annotations
 
+import json
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -36,8 +37,8 @@ class Instance:
     sorted successors of A_i, ``_succ[0] == ()``), which the profile shares.
     A parsed or generated instance builds ``arcs`` from it on first read;
     until then ``arcs`` is not in its ``__dict__``.  Reading the field, ``==``,
-    ``hash``, ``repr``, ``asdict``, ``replace``, pickling or copying builds
-    it; each then gives what an instance constructed with those arcs gives.
+    ``hash``, ``repr``, ``asdict`` or ``replace`` builds it, as constructed.
+    Pickles and copies carry only ``n``, ``m`` and ``_succ``.
     """
 
     n: int
@@ -72,6 +73,9 @@ class Instance:
         inst = cls.__new__(cls)
         inst.__dict__.update(n=n, m=m, _succ=succ)
         return inst
+
+    def __getstate__(self) -> dict:
+        return {"n": self.n, "m": self.m, "_succ": self._succ}  # no arcs, no profile
 
     def __getattr__(self, name: str) -> frozenset[tuple[int, int]]:
         # Called only when normal lookup fails.  Any name but "arcs" fails
@@ -163,8 +167,8 @@ _DATA_IRREGULAR = re.compile(r"[^\t\x20-\x2a\x2c\x2e-\x5e\x60-\x7e]")
 
 
 _HEADER = re.compile(r"p cdock ([0-9]+) ([0-9]+)")
-# Bytes a canonical arc block may hold: the arc tag, digits, space, newline.
-_ARC_BLOCK = b"a0123456789 \n"
+_COMMAS = bytes.maketrans(b" \n", b",,")
+_JSON_ARRAY = json.JSONDecoder().raw_decode  # one C-level scan of a str
 
 
 def _parse_canonical(text: str) -> Instance | None:
@@ -174,9 +178,10 @@ def _parse_canonical(text: str) -> Instance | None:
     That layout is: "c" comment lines, the header, then one "a <i> <j>\n"
     line per arc with single spaces.  The serializer writes the arcs in
     (i, j) order; arcs in any other order are sorted here.  Every check runs
-    over the whole arc block at once, so the text is never walked line by
-    line.  Returning None is never an error: the caller falls back to the
-    line parser, which accepts or rejects the text itself.
+    over the whole arc block at once, and its numbers are read as one JSON
+    array, so "a 01 1" (JSON has no leading zeros) goes to the line parser.
+    Returning None is never an error: the caller falls back to the line
+    parser, which accepts or rejects the text itself.
     """
     start = 0
     while text.startswith("c", start):
@@ -203,29 +208,22 @@ def _parse_canonical(text: str) -> Instance | None:
     block = body.encode("ascii")
     del body
     count = block.count(b"\n")
-    # Only tags, digits, spaces and newlines; the block ends at a newline;
-    # every line starts with the one tag it holds and has two spaces.
-    if block and (
-        block.translate(None, _ARC_BLOCK)
-        or block[:1] != b"a"
-        or block[-1:] != b"\n"
-        or block.count(b"a") != count
-        or block.count(b"\na") != count - 1
-        or block.count(b" ") != 2 * count
+    # Less its digits, the block is count lines "a  \n", each tag starts a
+    # line and is followed by a space, and no digit follows the last newline:
+    # so each line is "a <digits> <digits>", though a number may be empty.
+    if (
+        block.translate(None, b"0123456789") != b"a  \n" * count
+        or block.count(b"\na ") + block.startswith(b"a ") != count
+        or block[-1:].isdigit()
     ):
         return None
-    tokens = block.split()
-    del block
-    # With the counts above, 3 tokens a line with every line's first token
-    # "a" means no line has a doubled, leading or trailing space.
-    if len(tokens) != 3 * count or tokens[0::3].count(b"a") != count:
-        return None
-    try:
-        heads = list(map(int, tokens[1::3]))
-        tails = tuple(map(int, tokens[2::3]))
+    try:  # an empty number, a leading zero or one past int()'s limit raise
+        nums = _JSON_ARRAY((b"[%b]" % block.replace(b"a ", b"").translate(_COMMAS)[:-1]).decode())[0]
     except ValueError:
         return None
-    del tokens
+    del block
+    heads, tails = nums[0::2], tuple(nums[1::2])
+    del nums
     if count and not (1 <= min(tails) and max(tails) <= m):
         return None
     if not all(map(le, heads, heads[1:])):

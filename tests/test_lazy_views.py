@@ -93,13 +93,38 @@ def test_generate_and_serialize_build_neither_view(make):
 
 
 def test_build_profile_leaves_an_instance_whole():
-    # _build_profile must leave the rows in place: taking them would leave
-    # the instance with neither rows nor arcs, and every later read recurse.
+    # _build_profile must leave _succ in place: taking it would leave the
+    # instance with neither _succ nor arcs, and every later read recurse.
     for make in (lambda: parse_instance("p cdock 2 2\na 1 1\na 2 2\n"), lambda: gen_d2(4, 3, 0, 1)):
         inst, twin = make(), make()
         built = instance_module._build_profile(inst)
         assert inst.profile == built == twin.profile
         assert inst.arcs == twin.arcs and inst == twin
+
+
+def _pickle_trip(inst):
+    return pickle.loads(pickle.dumps(inst))
+
+
+@pytest.mark.parametrize("build_profile", [False, True], ids=["plain", "with_profile"])
+def test_pickles_and_copies_carry_only_the_successor_table(build_profile):
+    # Neither a built arcs set nor a built profile rides along: a constructed
+    # instance pickles to the same bytes as its parsed twin, before and after
+    # both views are read, and the trip rebuilds them on first read.
+    parsed = parse_instance(serialize_instance(gen_random(60, 50, 0.3, 1)))
+    size = len(pickle.dumps(parsed))
+    inst = Instance(parsed.n, parsed.m, parsed.arcs)
+    assert pickle.dumps(inst) == pickle.dumps(parsed)
+    if build_profile:
+        assert inst.profile.succ is inst._succ
+    for again in (_pickle_trip(inst), copy.copy(inst), copy.deepcopy(inst)):
+        assert set(vars(again)) == {"n", "m", "_succ"}
+        assert again == inst and hash(again) == hash(inst)
+        assert again.profile == instance_module._build_profile(inst)
+        assert again.profile.succ is again._succ
+    assert copy.copy(inst)._succ is inst._succ
+    assert len(pickle.dumps(inst)) == size
+    assert len(pickle.dumps(_pickle_trip(inst))) == size
 
 
 def test_cli_solve_and_verify_build_neither_view(tmp_path, monkeypatch, capsys):

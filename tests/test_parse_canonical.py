@@ -166,6 +166,15 @@ def test_parse_matches_line_parser(text):
         ("p cdock 2 2\na 1 1\np cdock 2 2\n", "duplicate header, line 3"),
         ("a 1 1\np cdock 2 2\n", "arc before header, line 1"),
         ("p cdock 5 5\na1 2 3\n", "unrecognized line type 'a1', line 2"),
+        # Digits deleted, each holds count lines "a  \n": the digits before a
+        # tag or after the last newline must not join a number.
+        ("p cdock 40 9\na 1 2\n3a 4 5\n", "unrecognized line type '3a', line 3"),
+        ("p cdock 60 9\n5a 1 2\n", "unrecognized line type '5a', line 2"),
+        ("p cdock 9 9\na 1 2\n12", "unrecognized line type '12', line 3"),
+        ("p cdock 3 3\n12", "unrecognized line type '12', line 2"),
+        # Its line counts balance, but not its lines.
+        ("p cdock 9 9\na 1 2 3\na 4\n", "malformed arc line, line 2"),
+        ("p cdock 3 3\na 1 2\na 2 0\n", "index out of range, line 3"),
         ("c \x0c\np cdock 2 2\n", "control character U+000C, line 1"),
     ],
 )
@@ -181,6 +190,21 @@ def test_rejected_texts_give_the_line_parsers_error(text, message):
 def test_overlong_numbers_take_the_line_parser(text):
     # Past int()'s digit limit, where the interpreter has one, int() raises.
     assert instance_module._parse_canonical(text) is None
+    assert_same_outcome(text)
+
+
+def test_leading_zero_takes_the_line_parser():
+    # JSON has no leading zeros; int() reads "01" as 1.
+    text = "p cdock 2 2\na 01 1\n"
+    assert instance_module._parse_canonical(text) is None
+    assert parse_instance(text).arcs == {(1, 1)}
+    assert_same_outcome(text)
+
+
+def test_header_alone_takes_the_whole_text_path():
+    text = "p cdock 3 3\n"
+    inst = instance_module._parse_canonical(text)
+    assert inst == Instance(3, 3, frozenset()) and not inst.arcs
     assert_same_outcome(text)
 
 
