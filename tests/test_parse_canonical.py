@@ -166,15 +166,15 @@ def test_parse_matches_line_parser(text):
         ("p cdock 2 2\na 1 1\np cdock 2 2\n", "duplicate header, line 3"),
         ("a 1 1\np cdock 2 2\n", "arc before header, line 1"),
         ("p cdock 5 5\na1 2 3\n", "unrecognized line type 'a1', line 2"),
-        # Digits deleted, each holds count lines "a  \n": the digits before a
-        # tag or after the last newline must not join a number.
+        # Less their digits these are count lines "a  \n", but a digit before
+        # a tag or after the last newline must not join a number.
         ("p cdock 40 9\na 1 2\n3a 4 5\n", "unrecognized line type '3a', line 3"),
         ("p cdock 60 9\n5a 1 2\n", "unrecognized line type '5a', line 2"),
         ("p cdock 9 9\na 1 2\n12", "unrecognized line type '12', line 3"),
         ("p cdock 3 3\n12", "unrecognized line type '12', line 2"),
+        ("p cdock 3 3\na 1 2\na 2 0\n", "index out of range, line 3"),
         # Its line counts balance, but not its lines.
         ("p cdock 9 9\na 1 2 3\na 4\n", "malformed arc line, line 2"),
-        ("p cdock 3 3\na 1 2\na 2 0\n", "index out of range, line 3"),
         ("c \x0c\np cdock 2 2\n", "control character U+000C, line 1"),
     ],
 )
@@ -193,18 +193,9 @@ def test_overlong_numbers_take_the_line_parser(text):
     assert_same_outcome(text)
 
 
-def test_leading_zero_takes_the_line_parser():
-    # JSON has no leading zeros; int() reads "01" as 1.
-    text = "p cdock 2 2\na 01 1\n"
-    assert instance_module._parse_canonical(text) is None
-    assert parse_instance(text).arcs == {(1, 1)}
-    assert_same_outcome(text)
-
-
 def test_header_alone_takes_the_whole_text_path():
     text = "p cdock 3 3\n"
-    inst = instance_module._parse_canonical(text)
-    assert inst == Instance(3, 3, frozenset()) and not inst.arcs
+    assert instance_module._parse_canonical(text) == Instance(3, 3, frozenset())
     assert_same_outcome(text)
 
 
@@ -220,10 +211,13 @@ def test_header_alone_takes_the_whole_text_path():
         "p cdock 2 2\na 1 1",
         "p cdock 2 2\n\na 1 1\n",
         "p  cdock 2 2\na 1 1\n",
+        # The JSON decode refuses a leading zero; int() reads "01" as 1.
+        "p cdock 2 2\na 01 1\n",
     ],
     ids=[
         "crlf", "tab", "double_space", "trailing_space", "leading_space",
         "comment_after_header", "no_final_newline", "blank_line", "header_spacing",
+        "leading_zero",
     ],
 )
 def test_valid_non_canonical_texts_take_the_line_parser(text):
