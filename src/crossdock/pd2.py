@@ -4,11 +4,17 @@ The algorithm repeatedly takes the pending B-operation of minimal current
 in-degree (zero-degree ones go straight onto machine 2), runs its
 remaining predecessors on machine 1, and updates degrees.  The resulting
 schedule meets the class lower bound max{n+2, m} (max{n+2, m+1} without
-pendant B-operations), hence is optimal.  One private generator, ``_run``,
-is the pick loop: ``solve_pd2`` builds its schedule from its steps, and
-``blocks`` replays it for any trace that ``solve_pd2`` did not just build
-for the same instance.  The bookkeeping keeps no copy of the shared
-adjacency: one done-flag per operation marks what has run.
+pendant B-operations), hence is optimal.  One private function, ``_run``,
+is the pick loop, and it lays out the schedule as it picks: each batch's
+A-operations take the next machine-1 positions, each successor's release
+time is overwritten with the completion of its latest predecessor, and
+each pick starts on machine 2 at the later of its release and the previous
+completion.  That is the machine-1 order of the batches completed in pick
+order, with no second walk over the arcs.  ``solve_pd2`` builds its
+schedule from that pass, and ``blocks`` runs it again for any trace that
+``solve_pd2`` did not just build for the same instance.  The bookkeeping
+keeps no copy of the shared adjacency: one done-flag per operation marks
+what has run.
 
 The trace is the one record of a run: one pick event per B-operation, in
 machine-2 order, each with the batch it ran on machine 1 (a zero pick reads
@@ -18,28 +24,28 @@ equals the number of machine-1 operations the block runs before its first
 machine-2 operation (the block's offset).  The machine-2 operations
 precedence-forced past the block's last machine-1 completion (the overhang)
 number 1 or 2 for labels >= 2, which is what makes the stitched schedule
-tight.  That lemma speaks of pd2 runs only, so ``blocks`` accepts only the
-trace of its instance's run.  A trace that ``solve_pd2`` returns keeps the
-run's raw steps and builds its events from them on the first read, so a
-caller that never reads them never pays for them.  It also carries a
-private mark, not a field, holding the profile it ran on and the events
-tuple once built (None before).  When ``blocks`` is given the instance of
-that profile and the trace holds that tuple (or still none), the trace is
-the run by construction: the replay is skipped and the steps are grouped.
+tight.  Both are read off the run's release times.  That lemma speaks of
+pd2 runs only, so ``blocks`` accepts only the trace of its instance's run.
+A trace that ``solve_pd2`` returns keeps the run's raw steps and release
+times and builds its events from the steps on the first read, so a caller
+that never reads them never pays for them.  It also carries a private
+mark, not a field, holding the profile it ran on and the events tuple once
+built (None before).  When ``blocks`` is given the instance of that
+profile and the trace holds that tuple (or still none), the trace is the
+run by construction: the replay is skipped and the kept steps and release
+times are used.
 """
-
 from __future__ import annotations
 
 import heapq
 import json
-from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 from itertools import chain, zip_longest
 from operator import itemgetter
 from typing import ClassVar
 
 from .instance import DegreeProfile, Instance, degree_profile
-from .schedule import Schedule, _list_schedule, release_times
+from .schedule import Schedule, validate_permutation
 
 
 class NotD2Error(ValueError):
@@ -104,32 +110,53 @@ class Block:
 
 def _require_d2(inst: Instance) -> DegreeProfile:
     prof = degree_profile(inst)
-    for i, d in enumerate(prof.out_deg, start=1):
-        if d != 2:
-            raise NotD2Error(i, d)
+    out_deg = prof.out_deg
+    if out_deg.count(2) != len(out_deg):
+        for i, d in enumerate(out_deg, start=1):
+            if d != 2:
+                raise NotD2Error(i, d)
     return prof
 
 
-def _run(prof: DegreeProfile) -> Iterator[tuple[int, int, tuple[int, ...]]]:
-    """The pd2 run: yields (b_index, picked_degree, batch) in machine-2 order.
+Step = tuple[int, int, tuple[int, ...]]
 
-    Each step takes the pending B-operation of least (current degree,
-    index); its batch is the entries of the sorted ``prof.pred[j]`` whose
+
+def _run(prof: DegreeProfile, n: int) -> tuple[list[Step], list[int], list[int], list[int]]:
+    """The pd2 run on ``prof`` (with ``n`` A-operations) and its schedule.
+
+    Returns ``(steps, start_a, start_b, r)``.  ``steps`` holds one
+    (b_index, picked_degree, batch) per pick, in machine-2 order.  Each
+    step takes the pending B-operation of least (current degree, index);
+    its batch is the entries of the sorted ``prof.pred[j]`` whose
     done-flag is still clear, empty at degree 0.  A bucket queue realizes
     the order: one index heap per degree level, and a ``low`` pointer
     that falls on each decrement and rises past empty levels.  Degrees
     only fall, so an entry whose level no longer matches is stale and
     skipped when popped.
+
+    The same loop lays out the schedule.  The batches run back to back on
+    machine 1, and ``r[u]`` (``r[0]`` unused) is overwritten with the
+    completion of each predecessor of B_u as it runs, so it ends as B_u's
+    release time, as ``release_times`` gives it for the batches'
+    concatenation.  A pick's release is final when it starts: a degree
+    pick's last predecessor is in its own batch, a zero pick's ran
+    earlier.  It starts on machine 2 at the later of its release and the
+    previous completion.
     """
     succ, pred = prof.succ, prof.pred
     deg = [0, *prof.in_deg]
     done_a = [False] * len(succ)
     done_b = [False] * len(deg)
+    r = [0] * len(deg)
+    start_a = [0] * n
+    start_b = [0] * (len(deg) - 1)
+    steps: list[Step] = []
     levels: list[list[int]] = [[] for _ in range(max(deg) + 1)]
     for j in range(1, len(deg)):
         levels[deg[j]].append(j)  # ascending, so each level is a heap
     heappop, heappush = heapq.heappop, heapq.heappush
     low, top = 0, len(levels)
+    pos = t = 0  # machine-1 and machine-2 completions so far
     while low < top:
         level = levels[low]
         if not level:
@@ -140,35 +167,45 @@ def _run(prof: DegreeProfile) -> Iterator[tuple[int, int, tuple[int, ...]]]:
             continue
         done_b[j] = True
         if low == 0:
-            yield j, 0, ()
-            continue
-        batch = tuple([a for a in pred[j] if not done_a[a]])
-        yield j, low, batch
-        for a in batch:
-            done_a[a] = True
-            for t in succ[a]:
-                if done_b[t]:
-                    continue
-                d = deg[t] - 1
-                deg[t] = d
-                heappush(levels[d], t)
-                if d < low:
-                    low = d
+            steps.append((j, 0, ()))
+        else:
+            batch = tuple([a for a in pred[j] if not done_a[a]])
+            steps.append((j, low, batch))
+            for a in batch:
+                done_a[a] = True
+                start_a[a - 1] = pos
+                pos += 1
+                for u in succ[a]:
+                    r[u] = pos
+                    if done_b[u]:
+                        continue
+                    d = deg[u] - 1
+                    deg[u] = d
+                    heappush(levels[d], u)
+                    if d < low:
+                        low = d
+        rj = r[j]
+        if t < rj:
+            t = rj
+        start_b[j - 1] = t
+        t += 1
+    return steps, start_a, start_b, r
 
 
 def solve_pd2(inst: Instance) -> tuple[Schedule, Pd2Trace]:
     """Run the degree-driven exact algorithm; returns schedule and trace."""
     prof = _require_d2(inst)
-    steps = list(_run(prof))
+    steps, start_a, start_b, r = _run(prof, inst.n)
     # Every A-operation has a successor, whose pick runs every predecessor
-    # not yet done, so the batches cover machine 1 (release_times checks it).
-    pi = tuple(chain.from_iterable(map(itemgetter(2), steps)))
-    sched = _list_schedule(inst, pi, release_times(inst, pi), map(itemgetter(0), steps))
-    # The steps and the run mark (the profile, and the events tuple once
-    # built) are not fields, so they stay out of ==, hash, repr and JSON.
+    # not yet done, so the batches cover machine 1; this check is what
+    # would raise if a pick sequence ever missed or repeated one.
+    validate_permutation(inst, tuple(chain.from_iterable(map(itemgetter(2), steps))))
+    # The steps, release times and run mark (the profile, and the events
+    # tuple once built) are not fields, so they stay out of ==, hash, repr
+    # and JSON.
     trace = Pd2Trace.__new__(Pd2Trace)
-    trace.__dict__.update(_steps=steps, _run_of=(prof, None))
-    return sched, trace
+    trace.__dict__.update(_steps=steps, _r=r, _run_of=(prof, None))
+    return Schedule(start_a=tuple(start_a), start_b=tuple(start_b)), trace
 
 
 def lemma1_bound(inst: Instance) -> int:
@@ -179,15 +216,17 @@ def lemma1_bound(inst: Instance) -> int:
     return max(inst.n + 2, inst.m + 1)
 
 
-def _replay(trace: Pd2Trace, prof: DegreeProfile) -> Iterator[tuple[int, int, tuple[int, ...]]]:
-    """The steps of the pd2 run on ``prof``, each checked against its event."""
-    for k, (ev, step) in enumerate(zip_longest(trace.events, _run(prof))):
+def _replay(trace: Pd2Trace, prof: DegreeProfile, n: int) -> tuple[list[Step], list[int]]:
+    """The steps and release times of the pd2 run on ``prof``, once each
+    step is checked against its event; the first difference raises."""
+    steps, _, _, r = _run(prof, n)
+    for k, (ev, step) in enumerate(zip_longest(trace.events, steps)):
         got = None if ev is None else (type(ev), ev.b_index, ev.picked_degree, ev.a_batch)
         want = None if step is None else (DegPick if step[1] else ZeroPick, *step)
         if got != want:
             b = (got or want)[1]
             raise ValueError(f"trace is not the pd2 run of this instance at event {k} (B{b})")
-        yield step
+    return steps, r
 
 
 def blocks(inst: Instance, trace: Pd2Trace) -> tuple[Block, ...]:
@@ -196,19 +235,23 @@ def blocks(inst: Instance, trace: Pd2Trace) -> tuple[Block, ...]:
     The block lemma holds for pd2 runs only, and pd2 is deterministic, so
     the trace must equal the one ``solve_pd2(inst)`` returns.  A trace that
     ``solve_pd2`` built on this instance's profile, with its events tuple
-    untouched (or not yet built), is that run: its steps are grouped as they
-    stand, and its events are not built.  Any other trace
-    (hand-built, replaced, unpickled, or solved on a distinct instance) is
-    checked by replaying the run: the first event that differs from it, or
-    is missing or extra, raises ``ValueError``.
+    untouched (or not yet built), is that run: its kept steps and release
+    times are used as they stand, and its events are not built.  Any other
+    trace (hand-built, replaced, unpickled, or solved on a distinct
+    instance) is checked by running pd2 again: the first event that
+    differs from the run, or is missing or extra, raises ``ValueError``.
+
+    A block whose machine-1 run starts at ``start`` sees B_j ready at
+    ``max(0, r[j] - start)`` on its own clock, where ``r[j]`` is B_j's
+    release time in the run; no walk over the successors is needed.
     """
     prof = _require_d2(inst)
     run_of = getattr(trace, "_run_of", None)
     # Before the first read of events both sides are None.
     if run_of is not None and run_of[0] is prof and vars(trace).get("events") is run_of[1]:
-        steps = trace._steps
+        steps, r = trace._steps, trace._r
     else:
-        steps = _replay(trace, prof)
+        steps, r = _replay(trace, prof, inst.n)
     groups: list[tuple[int, list[int], list[int]]] = []  # (label, a_ops, b_ops)
     label = -1
     for j, d, batch in steps:
@@ -219,19 +262,15 @@ def blocks(inst: Instance, trace: Pd2Trace) -> tuple[Block, ...]:
         b_ops.append(j)
 
     result = []
+    start = 0
     for label, a_ops, b_ops in groups:
-        # B_j is ready once its last predecessor inside the block is done;
-        # walking a_ops in order, the last position written is that one.
-        ready: dict[int, int] = {}
-        for done, a in enumerate(a_ops, start=1):
-            for j in prof.succ[a]:
-                ready[j] = done
         n_a = len(a_ops)
+        end = start + n_a
         # precedence-forced past the block's machine-1 tail; operations
         # merely queued behind machine 2 do not count
-        overhang = sum(1 for j in b_ops if ready.get(j, 0) >= n_a) if n_a else 0
+        overhang = sum(1 for j in b_ops if r[j] >= end) if n_a else 0
         # machine-2 starts never decrease, so the block's first pick starts first
-        offset = min(ready.get(b_ops[0], 0), n_a)
+        offset = min(max(0, r[b_ops[0]] - start), n_a)
         result.append(
             Block(
                 label=label,
@@ -241,6 +280,7 @@ def blocks(inst: Instance, trace: Pd2Trace) -> tuple[Block, ...]:
                 overhang_len=overhang,
             )
         )
+        start = end
     return tuple(result)
 
 

@@ -9,9 +9,7 @@ check it against a factorial brute force over machine-2 orders.
 
 from __future__ import annotations
 
-import itertools
 import json
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .instance import Instance, degree_profile
@@ -62,38 +60,31 @@ def release_times(inst: Instance, pi: Permutation) -> tuple[int, ...]:
     return tuple(r[1:])
 
 
-def _list_schedule(
-    inst: Instance, pi: Permutation, r: tuple[int, ...], m2_order: Iterable[int]
-) -> Schedule:
-    """Machine 1 runs ``pi`` back to back from 0, machine 2 runs ``m2_order``,
-    each B_j at the later of its release ``r[j-1]`` and the previous completion."""
-    start_a = [0] * inst.n
-    for idx, a in enumerate(pi):
-        start_a[a - 1] = idx
-    start_b = [0] * inst.m
-    t = 0
-    for j in m2_order:
-        rj = r[j - 1]
-        if t < rj:
-            t = rj
-        start_b[j - 1] = t
-        t += 1
-    return Schedule(start_a=tuple(start_a), start_b=tuple(start_b))
-
-
 def complete_m2_erd(inst: Instance, pi: Permutation) -> Schedule:
     """Complete machine 2 by the ERD rule for the given machine-1 order.
 
-    B-operations run in non-decreasing release time (ties by index), each
-    at the earliest moment past its release and the previous completion.
-    Release times lie in 0..n, so a bucket per time replaces the sort.
-    Raises ``ValueError`` unless pi is a permutation of 1..n.
+    Machine 1 runs pi back to back from time 0.  B-operations run in
+    non-decreasing release time (ties by index), each at the earliest
+    moment past its release and the previous completion.  Release times
+    lie in 0..n, so a bucket per time replaces the sort.  Raises
+    ``ValueError`` unless pi is a permutation of 1..n.
     """
     r = release_times(inst, pi)
     buckets: list[list[int]] = [[] for _ in range(inst.n + 1)]
     for j, rj in enumerate(r, start=1):
         buckets[rj].append(j)
-    return _list_schedule(inst, pi, r, itertools.chain.from_iterable(buckets))
+    start_a = [0] * inst.n
+    for idx, a in enumerate(pi):
+        start_a[a - 1] = idx
+    start_b = [0] * inst.m
+    t = 0
+    for rj, bucket in enumerate(buckets):
+        if t < rj:
+            t = rj
+        for j in bucket:
+            start_b[j - 1] = t
+            t += 1
+    return Schedule(start_a=tuple(start_a), start_b=tuple(start_b))
 
 
 def check_feasible(inst: Instance, sched: Schedule) -> FeasibilityReport:

@@ -15,6 +15,12 @@ tests compare ``parse_instance`` against.
 order, the check on the ERD rule.  ``optimal_makespan_statespace`` makes
 no modelling assumptions at all (it allows idling on either machine) and
 validates the reduction to machine-1 orders on tiny instances.
+
+``list_schedule`` lays out a machine-1 order and a machine-2 order from
+given release times, and ``blocks_by_walk`` measures pd2's blocks by
+walking the successors of each block's A-operations.  Both are how the
+library computed these before pd2's pick loop wrote its schedule and
+``blocks`` read its measures off the run's release times.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from math import factorial
 from typing import Iterable, Iterator
 
 from crossdock import (
+    Block,
     ExactResult,
     Instance,
     InstanceError,
@@ -162,6 +169,53 @@ def best_m2_bruteforce(inst: Instance, pi: Permutation) -> Schedule:
             best_starts = starts
     assert best_starts is not None
     return Schedule(start_a=tuple(start_a), start_b=tuple(best_starts))
+
+
+def list_schedule(
+    inst: Instance, pi: Permutation, r: tuple[int, ...], m2_order: Iterable[int]
+) -> Schedule:
+    """Machine 1 runs ``pi`` back to back from 0, machine 2 runs ``m2_order``,
+    each B_j at the later of its release ``r[j-1]`` and the previous completion."""
+    start_a = [0] * inst.n
+    for idx, a in enumerate(pi):
+        start_a[a - 1] = idx
+    start_b = [0] * inst.m
+    t = 0
+    for j in m2_order:
+        t = max(t, r[j - 1])
+        start_b[j - 1] = t
+        t += 1
+    return Schedule(start_a=tuple(start_a), start_b=tuple(start_b))
+
+
+def blocks_by_walk(inst: Instance, steps: Iterable[tuple[int, int, tuple[int, ...]]]) -> tuple[Block, ...]:
+    """pd2's blocks for the run ``steps`` ((b_index, picked_degree, batch)
+    per pick), each block measured by walking its A-operations' successors.
+
+    A block opens whenever the picked degree exceeds the current label.
+    B_j is ready once its last predecessor inside the block is done;
+    walking a_ops in order, the last position written is that one.
+    """
+    succ = degree_profile(inst).succ
+    groups: list[tuple[int, list[int], list[int]]] = []
+    label = -1
+    for j, d, batch in steps:
+        if d > label:
+            label, a_ops, b_ops = d, [], []
+            groups.append((label, a_ops, b_ops))
+        a_ops.extend(batch)
+        b_ops.append(j)
+    result = []
+    for label, a_ops, b_ops in groups:
+        ready: dict[int, int] = {}
+        for done, a in enumerate(a_ops, start=1):
+            for j in succ[a]:
+                ready[j] = done
+        n_a = len(a_ops)
+        overhang = sum(1 for j in b_ops if ready.get(j, 0) >= n_a) if n_a else 0
+        offset = min(ready.get(b_ops[0], 0), n_a)
+        result.append(Block(label, tuple(a_ops), tuple(b_ops), offset, overhang))
+    return tuple(result)
 
 
 def optimal_makespan_statespace(inst: Instance) -> int:

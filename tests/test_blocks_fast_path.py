@@ -36,9 +36,9 @@ def replays(monkeypatch):
     runs = []
     run = pd2._run
 
-    def counted(prof):
+    def counted(prof, n):
         runs.append(prof)
-        return run(prof)
+        return run(prof, n)
 
     monkeypatch.setattr(pd2, "_run", counted)
     return runs

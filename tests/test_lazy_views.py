@@ -200,7 +200,8 @@ def test_lazy_arcs_match_an_eager_instance(case):
 def _eager_trace(inst):
     """The trace as ``solve_pd2`` built it before events became lazy."""
     prof = pd2._require_d2(inst)
-    return Pd2Trace(tuple([DegPick(j, d, b) if d else ZeroPick(j) for j, d, b in pd2._run(prof)]))
+    steps = pd2._run(prof, inst.n)[0]
+    return Pd2Trace(tuple([DegPick(j, d, b) if d else ZeroPick(j) for j, d, b in steps]))
 
 
 @given(

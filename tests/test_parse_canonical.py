@@ -7,7 +7,7 @@ equal profile, or the same ``InstanceError`` message, line number included.
 """
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from crossdock import (
     Instance,
@@ -59,11 +59,17 @@ def _arc_positions(lines):
 
 @st.composite
 def edited_texts(draw):
-    """Canonical text, then a drawn list of layout changes and corruptions."""
+    """Canonical text, then either a drawn list of layout changes and
+    corruptions, or digits where no number may stand."""
     inst = draw(instances())
     lines = serialize_instance(inst, draw(st.lists(COMMENT_TEXT, max_size=2))).split("\n")[:-1]
     header = next(k for k, line in enumerate(lines) if line.startswith("p"))
-    edits = draw(
+    # Less its digits, a line "3a 4 5" still reads "a  ", and a digit before
+    # a tag or after the final line break would join a number: (34, 5), or
+    # "12" after the last arc.  Only a text that is canonical otherwise
+    # reaches the checks that keep them out, so these get no other edit.
+    shape = draw(st.sampled_from(["", "", "digit_before_tag", "trailing_digits"]))
+    edits = [] if shape else draw(
         st.lists(
             st.sampled_from(
                 [
@@ -120,12 +126,23 @@ def edited_texts(draw):
                 chars[draw(st.sampled_from(breaks))] = " "
                 lines = "".join(chars).split("\n")
         header = next((k for k, line in enumerate(lines) if line.startswith("p")), 0)
+    trailing = ""
+    if shape:
+        # n rises past any index a digit joins, so that no range check can
+        # stand in for the shape checks.
+        lines[header] = f"p cdock 999 {inst.m}"
+        arcs_at = _arc_positions(lines)
+        if shape == "digit_before_tag" and arcs_at:
+            k = draw(st.sampled_from(arcs_at))
+            lines[k] = draw(st.sampled_from("123456789")) + lines[k]
+        elif shape == "trailing_digits":
+            trailing = str(draw(st.integers(1, 999)))
     # Mostly the canonical line end, so that most unedited texts are canonical.
     newline = draw(st.sampled_from(["\n", "\n", "\n", "\r\n"]))
     text = newline.join(lines)
-    if draw(st.sampled_from([True, True, True, False])):
+    if draw(st.sampled_from([True, True, True, False])) or trailing:
         text += newline
-    return text
+    return text + trailing
 
 
 @given(instances(), st.lists(COMMENT_TEXT, max_size=3))
@@ -138,6 +155,7 @@ def test_canonical_text_takes_the_whole_text_path(inst, comments):
     assert_same_outcome(text)
 
 
+@settings(max_examples=200)  # half the texts take the digit shapes only
 @given(edited_texts())
 def test_parse_matches_line_parser(text):
     assert_same_outcome(text)

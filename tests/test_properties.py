@@ -19,6 +19,7 @@ from crossdock import (
     lemma1_bound,
     makespan,
     parse_instance,
+    release_times,
     schedule_from_json,
     schedule_to_json,
     serialize_instance,
@@ -26,6 +27,7 @@ from crossdock import (
     solve_greedy,
     solve_pd2,
 )
+from oracles import blocks_by_walk, list_schedule
 
 
 @st.composite
@@ -72,6 +74,32 @@ def test_solved_trace_gives_the_replayed_blocks(inst):
     # solve_pd2's trace skips blocks' replay; an unmarked copy takes it
     _, trace = solve_pd2(inst)
     assert blocks(inst, trace) == blocks(inst, Pd2Trace(trace.events))
+
+
+def _steps(trace):
+    return [(ev.b_index, ev.picked_degree, ev.a_batch) for ev in trace.events]
+
+
+@given(d2_instances(max_a=60, max_b=60))
+def test_pd2_schedule_is_its_batches_laid_out_by_release_times(inst):
+    # The pick loop writes the schedule and release times itself; they must
+    # be the batches' concatenation laid out by release_times in pick order.
+    sched, trace = solve_pd2(inst)
+    pi = tuple(a for _, _, batch in _steps(trace) for a in batch)
+    r = release_times(inst, pi)
+    assert sched == list_schedule(inst, pi, r, [j for j, _, _ in _steps(trace)])
+    assert tuple(trace._r) == (0, *r)
+
+
+@given(d2_instances(max_a=60, max_b=60))
+def test_blocks_match_the_successor_walk(inst):
+    # blocks reads offset and overhang off the run's release times, on the
+    # kept ones for the solved trace and on a fresh run for an unmarked copy.
+    _, trace = solve_pd2(inst)
+    marked = blocks(inst, trace)
+    walked = blocks_by_walk(inst, _steps(trace))
+    assert marked == walked
+    assert blocks(inst, Pd2Trace(trace.events)) == walked
 
 
 # Comment text that the parser keeps out of the instance: no line breaks or
