@@ -35,6 +35,7 @@ profile and the trace holds that tuple (or still none), the trace is the
 run by construction: the replay is skipped and the kept steps and release
 times are used.
 """
+
 from __future__ import annotations
 
 import heapq

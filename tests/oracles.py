@@ -188,7 +188,9 @@ def list_schedule(
     return Schedule(start_a=tuple(start_a), start_b=tuple(start_b))
 
 
-def blocks_by_walk(inst: Instance, steps: Iterable[tuple[int, int, tuple[int, ...]]]) -> tuple[Block, ...]:
+def blocks_by_walk(
+    inst: Instance, steps: Iterable[tuple[int, int, tuple[int, ...]]]
+) -> tuple[Block, ...]:
     """pd2's blocks for the run ``steps`` ((b_index, picked_degree, batch)
     per pick), each block measured by walking its A-operations' successors.
 

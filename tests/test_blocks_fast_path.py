@@ -1,13 +1,14 @@
 """The run mark: ``blocks`` skips its replay for a trace ``solve_pd2`` built.
 
 ``solve_pd2`` marks the trace it returns with the profile it ran on and the
-events tuple it built.  ``blocks`` groups such a trace directly when the
-profile is its instance's and the tuple is the trace's; every other trace
-is checked by replaying the run.  These tests pin both paths: the mark
-shows in no comparison or output, the solved trace skips the replay, and
-every trace that is not the mark's own goes through the replay and is
-refused or accepted as before.  ``test_properties.py`` checks that the
-solved trace and its unmarked copy give the same blocks.
+events tuple it built.  ``blocks`` measures such a trace from its kept
+steps and release times when the profile is its instance's and the tuple
+is the trace's; every other trace is checked by replaying the run.  These
+tests pin both paths: the mark shows in no comparison or output, the
+solved trace skips the replay, and every trace that is not the mark's own
+goes through the replay and is refused or accepted as before.
+``test_properties.py`` checks that the solved trace and its unmarked copy
+give the same blocks, and the blocks of the successor-walk oracle.
 """
 
 import copy

@@ -85,9 +85,10 @@ def test_pd2_schedule_is_its_batches_laid_out_by_release_times(inst):
     # The pick loop writes the schedule and release times itself; they must
     # be the batches' concatenation laid out by release_times in pick order.
     sched, trace = solve_pd2(inst)
-    pi = tuple(a for _, _, batch in _steps(trace) for a in batch)
+    steps = _steps(trace)
+    pi = tuple(a for _, _, batch in steps for a in batch)
     r = release_times(inst, pi)
-    assert sched == list_schedule(inst, pi, r, [j for j, _, _ in _steps(trace)])
+    assert sched == list_schedule(inst, pi, r, [j for j, _, _ in steps])
     assert tuple(trace._r) == (0, *r)
 
 
