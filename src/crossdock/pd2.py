@@ -10,11 +10,12 @@ A-operations take the next machine-1 positions, each successor's release
 time is overwritten with the completion of its latest predecessor, and
 each pick starts on machine 2 at the later of its release and the previous
 completion.  That is the machine-1 order of the batches completed in pick
-order, with no second walk over the arcs.  ``solve_pd2`` builds its
-schedule from that pass, and ``blocks`` runs it again for any trace that
-``solve_pd2`` did not just build for the same instance.  The bookkeeping
-keeps no copy of the shared adjacency: one done-flag per operation marks
-what has run.
+order, with no second walk over the arcs.  The bookkeeping keeps no copy
+of the shared adjacency: one done-flag per operation marks what has run.
+
+pd2 is deterministic, so an instance has one run, and the instance keeps
+it as it keeps its profile: ``solve_pd2`` and ``blocks`` run pd2 at most
+once per ``Instance`` object.
 
 The trace is the one record of a run: one pick event per B-operation, in
 machine-2 order, each with the batch it ran on machine 1 (a zero pick reads
@@ -25,15 +26,11 @@ machine-2 operation (the block's offset).  The machine-2 operations
 precedence-forced past the block's last machine-1 completion (the overhang)
 number 1 or 2 for labels >= 2, which is what makes the stitched schedule
 tight.  Both are read off the run's release times.  That lemma speaks of
-pd2 runs only, so ``blocks`` accepts only the trace of its instance's run.
-A trace that ``solve_pd2`` returns keeps the run's raw steps and release
-times and builds its events from the steps on the first read, so a caller
-that never reads them never pays for them.  It also carries a private
-mark, not a field, holding the profile it ran on and the events tuple once
-built (None before).  When ``blocks`` is given the instance of that
-profile and the trace holds that tuple (or still none), the trace is the
-run by construction: the replay is skipped and the kept steps and release
-times are used.
+pd2 runs only, so ``blocks`` accepts only a trace equal to its instance's
+run.  A trace that ``solve_pd2`` returns holds the run's steps and builds
+its events from them on the first read, so a caller that never reads them
+never pays for them, and ``blocks`` compares its steps with the kept ones
+without building them.
 """
 
 from __future__ import annotations
@@ -41,12 +38,11 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import asdict, dataclass
-from itertools import chain, zip_longest
-from operator import itemgetter
+from itertools import zip_longest
 from typing import ClassVar
 
 from .instance import DegreeProfile, Instance, degree_profile
-from .schedule import Schedule, validate_permutation
+from .schedule import Schedule
 
 
 class NotD2Error(ValueError):
@@ -83,20 +79,19 @@ class Pd2Trace:
     events: tuple[ZeroPick | DegPick, ...]
 
     def __getstate__(self) -> dict:
-        # Pickles and copies leave out the run mark and the steps (see
-        # solve_pd2); the mark holds the whole profile and could not survive
-        # the trip anyway.
+        # Pickles and copies leave out the steps (see solve_pd2), so they
+        # equal a plain trace's, byte for byte.
         return {"events": self.events}
 
     def __getattr__(self, name: str) -> tuple[ZeroPick | DegPick, ...]:
         # Called only when normal lookup fails: on a trace from solve_pd2,
-        # the first read of events builds them from the steps and re-points
-        # the mark at them.  Any other name fails without touching self, so
-        # unpickling and copying never start a build.
+        # the first read of events builds them from the steps.  Any other
+        # name fails without touching self, so unpickling and copying never
+        # start a build.
         if name != "events":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         events = tuple([DegPick(j, d, batch) if d else ZeroPick(j) for j, d, batch in self._steps])
-        self.__dict__.update(events=events, _run_of=(self._run_of[0], events))
+        self.__dict__["events"] = events
         return events
 
 
@@ -190,23 +185,35 @@ def _run(prof: DegreeProfile, n: int) -> tuple[list[Step], list[int], list[int],
             t = rj
         start_b[j - 1] = t
         t += 1
+    # The done-flags let no A-operation run twice, so this says every one
+    # ran: each has a successor, whose pick runs its pending predecessors.
+    if pos != n:
+        raise AssertionError(f"pd2 ran {pos} of {n} A-operations")
     return steps, start_a, start_b, r
+
+
+def _kept_run(inst: Instance) -> tuple[list[Step], Schedule, list[int]]:
+    """The steps, schedule and release times of pd2's run on ``inst``.
+
+    The first call on an instance object runs pd2 and keeps the result in
+    its ``__dict__``, beside the cached profile; later calls return it.
+    Like the profile it is not a field, and pickles and copies leave it out.
+    """
+    kept = inst.__dict__.get("_pd2_run")
+    if kept is None:
+        steps, start_a, start_b, r = _run(_require_d2(inst), inst.n)
+        kept = steps, Schedule(start_a=tuple(start_a), start_b=tuple(start_b)), r
+        inst.__dict__["_pd2_run"] = kept
+    return kept
 
 
 def solve_pd2(inst: Instance) -> tuple[Schedule, Pd2Trace]:
     """Run the degree-driven exact algorithm; returns schedule and trace."""
-    prof = _require_d2(inst)
-    steps, start_a, start_b, r = _run(prof, inst.n)
-    # Every A-operation has a successor, whose pick runs every predecessor
-    # not yet done, so the batches cover machine 1; this check is what
-    # would raise if a pick sequence ever missed or repeated one.
-    validate_permutation(inst, tuple(chain.from_iterable(map(itemgetter(2), steps))))
-    # The steps, release times and run mark (the profile, and the events
-    # tuple once built) are not fields, so they stay out of ==, hash, repr
-    # and JSON.
+    steps, sched, _ = _kept_run(inst)
+    # The steps are not a field, so they stay out of ==, hash, repr and JSON.
     trace = Pd2Trace.__new__(Pd2Trace)
-    trace.__dict__.update(_steps=steps, _r=r, _run_of=(prof, None))
-    return Schedule(start_a=tuple(start_a), start_b=tuple(start_b)), trace
+    trace.__dict__["_steps"] = steps
+    return sched, trace
 
 
 def lemma1_bound(inst: Instance) -> int:
@@ -217,42 +224,31 @@ def lemma1_bound(inst: Instance) -> int:
     return max(inst.n + 2, inst.m + 1)
 
 
-def _replay(trace: Pd2Trace, prof: DegreeProfile, n: int) -> tuple[list[Step], list[int]]:
-    """The steps and release times of the pd2 run on ``prof``, once each
-    step is checked against its event; the first difference raises."""
-    steps, _, _, r = _run(prof, n)
-    for k, (ev, step) in enumerate(zip_longest(trace.events, steps)):
-        got = None if ev is None else (type(ev), ev.b_index, ev.picked_degree, ev.a_batch)
-        want = None if step is None else (DegPick if step[1] else ZeroPick, *step)
-        if got != want:
-            b = (got or want)[1]
-            raise ValueError(f"trace is not the pd2 run of this instance at event {k} (B{b})")
-    return steps, r
-
-
 def blocks(inst: Instance, trace: Pd2Trace) -> tuple[Block, ...]:
     """Cut the trace into blocks and measure each laid out in isolation.
 
     The block lemma holds for pd2 runs only, and pd2 is deterministic, so
-    the trace must equal the one ``solve_pd2(inst)`` returns.  A trace that
-    ``solve_pd2`` built on this instance's profile, with its events tuple
-    untouched (or not yet built), is that run: its kept steps and release
-    times are used as they stand, and its events are not built.  Any other
-    trace (hand-built, replaced, unpickled, or solved on a distinct
-    instance) is checked by running pd2 again: the first event that
-    differs from the run, or is missing or extra, raises ``ValueError``.
+    the trace must equal the run ``solve_pd2(inst)`` returns, which the
+    instance keeps.  A trace whose events were never built and whose steps
+    equal the kept ones is that run, and its events are not built.  Any
+    other trace (hand-built, replaced, unpickled, or solved on another
+    instance) is compared with the run event by event: the first event
+    that differs, or is missing or extra, raises ``ValueError``.
 
     A block whose machine-1 run starts at ``start`` sees B_j ready at
     ``max(0, r[j] - start)`` on its own clock, where ``r[j]`` is B_j's
     release time in the run; no walk over the successors is needed.
     """
-    prof = _require_d2(inst)
-    run_of = getattr(trace, "_run_of", None)
-    # Before the first read of events both sides are None.
-    if run_of is not None and run_of[0] is prof and vars(trace).get("events") is run_of[1]:
-        steps, r = trace._steps, trace._r
-    else:
-        steps, r = _replay(trace, prof, inst.n)
+    steps, _, r = _kept_run(inst)
+    held = vars(trace)
+    # A list compare walks identities in C when the trace holds the kept list.
+    if "events" in held or held.get("_steps") != steps:
+        for k, (ev, step) in enumerate(zip_longest(trace.events, steps)):
+            got = None if ev is None else (type(ev), ev.b_index, ev.picked_degree, ev.a_batch)
+            want = None if step is None else (DegPick if step[1] else ZeroPick, *step)
+            if got != want:
+                b = (got or want)[1]
+                raise ValueError(f"trace is not the pd2 run of this instance at event {k} (B{b})")
     groups: list[tuple[int, list[int], list[int]]] = []  # (label, a_ops, b_ops)
     label = -1
     for j, d, batch in steps:

@@ -1,14 +1,16 @@
-"""The run mark: ``blocks`` skips its replay for a trace ``solve_pd2`` built.
+"""The kept run: each ``Instance`` runs pd2 at most once, and ``blocks``
+checks every trace against that run.
 
-``solve_pd2`` marks the trace it returns with the profile it ran on and the
-events tuple it built.  ``blocks`` measures such a trace from its kept
-steps and release times when the profile is its instance's and the tuple
-is the trace's; every other trace is checked by replaying the run.  These
-tests pin both paths: the mark shows in no comparison or output, the
-solved trace skips the replay, and every trace that is not the mark's own
-goes through the replay and is refused or accepted as before.
-``test_properties.py`` checks that the solved trace and its unmarked copy
-give the same blocks, and the blocks of the successor-walk oracle.
+The first ``solve_pd2`` or ``blocks`` call on an instance object runs pd2
+and keeps the steps, schedule and release times on the instance.
+``blocks`` takes a trace whose events were never built and whose steps
+equal the kept ones as the run; every other trace is compared with the run
+event by event, with no second run.  These tests pin both paths: the
+trace's steps show in no comparison or output, an instance runs pd2 once
+whatever traces it is given, a copy of the instance carries no run, and
+every trace that is not the run is refused or accepted as before.
+``test_properties.py`` checks that the solved trace and its plain copy give
+the same blocks, and the blocks of the successor-walk oracle.
 """
 
 import copy
@@ -33,7 +35,7 @@ NOT_THE_RUN = "trace is not the pd2 run of this instance at event"
 
 @pytest.fixture
 def replays(monkeypatch):
-    """Count the pd2 runs started from here on (solve_pd2 and replays)."""
+    """Count the pd2 runs started from here on."""
     runs = []
     run = pd2._run
 
@@ -62,7 +64,7 @@ def test_solved_trace_skips_the_replay(ex1, replays):
     blocks(ex1, trace)
     assert len(replays) == 1
     blocks(ex1, Pd2Trace(trace.events))
-    assert len(replays) == 2
+    assert len(replays) == 1
 
 
 def test_trace_of_another_instance_is_refused():
@@ -97,7 +99,7 @@ def test_copied_trace_goes_through_the_replay(ex1, replays, trip):
     again = trip(trace)
     assert again == trace
     assert blocks(ex1, again) == blocks(ex1, trace)
-    assert len(replays) == 2
+    assert len(replays) == 1
 
 
 def test_swapped_events_go_through_the_replay(ex1, replays):
@@ -109,8 +111,23 @@ def test_swapped_events_go_through_the_replay(ex1, replays):
     object.__setattr__(trace, "events", (*events, ZeroPick(1)))
     with pytest.raises(ValueError, match=f"{NOT_THE_RUN} 7 \\(B1\\)"):
         blocks(ex1, trace)
-    # an equal tuple that is not the one solve_pd2 built is replayed too
+    # an equal tuple that is not the one solve_pd2 built is compared too
     object.__setattr__(trace, "events", tuple(list(events)))
     assert trace.events == events and trace.events is not events
     assert blocks(ex1, trace) == blocks(ex1, Pd2Trace(events))
-    assert len(replays) == 5
+    assert len(replays) == 1
+
+
+def test_an_instance_runs_pd2_once(ex1, replays):
+    _, trace = solve_pd2(ex1)
+    _, again = solve_pd2(ex1)
+    assert again == trace
+    solved = blocks(ex1, trace)
+    assert blocks(ex1, Pd2Trace(trace.events)) == solved
+    assert blocks(ex1, pickle.loads(pickle.dumps(trace))) == solved
+    assert len(replays) == 1
+    # a copy of the instance carries no run, so it runs pd2 again
+    twin = copy.copy(ex1)
+    assert "_pd2_run" not in vars(twin)
+    assert blocks(twin, trace) == solved
+    assert len(replays) == 2

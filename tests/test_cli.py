@@ -59,6 +59,11 @@ def test_gen_tight_rejects_k_below_l(capsys):
     assert "k >= l" in capsys.readouterr().err
 
 
+def test_gen_d2_rejects_non_positive_counts(capsys):
+    assert main(["gen", "d2", "--a", "0", "--b", "5", "--seed", "1"]) == 2
+    assert "counts must be positive" in capsys.readouterr().err
+
+
 def test_solve_pd2_ex1(ex1_file, capsys):
     assert main(["solve", "--alg", "pd2", "--in", str(ex1_file)]) == 0
     assert "makespan 8" in capsys.readouterr().out
@@ -144,6 +149,22 @@ def test_verify_truncated_schedule(ex1_file, tmp_path, capsys):
     sched_path = tmp_path / "s.json"
     sched_path.write_text('{"makespan": 8, "start_a": [0,1')
     assert main(["verify", "--in", str(ex1_file), "--schedule", str(sched_path)]) == 2
+
+
+def test_verify_reports_size_mismatch(tmp_path, capsys):
+    inst_path, sched_path = tmp_path / "i.cd", tmp_path / "s.json"
+    inst_path.write_text("p cdock 2 2\n")
+    sched_path.write_text('{"start_a": [0], "start_b": [1, 2]}')
+    assert main(["verify", "--in", str(inst_path), "--schedule", str(sched_path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "size mismatch: expected 2 A-starts and 2 B-starts, got 1 and 2"
+    ]
+
+
+def test_verify_missing_schedule_file(ex1_file, tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["verify", "--in", str(ex1_file), "--schedule", str(missing)]) == 2
+    assert f"cannot read {missing}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -233,6 +254,21 @@ def test_bench_empty_dir(tmp_path, capsys):
     assert main(["bench", "--dir", str(tmp_path), "--format", "csv"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 1  # header only
+
+
+def test_bench_rejects_a_file_as_dir(ex1_file, capsys):
+    assert main(["bench", "--dir", str(ex1_file)]) == 2
+    assert "not a directory" in capsys.readouterr().err
+
+
+def test_bench_skips_exact_above_limit(tmp_path, capsys):
+    assert main(["gen", "tight", "--k", "5", "--l", "2", "--s", "5", "--out", str(tmp_path / "t.cd")]) == 0
+    capsys.readouterr()
+    assert main(["bench", "--dir", str(tmp_path), "--algs", "exact", "--exact-limit", "5"]) == 0
+    captured = capsys.readouterr()
+    assert "skipping exact on t.cd: instance too large: n=12 > limit 5\n" in captured.err
+    # the markdown header and its rule line, and no row
+    assert [line.split()[1] for line in captured.out.splitlines()] == ["instance", "---"]
 
 
 def test_bench_csv_md_same_values(tmp_path, capsys):

@@ -92,6 +92,9 @@ def test_gen_d2_deterministic():
 def test_gen_d2_rejects_bad_params():
     with pytest.raises(ValueError):
         gen_d2(a_count=2, b_count=3, pendant_count=2, seed=1)
+    for a_count, b_count in ((0, 5), (3, 0)):
+        with pytest.raises(ValueError, match="counts must be positive"):
+            gen_d2(a_count, b_count, 0, 1)
     with pytest.raises(ValueError, match="a_count must be an integer, got True"):
         gen_d2(True, 3, 0, 1)
     with pytest.raises(ValueError, match="b_count must be an integer, got 3.0"):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import crossdock.pd2 as pd2
 from crossdock import (
     DegPick,
     Instance,
@@ -18,6 +19,7 @@ from crossdock import (
     solve_pd2,
     trace_to_json,
 )
+from crossdock.instance import _build_profile
 
 
 def m2_sequence(trace):
@@ -60,6 +62,14 @@ def test_solve_pd2_rejects_non_d2():
         solve_pd2(inst)
     assert exc.value.a_index == 2
     assert "A2" in str(exc.value)
+
+
+def test_run_raises_when_an_a_operation_never_runs():
+    # A2 has no successor, so no pick runs it; without the check the run
+    # would return start_a == [0, 0].
+    prof = _build_profile(Instance(2, 2, frozenset({(1, 1), (1, 2)})))
+    with pytest.raises(AssertionError, match="pd2 ran 1 of 2 A-operations"):
+        pd2._run(prof, 2)
 
 
 def test_lemma1_bound_values(ex1):

@@ -9,6 +9,7 @@ import json
 
 from hypothesis import given, strategies as st
 
+import crossdock.pd2 as pd2
 from crossdock import (
     Instance,
     Pd2Trace,
@@ -71,7 +72,8 @@ def test_block_lemma(inst):
 
 @given(d2_instances(max_a=60, max_b=60))
 def test_solved_trace_gives_the_replayed_blocks(inst):
-    # solve_pd2's trace skips blocks' replay; an unmarked copy takes it
+    # blocks takes solve_pd2's trace as the run by its steps, and compares a
+    # plain copy with the run event by event
     _, trace = solve_pd2(inst)
     assert blocks(inst, trace) == blocks(inst, Pd2Trace(trace.events))
 
@@ -89,17 +91,17 @@ def test_pd2_schedule_is_its_batches_laid_out_by_release_times(inst):
     pi = tuple(a for _, _, batch in steps for a in batch)
     r = release_times(inst, pi)
     assert sched == list_schedule(inst, pi, r, [j for j, _, _ in steps])
-    assert tuple(trace._r) == (0, *r)
+    assert tuple(pd2._kept_run(inst)[2]) == (0, *r)
 
 
 @given(d2_instances(max_a=60, max_b=60))
 def test_blocks_match_the_successor_walk(inst):
-    # blocks reads offset and overhang off the run's release times, on the
-    # kept ones for the solved trace and on a fresh run for an unmarked copy.
+    # blocks reads offset and overhang off the release times the instance
+    # keeps with its run, for the solved trace and for a plain copy alike.
     _, trace = solve_pd2(inst)
-    marked = blocks(inst, trace)
+    solved = blocks(inst, trace)
     walked = blocks_by_walk(inst, _steps(trace))
-    assert marked == walked
+    assert solved == walked
     assert blocks(inst, Pd2Trace(trace.events)) == walked
 
 

@@ -151,6 +151,14 @@ def test_check_feasible_ok(ex1):
     assert report.violations == ()
 
 
+def test_check_feasible_size_mismatch():
+    # The lengths are checked first; nothing else is compared.
+    inst = Instance(n=2, m=2, arcs=frozenset())
+    assert check_feasible(inst, Schedule(start_a=(0,), start_b=(1, 2))) == FeasibilityReport(
+        ok=False, violations=("size mismatch: expected 2 A-starts and 2 B-starts, got 1 and 2",)
+    )
+
+
 def test_check_feasible_precedence_violation():
     inst = Instance(n=1, m=1, arcs=frozenset({(1, 1)}))
     report = check_feasible(inst, Schedule(start_a=(0,), start_b=(0,)))
