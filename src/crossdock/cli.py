@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import math
 import sys
@@ -227,6 +228,7 @@ def _p_arg(text: str) -> float:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser for the ``crossdock`` command line."""
     parser = argparse.ArgumentParser(prog="crossdock")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -278,9 +280,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reads with, built on its first call.  Parsing
+    leaves a parser as it was, so one serves every call in a process;
+    building it costs more than a small ``solve`` or ``verify``."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (CliError, OSError) as exc:

@@ -127,8 +127,9 @@ def _run(prof: DegreeProfile, n: int) -> tuple[list[Step], list[int], list[int],
     done-flag is still clear, empty at degree 0.  A bucket queue realizes
     the order: one index heap per degree level, and a ``low`` pointer
     that falls on each decrement and rises past empty levels.  Degrees
-    only fall, so an entry whose level no longer matches is stale and
-    skipped when popped.
+    only fall, so a B-operation may hold stale entries at levels above its
+    degree; a stale entry is one of an operation already picked (see the
+    loop), and is skipped when popped.
 
     The same loop lays out the schedule.  The batches run back to back on
     machine 1, and ``r[u]`` (``r[0]`` unused) is overwritten with the
@@ -159,7 +160,10 @@ def _run(prof: DegreeProfile, n: int) -> tuple[list[Step], list[int], list[int],
             low += 1
             continue
         j = heappop(level)
-        if done_b[j] or deg[j] != low:
+        # An entry is pushed at the degree it then has, and low falls to
+        # every new degree, so every B-operation whose degree is below low
+        # has already been picked: an entry at level low is current or done.
+        if done_b[j]:
             continue
         done_b[j] = True
         if low == 0:

@@ -115,9 +115,10 @@ def check_feasible(inst: Instance, sched: Schedule) -> FeasibilityReport:
                 violations.append(
                     f"machine-{machine} overlap: {label}{first} and {label}{k} both at {s}"
                 )
-    # succ lists are sorted, so arcs come out in (i, j) order
+    # succ rows are sorted, so arcs come out in (i, j) order.  The instance's
+    # own table is read, so a check builds no profile.
     start_b = sched.start_b
-    for i, row in enumerate(degree_profile(inst).succ[1:], start=1):
+    for i, row in enumerate(inst._succ[1:], start=1):
         done = sched.start_a[i - 1] + 1
         for j in row:
             if start_b[j - 1] < done:
@@ -143,15 +144,37 @@ def render_gantt(inst: Instance, sched: Schedule) -> str:
     return line_a + "\n" + line_b + "\n"
 
 
+def _require_int_starts(key: str, starts) -> None:
+    # One C-level pass over the types; the element walk runs only to name
+    # the first start that is not an exact int (True and 1.0 included).
+    if not set(map(type, starts)) <= {int}:
+        for k, x in enumerate(starts):
+            if type(x) is not int:
+                raise ValueError(f"malformed schedule file: {key}[{k}] = {x!r} is not an integer")
+
+
+def _json_int_list(starts) -> str:
+    # The text json.dumps(..., indent=2) gives a list of ints one level down.
+    return "[\n    " + ",\n    ".join(map(str, starts)) + "\n  ]" if starts else "[]"
+
+
 def schedule_to_json(sched: Schedule) -> str:
-    return json.dumps(
-        {
-            "makespan": makespan(sched),
-            "start_a": list(sched.start_a),
-            "start_b": list(sched.start_b),
-        },
-        indent=2,
-    ) + "\n"
+    """The schedule file: makespan and both machines' starts, in the text of
+    ``json.dumps`` with ``indent=2`` plus a final newline.
+
+    Every start must be an exact int, as ``schedule_from_json`` requires:
+    a bool, float, str or any other start raises ``ValueError`` with the
+    reader's wording, so no file is written that the reader would refuse.
+    The text is joined here, since ``json.dumps`` with an indent runs its
+    pure-Python encoder.
+    """
+    _require_int_starts("start_a", sched.start_a)
+    _require_int_starts("start_b", sched.start_b)
+    return (
+        f'{{\n  "makespan": {makespan(sched)},\n'
+        f'  "start_a": {_json_int_list(sched.start_a)},\n'
+        f'  "start_b": {_json_int_list(sched.start_b)}\n}}\n'
+    )
 
 
 def schedule_from_json(text: str) -> Schedule:
@@ -174,9 +197,7 @@ def schedule_from_json(text: str) -> Schedule:
         values = data[key]
         if not isinstance(values, list):
             raise ValueError(f"malformed schedule file: {key!r} is not a list")
-        for k, x in enumerate(values):
-            if type(x) is not int:
-                raise ValueError(f"malformed schedule file: {key}[{k}] = {x!r} is not an integer")
+        _require_int_starts(key, values)
         starts.append(tuple(values))
     sched = Schedule(start_a=starts[0], start_b=starts[1])
     if "makespan" in data:

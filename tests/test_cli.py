@@ -3,7 +3,8 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from crossdock.cli import _SOLVERS, main
+import crossdock.cli as cli
+from crossdock.cli import _SOLVERS, build_parser, main
 from crossdock.exact import EXACT_DEFAULT_LIMIT
 from crossdock import (
     Instance,
@@ -432,3 +433,84 @@ def test_every_cli_solver_is_feasible_and_above_lower_bound(alg, inst):
         return  # instance outside the solver's class, such as pd2 on a non-d2 instance
     assert check_feasible(inst, sched).ok
     assert lower_bound(inst) <= makespan(sched)
+
+
+def _call(argv, capsys):
+    """Exit code, stdout and stderr of one in-process call; argparse's
+    SystemExit counts as the exit code it carries."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.fixture
+def fresh_parser():
+    """Start and end with no parser cached, so each test sees the first build."""
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def test_main_builds_its_parser_once(ex1_file, tmp_path, monkeypatch, capsys, fresh_parser):
+    builds = []
+
+    def counted():
+        builds.append(None)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    sched = str(tmp_path / "s.json")
+    assert main(["solve", "--alg", "pd2", "--in", str(ex1_file), "--out", sched]) == 0
+    assert main(["verify", "--in", str(ex1_file), "--schedule", sched]) == 0
+    assert main(["bound", "--in", str(ex1_file)]) == 0
+    assert main(["solve", "--alg", "greedy", "--in", str(ex1_file)]) == 0
+    capsys.readouterr()
+    assert len(builds) == 1
+    # The public builder still gives a new parser on every call.
+    assert build_parser() is not build_parser()
+
+
+def test_a_usage_error_leaves_the_cached_parser_as_it_was(ex1_file, tmp_path, capsys, fresh_parser):
+    sched = tmp_path / "s.json"
+    solve = ["solve", "--alg", "pd2", "--in", str(ex1_file), "--out", str(sched)]
+    verify = ["verify", "--in", str(ex1_file), "--schedule", str(sched)]
+    fresh = []
+    for argv in (solve, verify):
+        cli._parser.cache_clear()
+        fresh.append(_call(argv, capsys))
+    fresh_bytes = sched.read_bytes()
+    sched.unlink()
+    cli._parser.cache_clear()
+    code, out, err = _call(["solve", "--alg", "bogus", "--in", str(ex1_file)], capsys)
+    assert code == 2 and out == "" and "invalid choice" in err
+    assert [_call(solve, capsys), _call(verify, capsys)] == fresh
+    assert fresh[0][0] == fresh[1][0] == 0
+    assert sched.read_bytes() == fresh_bytes
+
+
+def test_gen_bound_and_bench_read_the_same_after_a_solve(ex1_file, tmp_path, capsys, fresh_parser):
+    bench_dir = tmp_path / "bench"
+    bench_dir.mkdir()
+    (bench_dir / "ex1.cd").write_text(EX1_TEXT)
+    calls = [
+        ["gen", "d2", "--a", "5", "--b", "6", "--pendants", "1", "--seed", "3"],
+        ["bound", "--in", str(ex1_file)],
+        ["bench", "--dir", str(bench_dir), "--format", "csv"],
+    ]
+
+    def masked(result):
+        # bench's last column is a wall time.
+        code, out, err = result
+        return code, [line.rsplit(",", 1)[0] for line in out.splitlines()], err
+
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(masked(_call(argv, capsys)))
+    cli._parser.cache_clear()
+    assert _call(["solve", "--alg", "greedy", "--in", str(ex1_file)], capsys)[0] == 0
+    assert [masked(_call(argv, capsys)) for argv in calls] == fresh
+    assert [code for code, _, _ in fresh] == [0, 0, 0]

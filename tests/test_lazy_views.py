@@ -23,6 +23,7 @@ from crossdock import (
     DegPick,
     Instance,
     Pd2Trace,
+    Schedule,
     TightParams,
     ZeroPick,
     blocks,
@@ -153,6 +154,18 @@ def test_cli_solve_and_verify_build_neither_view(tmp_path, monkeypatch, capsys):
     assert len(instances) == 4 and len(traces) == 1
     assert not any("arcs" in vars(inst) for inst in instances)
     assert "events" not in vars(traces[0])
+    # verify reads the instance's successor table, not a profile.
+    assert not any("profile" in vars(inst) for inst in instances[1::2])
+
+
+def test_check_feasible_builds_no_profile():
+    text = serialize_instance(gen_d2(60, 50, 2, 3))
+    sched = solve_pd2(parse_instance(text))[0]
+    broken = Schedule(start_a=sched.start_a, start_b=sched.start_b[::-1])
+    for candidate, ok in ((sched, True), (broken, False)):
+        inst = parse_instance(text)
+        assert check_feasible(inst, candidate).ok is ok
+        assert "profile" not in vars(inst) and "arcs" not in vars(inst)
 
 
 def _same_under_every_view(fresh, eager, field, check_pickle_bytes):

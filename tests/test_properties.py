@@ -131,3 +131,15 @@ def test_schedule_json_round_trip(start_a, start_b):
     assert schedule_from_json(text) == sched
     # One past the latest start, and never below 0.
     assert json.loads(text)["makespan"] == max([0] + [s + 1 for s in start_a + start_b])
+
+
+@given(
+    st.lists(st.integers(-(2**70), 2**70), max_size=20),
+    st.lists(st.integers(-(2**70), 2**70), max_size=20),
+)
+def test_schedule_json_is_the_indented_json_dumps_text(start_a, start_b):
+    # The writer joins its text itself; it must be json.dumps's, byte for
+    # byte, empty lists included.
+    sched = Schedule(start_a=tuple(start_a), start_b=tuple(start_b))
+    data = {"makespan": makespan(sched), "start_a": start_a, "start_b": start_b}
+    assert schedule_to_json(sched) == json.dumps(data, indent=2) + "\n"

@@ -292,6 +292,21 @@ def test_schedule_json_rejects_coercion(text, fragment):
         schedule_from_json(text)
 
 
+@pytest.mark.parametrize(
+    "start_a,start_b,fragment",
+    [
+        ((True,), (1,), "start_a\\[0\\] = True is not an integer"),
+        ((0,), (1.0,), "start_b\\[0\\] = 1.0 is not an integer"),
+        ((0, "2"), (1, 2), "start_a\\[1\\] = '2' is not an integer"),
+    ],
+)
+def test_schedule_to_json_refuses_what_the_reader_refuses(start_a, start_b, fragment):
+    # json.dumps would write true, 1.0 and "2", which schedule_from_json
+    # then refuses; the writer refuses them first, in the reader's words.
+    with pytest.raises(ValueError, match="malformed schedule file: " + fragment):
+        schedule_to_json(Schedule(start_a=start_a, start_b=start_b))
+
+
 def test_schedule_json_makespan_optional():
     sched = schedule_from_json('{"start_a": [0], "start_b": [1]}')
     assert sched == Schedule(start_a=(0,), start_b=(1,))
