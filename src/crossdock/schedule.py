@@ -38,7 +38,9 @@ def validate_permutation(inst: Instance, pi: Permutation) -> None:
 
 
 def makespan(sched: Schedule) -> int:
-    return max((-1, *sched.start_a, *sched.start_b)) + 1
+    # One pass over each machine's starts, with no tuple built; the -1 keeps
+    # an empty or all-negative schedule (as a file may hold) at makespan 0.
+    return max(max(sched.start_a, default=-1), max(sched.start_b, default=-1), -1) + 1
 
 
 def release_times(inst: Instance, pi: Permutation) -> tuple[int, ...]:

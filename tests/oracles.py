@@ -6,6 +6,11 @@ the lexicographically first optimal one, optionally pruning orders that
 only swap A-operations with identical successor sets.  It shares no logic
 with the DP, so the two cross-check each other at n <= 7.
 
+``subset_dp_exact`` is the same subset DP as ``solve_exact`` written as
+plain Python loops over one list of 2^n entries, as the library ran it
+before its bit-parallel kernel: the differential tests check the kernel's
+result, schedule and all, against it wherever n <= 14.
+
 ``parse_instance_lines`` is the line-by-line instance parser as it was
 before the canonical whole-text path, the reference the differential parse
 tests compare ``parse_instance`` against.
@@ -127,6 +132,53 @@ def enumerate_exact(inst: Instance, prune: bool = True) -> ExactResult:
     sched = complete_m2_erd(inst, best_pi)
     assert makespan(sched) == best_mk
     return ExactResult(schedule=sched, optimal_makespan=best_mk, permutations_examined=examined)
+
+
+def subset_dp_exact(inst: Instance) -> ExactResult:
+    """``solve_exact`` by the recurrence in its docstring, one state at a time.
+
+    g[S] holds c(S) after the zeta transform, then G(S), and the order is
+    rebuilt forward by the smallest A-operation that keeps G <= opt.
+    """
+    n, m = inst.n, inst.m
+    full = (1 << n) - 1
+    # Supersets of S are larger integers, so a descending sweep finds them done.
+    g = [0] * (full + 1)
+    for row in degree_profile(inst).pred[1:]:
+        mask = 0
+        for i in row:
+            mask |= 1 << (i - 1)
+        g[mask] += 1
+    # Zeta transform: add each count into every superset, one bit at a time.
+    for b in range(n):
+        bit = 1 << b
+        for hi in range(bit, full + 1, 2 * bit):
+            for s in range(hi, hi + bit):
+                g[s] += g[s - bit]
+    g[full] = max(n, m)
+    base = m + 1
+    for s in range(full - 1, -1, -1):
+        # Walk the A-operations missing from s by lowest set bit.
+        rest = full ^ s
+        best = g[s | (rest & -rest)]
+        rest &= rest - 1
+        while rest:
+            v = g[s | (rest & -rest)]
+            if v < best:
+                best = v
+            rest &= rest - 1
+        h = s.bit_count() + base - g[s]
+        g[s] = h if h > best else best
+    opt = g[0]
+    pi = []
+    s = 0
+    for _ in range(n):
+        a = next(a for a in range(n) if not s >> a & 1 and g[s | 1 << a] <= opt)
+        pi.append(a + 1)
+        s |= 1 << a
+    sched = complete_m2_erd(inst, tuple(pi))
+    assert makespan(sched) == opt
+    return ExactResult(schedule=sched, optimal_makespan=opt, permutations_examined=full + 1)
 
 
 def prefix_q(inst: Instance, pi: Permutation) -> int:
