@@ -29,33 +29,31 @@ class InstanceError(ValueError):
     """Raised on invalid instance data or a malformed instance file."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Instance:
     """n A-operations, m B-operations and the arcs (i, j) between them.
 
-    Every instance holds its successor table ``_succ`` (``_succ[i]`` the
-    sorted successors of A_i, ``_succ[0] == ()``), which the profile shares.
-    A parsed or generated instance builds ``arcs`` from it on first read;
-    until then ``arcs`` is not in its ``__dict__``.  Reading the field, ``==``,
-    ``hash``, ``repr``, ``asdict`` or ``replace`` builds it, as constructed.
+    An instance is its successor table ``_succ``: ``_succ[i]`` holds the
+    successors of A_i in strictly ascending order, and ``_succ[0] == ()``.
+    The table is canonical, so ``==``, ``hash`` and ``repr``, which the
+    dataclass generates from ``(n, m, _succ)``, agree with the arc set, and
+    the profile shares the table.  ``arcs`` is a view built on first read.
     Pickles and copies carry only ``n``, ``m`` and ``_succ``.
     """
 
     n: int
     m: int
-    arcs: frozenset[tuple[int, int]]
+    _succ: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, n: int, m: int, arcs: Iterable[tuple[int, int]]) -> None:
         # Exact ints in range only, so every instance survives
         # parse_instance(serialize_instance(x)) == x.
-        n, m = self.n, self.m
         if not (type(n) is int and type(m) is int and 1 <= n <= MAX_OPS and 1 <= m <= MAX_OPS):
             raise InstanceError(f"n and m must be integers in 1..{MAX_OPS}, got n={n!r}, m={m!r}")
         try:
-            arcs = frozenset(self.arcs)  # the same object if it already is one
+            arcs = frozenset(arcs)
         except TypeError as exc:  # not iterable, or an item that is not hashable
             raise InstanceError(f"arcs must be an iterable of (i, j) pairs: {exc}") from None
-        object.__setattr__(self, "arcs", arcs)
         keys = []  # one int per arc, as _split_keys reads them
         for arc in arcs:
             if type(arc) is not tuple or len(arc) != 2:
@@ -64,12 +62,12 @@ class Instance:
             if not (type(i) is int and type(j) is int and 1 <= i <= n and 1 <= j <= m):
                 raise InstanceError(f"arc {arc!r} is not a pair of integers in 1..{n} x 1..{m}")
             keys.append(i * (m + 1) + j)
-        self.__dict__["_succ"] = _succ_table(n, *_split_keys(sorted(keys), m))
+        self.__dict__.update(n=n, m=m, _succ=_succ_table(n, *_split_keys(sorted(keys), m)))
 
     @classmethod
     def _from_succ(cls, n: int, m: int, succ: tuple[tuple[int, ...], ...]) -> Instance:
-        """An instance whose successor table (kept as ``_succ``) the parser or
-        a generator has built and checked, so ``__post_init__`` is skipped."""
+        """An instance whose successor table the parser or a generator has
+        built and checked, so ``__init__``'s checks are skipped."""
         inst = cls.__new__(cls)
         inst.__dict__.update(n=n, m=m, _succ=succ)
         return inst
@@ -77,19 +75,14 @@ class Instance:
     def __getstate__(self) -> dict:
         return {"n": self.n, "m": self.m, "_succ": self._succ}  # no arcs, no profile
 
-    def __getattr__(self, name: str) -> frozenset[tuple[int, int]]:
-        # Called only when normal lookup fails.  Any name but "arcs" fails
-        # without touching self, so unpickling and copying (which look up
-        # hooks on an empty instance) never start a build.
-        if name != "arcs":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+    @cached_property
+    def arcs(self) -> frozenset[tuple[int, int]]:
+        """The arc set, built from the successor table on first read."""
         succ = self._succ
         heads = chain.from_iterable(map(repeat, range(len(succ)), map(len, succ)))
         # A frozenset built straight from an iterator keeps the table it grew,
         # up to twice the size of one copied from a set.
-        arcs = frozenset(set(zip(heads, chain.from_iterable(succ))))
-        self.__dict__["arcs"] = arcs
-        return arcs
+        return frozenset(set(zip(heads, chain.from_iterable(succ))))
 
     @cached_property
     def profile(self) -> DegreeProfile:
@@ -338,7 +331,7 @@ def parse_instance(text: str) -> Instance:
     if n is None or m is None:
         raise InstanceError("missing header")
     # Every arc was range-checked and de-duplicated above, so the result
-    # skips __post_init__'s second walk over them, and no row repeats an arc.
+    # skips __init__'s second walk over them, and no row repeats an arc.
     return Instance._from_succ(n, m, _succ_table(n, *_split_keys(sorted(keys), m)))
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .instance import Instance, degree_profile
+from .instance import Instance
 
 Permutation = tuple[int, ...]
 
@@ -51,10 +51,11 @@ def release_times(inst: Instance, pi: Permutation) -> tuple[int, ...]:
     below its in-degree: d predecessors cannot all finish before time d.
     Walking pi in order, each assignment overwrites a smaller value, so the
     last one written is the maximum.  Raises ``ValueError`` unless pi is a
-    permutation of 1..n.
+    permutation of 1..n.  The instance's own successor table is read, so no
+    profile is built.
     """
     validate_permutation(inst, pi)
-    succ = degree_profile(inst).succ
+    succ = inst._succ
     r = [0] * (inst.m + 1)
     for done, a in enumerate(pi, start=1):
         for j in succ[a]:
@@ -188,7 +189,7 @@ def schedule_from_json(text: str) -> Schedule:
     """
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also int()'s digit limit, deep nesting
         raise ValueError(f"malformed schedule file: {exc}") from exc
     if not isinstance(data, dict):
         raise ValueError("malformed schedule file: expected a JSON object")

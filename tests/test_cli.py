@@ -190,6 +190,20 @@ def test_verify_rejects_coerced_schedule(ex1_file, tmp_path, capsys, edit, fragm
     assert fragment in err
 
 
+@pytest.mark.parametrize(
+    "text,fragment",
+    [('{"start_a": [%s], "start_b": [1]}' % ("5" * 5000), "digits"), ("[" * 100000, "recursion")],
+    ids=["digit_limit", "nesting"],
+)
+def test_verify_prefixes_every_decoder_error(ex1_file, tmp_path, capsys, text, fragment):
+    sched_path = tmp_path / "s.json"
+    sched_path.write_text(text)
+    assert main(["verify", "--in", str(ex1_file), "--schedule", str(sched_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {sched_path}: malformed schedule file: ")
+    assert fragment in err
+
+
 def test_gen_random_rejects_nan_p(capsys):
     assert main(["gen", "random", "--n", "3", "--m", "3", "--p", "nan", "--seed", "1"]) == 2
     assert "p must be a real number in [0, 1], got nan" in capsys.readouterr().err

@@ -1,12 +1,14 @@
 """``Instance.arcs`` and ``Pd2Trace.events`` are built on first read.
 
-A parsed or generated instance holds its successor table and builds its arc
-set from it only when something reads it; a trace that
-``solve_pd2`` returns keeps the run's steps and builds its events the same
-way.  These tests pin both halves: the library and CLI pipelines never
-build either view, and once built, each view's object behaves exactly as
-its eagerly built twin under ``==``, ``hash``, ``repr``, ``asdict``,
-``replace``, pickle, ``copy`` and ``deepcopy``.
+An instance is its successor table: ``==``, ``hash`` and ``repr`` read
+``(n, m, _succ)``, and the arc set is a view built from the table only when
+something reads it.  A trace that ``solve_pd2`` returns keeps the run's
+steps and builds its events the same way.  These tests pin both halves: the
+library and CLI pipelines never build either view; every generator and both
+parser paths give a canonical table, so table equality is arc-set equality;
+and a built trace behaves exactly as its eagerly built twin under ``==``,
+``hash``, ``repr``, ``asdict``, ``replace``, pickle, ``copy`` and
+``deepcopy``.
 """
 
 import copy
@@ -30,12 +32,15 @@ from crossdock import (
     bounds_report,
     check_feasible,
     classify,
+    complete_m2_erd,
     gen_d2,
     gen_random,
     gen_tight,
     lemma1_bound,
     parse_instance,
+    release_times,
     serialize_instance,
+    solve_exact,
     solve_greedy,
     solve_pd2,
     trace_to_json,
@@ -95,7 +100,7 @@ def test_generate_and_serialize_build_neither_view(make):
 
 def test_build_profile_leaves_an_instance_whole():
     # _build_profile must leave _succ in place: taking it would leave the
-    # instance with neither _succ nor arcs, and every later read recurse.
+    # instance without the table its ==, hash and arcs read.
     for make in (lambda: parse_instance("p cdock 2 2\na 1 1\na 2 2\n"), lambda: gen_d2(4, 3, 0, 1)):
         inst, twin = make(), make()
         built = instance_module._build_profile(inst)
@@ -168,6 +173,29 @@ def test_check_feasible_builds_no_profile():
         assert "profile" not in vars(inst) and "arcs" not in vars(inst)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: gen_random(8, 10, 0.3, 1),
+        lambda: gen_d2(8, 6, 1, 1),
+        lambda: gen_tight(TightParams(3, 2, 3)),
+    ],
+    ids=["random", "d2", "tight"],
+)
+def test_exact_and_erd_build_no_profile(make):
+    # Both read the instance's successor table, as check_feasible does.
+    inst = parse_instance(serialize_instance(make()))
+    result = solve_exact(inst)
+    pi = tuple(range(inst.n, 0, -1))
+    sched = complete_m2_erd(inst, pi)
+    assert check_feasible(inst, result.schedule).ok and check_feasible(inst, sched).ok
+    arcs = make().arcs
+    assert release_times(inst, pi) == tuple(
+        max((pi.index(i) + 1 for i, k in arcs if k == j), default=0) for j in range(1, inst.m + 1)
+    )
+    assert "profile" not in vars(inst) and "arcs" not in vars(inst)
+
+
 def _same_under_every_view(fresh, eager, field, check_pickle_bytes):
     """Each operation on a fresh lazy object gives what it gives on ``eager``.
 
@@ -189,25 +217,118 @@ def _same_under_every_view(fresh, eager, field, check_pickle_bytes):
     assert field in vars(lazy) and getattr(lazy, field) == getattr(eager, field)
 
 
+def _arc_sets(n, m):
+    return st.frozensets(st.tuples(st.integers(1, n), st.integers(1, m)), max_size=40)
+
+
+# (n, m, arcs) with 1 <= n, m <= 12.
+CASES = st.integers(1, 12).flatmap(
+    lambda n: st.integers(1, 12).flatmap(lambda m: st.tuples(st.just(n), st.just(m), _arc_sets(n, m)))
+)
+
+GENERATED = st.one_of(
+    st.builds(
+        gen_random, st.integers(1, 15), st.integers(1, 15),
+        st.sampled_from([0.0, 0.2, 0.5, 1.0]), st.integers(0, 2**32),
+    ),
+    st.integers(2, 15).flatmap(
+        lambda b: st.builds(gen_d2, st.integers(1, 15), st.just(b), st.integers(0, b - 2), st.integers(0, 2**32))
+    ),
+    st.integers(1, 4).flatmap(
+        lambda l: st.builds(lambda k, s: gen_tight(TightParams(k, l, s)), st.integers(l, 6), st.integers(3, 6))
+    ),
+)
+
+
+def _assert_canonical(inst):
+    """n + 1 rows, row 0 empty, each row a tuple of ints strictly ascending
+    in 1..m: the one table of each arc set, so == on it is == on arcs."""
+    succ = inst._succ
+    assert type(succ) is tuple and len(succ) == inst.n + 1 and succ[0] == ()
+    for row in succ:
+        assert type(row) is tuple and set(map(type, row)) <= {int}
+        assert all(1 <= j <= inst.m for j in row)
+        assert all(a < b for a, b in zip(row, row[1:]))
+
+
 @given(
-    st.integers(1, 12).flatmap(
-        lambda n: st.integers(1, 12).flatmap(
-            lambda m: st.tuples(
-                st.just(n), st.just(m),
-                st.frozensets(st.tuples(st.integers(1, n), st.integers(1, m)), max_size=40),
-            )
+    st.one_of(GENERATED, CASES.map(lambda case: Instance(*case))),
+    st.sampled_from(["\n", "\r\n"]),
+    st.sampled_from(["sorted", "shuffled", "rows_reversed"]),
+    st.randoms(use_true_random=False),
+)
+def test_every_source_gives_a_canonical_table(inst, newline, order, rnd):
+    # "\n" text takes the whole-text parse, which sorts shuffled arcs and
+    # rows written in descending order; "\r\n" text takes the line parser.
+    _assert_canonical(inst)
+    header, *arcs = serialize_instance(inst).splitlines()
+    if order == "shuffled":
+        rnd.shuffle(arcs)
+    elif order == "rows_reversed":
+        arcs.sort(key=lambda line: (int(line.split()[1]), -int(line.split()[2])))
+    text = newline.join([header, *arcs]) + newline
+    assert (instance_module._parse_canonical(text) is not None) == (newline == "\n")
+    parsed = parse_instance(text)
+    _assert_canonical(parsed)
+    assert parsed._succ == inst._succ
+    assert parsed.arcs == inst.arcs == {(i, j) for i, row in enumerate(inst._succ) for j in row}
+
+
+@given(
+    CASES.flatmap(
+        lambda case: st.tuples(
+            st.just(case),
+            st.one_of(
+                st.just(case[2]),
+                _arc_sets(case[0], case[1]),
+                # One arc added or taken away.
+                st.tuples(st.integers(1, case[0]), st.integers(1, case[1])).map(
+                    lambda arc: case[2] ^ {arc}
+                ),
+            ),
         )
     )
 )
+def test_instances_are_equal_exactly_when_their_arc_sets_are(pair):
+    (n, m, a), b = pair
+    x, y = Instance(n, m, a), Instance(n, m, sorted(b, reverse=True))
+    assert (x == y) == (a == b) and (x != y) == (a != b)
+    if a == b:
+        assert hash(x) == hash(y) and repr(x) == repr(y)
+    assert x != Instance(n + 1, m, a) and x != Instance(n, m + 1, a)
+    assert x != (n, m, x._succ)
+
+
+@given(CASES)
 def test_lazy_arcs_match_an_eager_instance(case):
+    # The constructor checks the arcs it is given and keeps only the table,
+    # so a parsed instance and a constructed one agree, field for field,
+    # and both build the same arc set on first read.
     n, m, arcs = case
-    # A set's iteration order, and so repr and pickle bytes, follows the
-    # order its elements went in.  Eager parsing built arcs as
-    # frozenset(set(...)) in (i, j) order; the twin is built the same way.
-    eager = Instance(n, m, frozenset(set(sorted(arcs))))
-    text = serialize_instance(eager)
-    _same_under_every_view(lambda: parse_instance(text), eager, "arcs", check_pickle_bytes=False)
-    assert parse_instance(text).profile == eager.profile
+    eager = Instance(n, m, arcs)
+    lazy = parse_instance(serialize_instance(eager))
+    assert lazy == eager and hash(lazy) == hash(eager) and repr(lazy) == repr(eager)
+    assert repr(lazy) == f"Instance(n={n}, m={m}, _succ={lazy._succ!r})"
+    assert dataclasses.asdict(lazy) == dataclasses.asdict(eager) == {"n": n, "m": m, "_succ": eager._succ}
+    assert pickle.dumps(lazy) == pickle.dumps(eager)
+    for trip in (_pickle_trip, copy.copy, copy.deepcopy):
+        assert trip(lazy) == eager
+    assert "arcs" not in vars(lazy) and "arcs" not in vars(eager)
+    assert lazy.arcs == eager.arcs == arcs
+    assert lazy.profile == eager.profile
+
+
+@LAYOUTS
+def test_eq_and_hash_build_neither_view(layout):
+    text = layout(serialize_instance(gen_random(40, 50, 0.3, 1)))
+    parsed, twin = parse_instance(text), parse_instance(text)
+    generated, other = gen_random(40, 50, 0.3, 1), gen_random(40, 50, 0.3, 2)
+    assert parsed == twin == generated and parsed != other
+    assert hash(parsed) == hash(twin) == hash(generated) != hash(other)
+    assert len({parsed, twin, generated, other}) == 2
+    assert repr(parsed) == repr(generated) != repr(other)
+    for inst in (parsed, twin, generated, other):
+        assert "arcs" not in vars(inst) and "profile" not in vars(inst)
 
 
 def _eager_trace(inst):

@@ -307,6 +307,22 @@ def test_schedule_to_json_refuses_what_the_reader_refuses(start_a, start_b, frag
         schedule_to_json(Schedule(start_a=start_a, start_b=start_b))
 
 
+@pytest.mark.parametrize(
+    "text,fragment",
+    [
+        ('{"start_a": [%s], "start_b": [1]}' % ("5" * 5000), "digits"),
+        ("[" * 100000, "recursion"),
+    ],
+    ids=["digit_limit", "nesting"],
+)
+def test_schedule_json_prefixes_every_decoder_error(text, fragment):
+    # json.loads raises a plain ValueError, not a JSONDecodeError, on a
+    # number longer than int() reads, and a RecursionError on deep nesting;
+    # both get the same prefix.
+    with pytest.raises(ValueError, match=f"^malformed schedule file: .*{fragment}"):
+        schedule_from_json(text)
+
+
 def test_schedule_json_makespan_optional():
     sched = schedule_from_json('{"start_a": [0], "start_b": [1]}')
     assert sched == Schedule(start_a=(0,), start_b=(1,))
