@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import json
 import re
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
-from operator import add, floordiv, le, lt, mod, mul
+from itertools import chain, count, repeat
+from operator import add, floordiv, mod, mul
 from typing import Iterable
 
 # The largest n or m an instance may have: 50 times the largest instances the
@@ -62,7 +61,7 @@ class Instance:
             if not (type(i) is int and type(j) is int and 1 <= i <= n and 1 <= j <= m):
                 raise InstanceError(f"arc {arc!r} is not a pair of integers in 1..{n} x 1..{m}")
             keys.append(i * (m + 1) + j)
-        self.__dict__.update(n=n, m=m, _succ=_succ_table(n, *_split_keys(sorted(keys), m)))
+        self.__dict__.update(n=n, m=m, _succ=_succ_table(n, m, *_split_keys(sorted(keys), m)))
 
     @classmethod
     def _from_succ(cls, n: int, m: int, succ: tuple[tuple[int, ...], ...]) -> Instance:
@@ -169,10 +168,14 @@ def _parse_canonical(text: str) -> Instance | None:
     None for any other text, valid or not.
 
     That layout is: "c" comment lines, the header, then one "a <i> <j>\n"
-    line per arc with single spaces.  The serializer writes the arcs in
-    (i, j) order; arcs in any other order are sorted here.  Every check runs
-    over the whole arc block at once, and its numbers are read as one JSON
-    array, so "a 01 1" (JSON has no leading zeros) goes to the line parser.
+    line per arc with single spaces.  The layout is checked over the whole
+    arc block at once, and its numbers are read as one JSON array, so
+    "a 01 1" (JSON has no leading zeros) goes to the line parser.  The
+    serializer writes the arcs in (i, j) order, and ``_succ_table`` checks
+    their order and range in the one pass that cuts their rows.  If it
+    refuses them, the tails are range-checked here, the arcs sorted as one
+    int each and cut again.  So arcs in any order are read, and a repeated
+    arc or an index out of range gives None.
     Returning None is never an error: the caller falls back to the line
     parser, which accepts or rejects the text itself.
     """
@@ -200,13 +203,13 @@ def _parse_canonical(text: str) -> Instance | None:
         return None
     block = body.encode("ascii")
     del body
-    count = block.count(b"\n")
-    # Less its digits, the block is count lines "a  \n", each tag starts a
+    lines = block.count(b"\n")
+    # Less its digits, the block is one line "a  \n" per arc, each tag starts a
     # line and is followed by a space, and no digit follows the last newline:
     # so each line is "a <digits> <digits>", though a number may be empty.
     if (
-        block.translate(None, b"0123456789") != b"a  \n" * count
-        or block.count(b"\na ") + block.startswith(b"a ") != count
+        block.translate(None, b"0123456789") != b"a  \n" * lines
+        or block.count(b"\na ") + block.startswith(b"a ") != lines
         or block[-1:].isdigit()
     ):
         return None
@@ -217,14 +220,14 @@ def _parse_canonical(text: str) -> Instance | None:
     del block
     heads, tails = nums[0::2], tuple(nums[1::2])
     del nums
-    if count and not (1 <= min(tails) and max(tails) <= m):
-        return None
-    if not all(map(le, heads, heads[1:])):
-        # Arcs in another order: sort them as one int each (see _split_keys).
-        heads, tails = _split_keys(sorted(map(add, map(mul, heads, repeat(m + 1)), tails)), m)
-    if count and not (1 <= heads[0] and heads[-1] <= n):
-        return None
-    succ = _succ_table(n, heads, tails)
+    succ = _succ_table(n, m, heads, tails)
+    if succ is None:
+        # Arcs in another order, a repeated arc or an index out of range.
+        # A key i * (m + 1) + j reads back as (i, j) only for 1 <= j <= m,
+        # so the tails are range-checked before the arcs are sorted as keys.
+        if not (1 <= min(tails) and max(tails) <= m):
+            return None
+        succ = _succ_table(n, m, *_split_keys(sorted(map(add, map(mul, heads, repeat(m + 1)), tails)), m))
     return None if succ is None else Instance._from_succ(n, m, succ)
 
 
@@ -235,24 +238,33 @@ def _split_keys(keys: list[int], m: int) -> tuple[list[int], tuple[int, ...]]:
 
 
 def _succ_table(
-    n: int, heads: list[int], tails: tuple[int, ...]
+    n: int, m: int, heads: list[int], tails: tuple[int, ...]
 ) -> tuple[tuple[int, ...], ...] | None:
-    """The successor table of arcs sorted by head, heads in 1..n: each head's
-    run of the tails, sorted if out of order, and () for an A-operation
-    without arcs.  None if a row repeats an arc."""
+    """The successor table of arcs in (i, j) order, or None.
+
+    One pass over the arcs cuts a row where the head changes: each head's
+    run of the tails, and () for an A-operation without arcs.  At each cut
+    the head must rise and be at most n, the new row's first tail at least
+    1 and the closed row's last tail at most m; inside a row each tail must
+    exceed the one before.  So None means arcs out of order, a repeated arc
+    or an index out of range, and a table returned holds only arcs in
+    1..n x 1..m, every row strictly ascending.
+    """
     succ: list[tuple[int, ...]] = [()] * (n + 1)
-    lo, count = 0, len(heads)
-    while lo < count:
-        i = heads[lo]
-        hi = bisect_right(heads, i, lo)
-        row = tails[lo:hi]
-        if not all(map(lt, row, row[1:])):
-            row = tuple(sorted(row))
-            if not all(map(lt, row, row[1:])):
+    last = lo = prev = 0  # the open row's head and first position, the last tail read
+    for k, i, j in zip(count(), heads, tails):
+        if i != last:
+            if not (last < i <= n and 1 <= j and prev <= m):
                 return None
-        succ[i] = row
-        lo = hi
-    return tuple(succ)
+            succ[last] = tails[lo:k]
+            last, lo = i, k
+        elif j <= prev:
+            return None
+        prev = j
+    succ[last] = tails[lo:]
+    # A head of 0 opens no cut, since row 0 is open from the start, so its
+    # arcs can only lead the table and fill row 0.
+    return None if prev > m or succ[0] else tuple(succ)
 
 
 def parse_instance(text: str) -> Instance:
@@ -269,13 +281,16 @@ def parse_instance(text: str) -> Instance:
 
     Text in the canonical layout that ``serialize_instance`` writes (comments
     first, single spaces, a final newline, arcs in any order) is read in one
-    pass over the whole text.  Any other text (a carriage return, tab,
-    extra space, blank line or comment after the header), and every invalid
-    one, goes to the line parser, the one place that raises.  It checks
-    each line's characters and then its grammar before it reads the next
-    line, so an error names the same line whichever layout the text is in.
-    Either way the instance holds its successor table, which the profile
-    shares, and builds ``arcs`` only when something reads it.
+    pass over the whole text: its layout is checked over the whole arc
+    block, and the order, range and uniqueness of its arcs in the one pass
+    of ``_succ_table`` that cuts the rows.  Any other text (a carriage
+    return, tab, extra space, blank line or comment after the header), and
+    every invalid one, goes to the line parser, the one place that raises.
+    It checks each line's characters, then its grammar, then its indices'
+    range, before it reads the next line, so an error names the same line
+    whichever layout the text is in.  Either way the instance holds its
+    successor table, which the profile shares, and builds ``arcs`` only
+    when something reads it.
     """
     inst = _parse_canonical(text)
     if inst is not None:
@@ -332,7 +347,7 @@ def parse_instance(text: str) -> Instance:
         raise InstanceError("missing header")
     # Every arc was range-checked and de-duplicated above, so the result
     # skips __init__'s second walk over them, and no row repeats an arc.
-    return Instance._from_succ(n, m, _succ_table(n, *_split_keys(sorted(keys), m)))
+    return Instance._from_succ(n, m, _succ_table(n, m, *_split_keys(sorted(keys), m)))
 
 
 def serialize_instance(inst: Instance, comments: Iterable[str] = ()) -> str:

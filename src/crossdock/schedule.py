@@ -91,7 +91,14 @@ def complete_m2_erd(inst: Instance, pi: Permutation) -> Schedule:
 
 
 def check_feasible(inst: Instance, sched: Schedule) -> FeasibilityReport:
-    """Collect every violation: non-integer or negative starts, overlaps, broken arcs."""
+    """Collect every violation: non-integer or negative starts, overlaps, broken arcs.
+
+    A size mismatch is reported alone, and a start that is not an exact int
+    stops the check before overlaps and arcs.  Four C-level passes settle
+    the usual case: exact int starts, none negative, none shared on a
+    machine.  Only a schedule that fails one of them is walked start by
+    start, which names each violation.  Broken arcs follow, in (i, j) order.
+    """
     violations: list[str] = []
     if len(sched.start_a) != inst.n or len(sched.start_b) != inst.m:
         violations.append(
@@ -99,30 +106,37 @@ def check_feasible(inst: Instance, sched: Schedule) -> FeasibilityReport:
             f"got {len(sched.start_a)} and {len(sched.start_b)}"
         )
         return FeasibilityReport(ok=False, violations=tuple(violations))
-    typed = True
-    for label, starts in (("A", sched.start_a), ("B", sched.start_b)):
-        for k, s in enumerate(starts, start=1):
-            if type(s) is not int:
-                typed = False
-                violations.append(f"non-integer start: {label}{k} at {s!r}")
-            elif s < 0:
-                violations.append(f"negative start: {label}{k} at {s}")
-    if not typed:
-        # Overlaps and arcs compare start times, which only ints are.
-        return FeasibilityReport(ok=False, violations=tuple(violations))
-    for machine, label, starts in ((1, "A", sched.start_a), (2, "B", sched.start_b)):
-        seen: dict[int, int] = {}
-        for k, s in enumerate(starts, start=1):
-            first = seen.setdefault(s, k)
-            if first != k:
-                violations.append(
-                    f"machine-{machine} overlap: {label}{first} and {label}{k} both at {s}"
-                )
+    start_a, start_b = sched.start_a, sched.start_b
+    if not (
+        set(map(type, start_a)) | set(map(type, start_b)) <= {int}
+        and min(start_a) >= 0
+        and min(start_b) >= 0
+        and len(set(start_a)) == len(start_a)
+        and len(set(start_b)) == len(start_b)
+    ):
+        typed = True
+        for label, starts in (("A", start_a), ("B", start_b)):
+            for k, s in enumerate(starts, start=1):
+                if type(s) is not int:
+                    typed = False
+                    violations.append(f"non-integer start: {label}{k} at {s!r}")
+                elif s < 0:
+                    violations.append(f"negative start: {label}{k} at {s}")
+        if not typed:
+            # Overlaps and arcs compare start times, which only ints are.
+            return FeasibilityReport(ok=False, violations=tuple(violations))
+        for machine, label, starts in ((1, "A", start_a), (2, "B", start_b)):
+            seen: dict[int, int] = {}
+            for k, s in enumerate(starts, start=1):
+                first = seen.setdefault(s, k)
+                if first != k:
+                    violations.append(
+                        f"machine-{machine} overlap: {label}{first} and {label}{k} both at {s}"
+                    )
     # succ rows are sorted, so arcs come out in (i, j) order.  The instance's
     # own table is read, so a check builds no profile.
-    start_b = sched.start_b
     for i, row in enumerate(inst._succ[1:], start=1):
-        done = sched.start_a[i - 1] + 1
+        done = start_a[i - 1] + 1
         for j in row:
             if start_b[j - 1] < done:
                 violations.append(f"precedence violation on arc ({i},{j})")

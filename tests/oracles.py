@@ -21,6 +21,11 @@ order, the check on the ERD rule.  ``optimal_makespan_statespace`` makes
 no modelling assumptions at all (it allows idling on either machine) and
 validates the reduction to machine-1 orders on tiny instances.
 
+``check_feasible_by_walk`` is ``check_feasible`` as it was before its
+C-level passes over the starts: it walks every start, whatever the
+schedule, and the property tests require equal reports, violation order
+included.
+
 ``list_schedule`` lays out a machine-1 order and a machine-2 order from
 given release times, and ``blocks_by_walk`` measures pd2's blocks by
 walking the successors of each block's A-operations.  Both are how the
@@ -38,6 +43,7 @@ from typing import Iterable, Iterator
 from crossdock import (
     Block,
     ExactResult,
+    FeasibilityReport,
     Instance,
     InstanceError,
     Permutation,
@@ -221,6 +227,43 @@ def best_m2_bruteforce(inst: Instance, pi: Permutation) -> Schedule:
             best_starts = starts
     assert best_starts is not None
     return Schedule(start_a=tuple(start_a), start_b=tuple(best_starts))
+
+
+def check_feasible_by_walk(inst: Instance, sched: Schedule) -> FeasibilityReport:
+    """Every violation, found by walking each start: non-integer or negative
+    starts, then overlaps per machine, then broken arcs in (i, j) order."""
+    violations: list[str] = []
+    if len(sched.start_a) != inst.n or len(sched.start_b) != inst.m:
+        violations.append(
+            f"size mismatch: expected {inst.n} A-starts and {inst.m} B-starts, "
+            f"got {len(sched.start_a)} and {len(sched.start_b)}"
+        )
+        return FeasibilityReport(ok=False, violations=tuple(violations))
+    typed = True
+    for label, starts in (("A", sched.start_a), ("B", sched.start_b)):
+        for k, s in enumerate(starts, start=1):
+            if type(s) is not int:
+                typed = False
+                violations.append(f"non-integer start: {label}{k} at {s!r}")
+            elif s < 0:
+                violations.append(f"negative start: {label}{k} at {s}")
+    if not typed:
+        return FeasibilityReport(ok=False, violations=tuple(violations))
+    for machine, label, starts in ((1, "A", sched.start_a), (2, "B", sched.start_b)):
+        seen: dict[int, int] = {}
+        for k, s in enumerate(starts, start=1):
+            first = seen.setdefault(s, k)
+            if first != k:
+                violations.append(
+                    f"machine-{machine} overlap: {label}{first} and {label}{k} both at {s}"
+                )
+    start_b = sched.start_b
+    for i, row in enumerate(inst._succ[1:], start=1):
+        done = sched.start_a[i - 1] + 1
+        for j in row:
+            if start_b[j - 1] < done:
+                violations.append(f"precedence violation on arc ({i},{j})")
+    return FeasibilityReport(ok=not violations, violations=tuple(violations))
 
 
 def list_schedule(

@@ -101,7 +101,9 @@ def edited_texts(draw):
             lines.insert(draw(st.integers(k + 1, len(lines))), lines[k])
         elif edit == "out_of_range":
             i = draw(st.sampled_from([0, 1, inst.n, inst.n + 1]))
-            j = draw(st.sampled_from([0, 1, inst.m, inst.m + 1]))
+            # As a key i * (m + 1) + j, the tail m + 1 would alias (i + 1, 0),
+            # m + 2 (i + 1, 1) and 2m + 1 (i + 1, m): a real arc.
+            j = draw(st.sampled_from([0, 1, inst.m, inst.m + 1, inst.m + 2, 2 * inst.m + 1]))
             lines.insert(draw(st.integers(header + 1, len(lines))), f"a {i} {j}")
         elif edit == "bad_token":
             k = draw(st.integers(0, len(lines) - 1))
@@ -194,6 +196,16 @@ def test_parse_matches_line_parser(text):
         # Its line counts balance, but not its lines.
         ("p cdock 9 9\na 1 2 3\na 4\n", "malformed arc line, line 2"),
         ("c \x0c\np cdock 2 2\n", "control character U+000C, line 1"),
+        # As a key i * (m + 1) + j with m = 2, the arc (1, 4) reads back as
+        # (2, 1): only the range check before the sort keeps it out.
+        pytest.param("p cdock 2 2\na 2 2\na 1 4\n", "index out of range, line 3", id="alias_after_fallback"),
+        pytest.param("p cdock 2 2\na 1 4\na 2 2\n", "index out of range, line 2", id="alias_first"),
+        # Sorted heads, so the one-pass row cut meets each of these itself.
+        pytest.param("p cdock 2 2\na 1 1\na 2 0\na 2 1\n", "index out of range, line 3", id="tail_0_opens_a_row"),
+        pytest.param("p cdock 2 2\na 1 1\na 1 3\na 2 1\n", "index out of range, line 3", id="tail_m_plus_1_closes_a_row"),
+        pytest.param("p cdock 2 2\na 1 1\na 2 1\na 2 1\n", "duplicate arc, line 4", id="repeat_after_a_row_change"),
+        pytest.param("p cdock 2 2\na 0 1\na 1 1\n", "index out of range, line 2", id="head_0_first"),
+        pytest.param("p cdock 2 2\na 1 1\na 2 1\na 3 2\n", "index out of range, line 4", id="head_n_plus_1_sorted"),
     ],
 )
 def test_rejected_texts_give_the_line_parsers_error(text, message):
@@ -251,8 +263,9 @@ def test_valid_non_canonical_texts_take_the_line_parser(text):
         "p cdock 2 2\na 2 1\na 1 1\n",
         "p cdock 2 2\na 2 1\na 1 2\n",
         "p cdock 3 3\na 3 1\na 1 3\na 2 2\na 1 1\n",
+        "p cdock 3 3\na 1 3\na 1 2\na 1 1\na 2 1\n",
     ],
-    ids=["row_unsorted", "rows_unsorted", "rows_unsorted_rising", "shuffled"],
+    ids=["row_unsorted", "rows_unsorted", "rows_unsorted_rising", "shuffled", "row_descending_heads_sorted"],
 )
 def test_arcs_out_of_order_take_the_whole_text_path(text):
     assert instance_module._parse_canonical(text) is not None

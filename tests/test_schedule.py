@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from crossdock import (
     FeasibilityReport,
@@ -20,7 +21,7 @@ from crossdock import (
     TightParams,
 )
 from conftest import EX1_GREEDY_PI
-from oracles import best_m2_bruteforce
+from oracles import best_m2_bruteforce, check_feasible_by_walk
 
 
 def test_release_times_ex1(ex1):
@@ -221,6 +222,40 @@ def test_check_feasible_violation_order():
             "precedence violation on arc (4,1)",
         ),
     )
+
+
+@st.composite
+def edited_schedules(draw):
+    """A drawn instance and ERD's feasible schedule for a drawn order, with
+    up to four starts replaced: by True, a float, a negative, another start
+    of the same machine (an overlap), 0 (on machine 2 this breaks the arcs
+    into that B-operation) or any int up to n + m (late A-starts break arcs)."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    inst = Instance(n, m, draw(st.frozensets(st.tuples(st.integers(1, n), st.integers(1, m)))))
+    sched = complete_m2_erd(inst, tuple(draw(st.permutations(range(1, n + 1)))))
+    starts = [list(sched.start_a), list(sched.start_b)]
+    for _ in range(draw(st.integers(0, 4))):
+        machine = draw(st.sampled_from(starts))
+        k = draw(st.integers(0, len(machine) - 1))
+        machine[k] = draw(
+            st.one_of(
+                st.just(True),
+                st.sampled_from([0.0, 1.0, 2.5]),
+                st.integers(-3, -1),
+                st.sampled_from(machine),
+                st.just(0),
+                st.integers(0, n + m),
+            )
+        )
+    return inst, Schedule(start_a=tuple(starts[0]), start_b=tuple(starts[1]))
+
+
+@given(edited_schedules())
+def test_check_feasible_matches_the_walk(case):
+    # The C-level passes decide only schedules the walk finds no fault in
+    # before the arcs; every report, violation order included, is the walk's.
+    inst, sched = case
+    assert check_feasible(inst, sched) == check_feasible_by_walk(inst, sched)
 
 
 def test_makespan_values(ex1):
