@@ -42,10 +42,8 @@ from .greedy import (
 )
 from .pd2 import (
     Block,
-    DegPick,
     NotD2Error,
     Pd2Trace,
-    ZeroPick,
     blocks,
     blocks_to_json,
     lemma1_bound,
@@ -62,7 +60,6 @@ __all__ = [
     "Block",
     "BoundsReport",
     "Classification",
-    "DegPick",
     "DegreeProfile",
     "ExactResult",
     "FeasibilityReport",
@@ -74,7 +71,6 @@ __all__ = [
     "Permutation",
     "Schedule",
     "TightParams",
-    "ZeroPick",
     "blocks",
     "blocks_to_json",
     "bounds_report",

@@ -149,8 +149,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     directory = Path(args.dir)
     if not directory.is_dir():
         raise CliError(f"not a directory: {args.dir}")
-    algs = [a.strip() for a in args.algs.split(",") if a.strip()]
+    algs = [a.strip() for a in args.algs.split(",")]
     for a in algs:
+        if not a:
+            names = ", ".join(_SOLVERS)
+            raise CliError(f"--algs {args.algs!r} has an empty item; give comma-separated names from {names}")
         if a not in _SOLVERS:
             raise CliError(f"unknown algorithm {a!r}")
 

@@ -143,10 +143,8 @@ def _build_profile(inst: Instance) -> DegreeProfile:
 
 def classify(inst: Instance) -> Classification:
     prof = degree_profile(inst)
-    return Classification(
-        is_d2=all(d == 2 for d in prof.out_deg),
-        has_pendant_b=any(d == 0 for d in prof.in_deg),
-    )
+    out_deg = prof.out_deg
+    return Classification(is_d2=out_deg.count(2) == len(out_deg), has_pendant_b=0 in prof.in_deg)
 
 
 # Per line, once a closing carriage return is dropped: comments may hold any

@@ -17,20 +17,19 @@ pd2 is deterministic, so an instance has one run, and the instance keeps
 it as it keeps its profile: ``solve_pd2`` and ``blocks`` run pd2 at most
 once per ``Instance`` object.
 
-The trace is the one record of a run: one pick event per B-operation, in
-machine-2 order, each with the batch it ran on machine 1 (a zero pick reads
-as degree 0 with an empty batch).  It decomposes into blocks: a block opens
-whenever the picked degree exceeds the current block's label, and the label
-equals the number of machine-1 operations the block runs before its first
-machine-2 operation (the block's offset).  The machine-2 operations
-precedence-forced past the block's last machine-1 completion (the overhang)
-number 1 or 2 for labels >= 2, which is what makes the stitched schedule
-tight.  Both are read off the run's release times.  That lemma speaks of
-pd2 runs only, so ``blocks`` accepts only a trace equal to its instance's
-run.  A trace that ``solve_pd2`` returns holds the run's steps and builds
-its events from them on the first read, so a caller that never reads them
-never pays for them, and ``blocks`` compares its steps with the kept ones
-without building them.
+The trace is the one record of a run: one pick per B-operation, in
+machine-2 order, each the triple ``(b_index, picked_degree, a_batch)`` the
+pick loop builds, with the batch it ran on machine 1 (a zero pick is
+``(j, 0, ())``).  It decomposes into blocks: a block opens whenever the
+picked degree exceeds the current block's label, and the label equals the
+number of machine-1 operations the block runs before its first machine-2
+operation (the block's offset).  The machine-2 operations
+precedence-forced past the block's last machine-1 completion (the
+overhang) number 1 or 2 for labels >= 2, which is what makes the stitched
+schedule tight.  Both are read off the run's release times.  That lemma
+speaks of pd2 runs only, so ``blocks`` accepts only a trace equal to its
+instance's run.  A trace that ``solve_pd2`` returns holds the kept run's
+own tuple of triples, so ``blocks`` checks it with one tuple compare.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ import heapq
 import json
 from dataclasses import asdict, dataclass
 from itertools import zip_longest
-from typing import ClassVar
 
 from .instance import DegreeProfile, Instance, degree_profile
 from .schedule import Schedule
@@ -54,45 +52,14 @@ class NotD2Error(ValueError):
         super().__init__(f"A{a_index} has out-degree {out_deg}, expected 2")
 
 
-@dataclass(frozen=True)
-class ZeroPick:
-    """A pick of a B-operation with no pending predecessor.
-
-    It reads as a pick of degree 0 with an empty batch; both are class
-    constants, not fields, so a zero pick holds and prints only ``b_index``.
-    """
-
-    b_index: int
-    picked_degree: ClassVar[int] = 0
-    a_batch: ClassVar[tuple[int, ...]] = ()
-
-
-@dataclass(frozen=True)
-class DegPick:
-    b_index: int
-    picked_degree: int
-    a_batch: tuple[int, ...]
+Step = tuple[int, int, tuple[int, ...]]
 
 
 @dataclass(frozen=True)
 class Pd2Trace:
-    events: tuple[ZeroPick | DegPick, ...]
+    """A pd2 run: ``(b_index, picked_degree, a_batch)`` per pick, in machine-2 order."""
 
-    def __getstate__(self) -> dict:
-        # Pickles and copies leave out the steps (see solve_pd2), so they
-        # equal a plain trace's, byte for byte.
-        return {"events": self.events}
-
-    def __getattr__(self, name: str) -> tuple[ZeroPick | DegPick, ...]:
-        # Called only when normal lookup fails: on a trace from solve_pd2,
-        # the first read of events builds them from the steps.  Any other
-        # name fails without touching self, so unpickling and copying never
-        # start a build.
-        if name != "events":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        events = tuple([DegPick(j, d, batch) if d else ZeroPick(j) for j, d, batch in self._steps])
-        self.__dict__["events"] = events
-        return events
+    events: tuple[Step, ...]
 
 
 @dataclass(frozen=True)
@@ -112,9 +79,6 @@ def _require_d2(inst: Instance) -> DegreeProfile:
             if d != 2:
                 raise NotD2Error(i, d)
     return prof
-
-
-Step = tuple[int, int, tuple[int, ...]]
 
 
 def _run(prof: DegreeProfile, n: int) -> tuple[list[Step], list[int], list[int], list[int]]:
@@ -196,7 +160,7 @@ def _run(prof: DegreeProfile, n: int) -> tuple[list[Step], list[int], list[int],
     return steps, start_a, start_b, r
 
 
-def _kept_run(inst: Instance) -> tuple[list[Step], Schedule, list[int]]:
+def _kept_run(inst: Instance) -> tuple[tuple[Step, ...], Schedule, list[int]]:
     """The steps, schedule and release times of pd2's run on ``inst``.
 
     The first call on an instance object runs pd2 and keeps the result in
@@ -206,7 +170,7 @@ def _kept_run(inst: Instance) -> tuple[list[Step], Schedule, list[int]]:
     kept = inst.__dict__.get("_pd2_run")
     if kept is None:
         steps, start_a, start_b, r = _run(_require_d2(inst), inst.n)
-        kept = steps, Schedule(start_a=tuple(start_a), start_b=tuple(start_b)), r
+        kept = tuple(steps), Schedule(start_a=tuple(start_a), start_b=tuple(start_b)), r
         inst.__dict__["_pd2_run"] = kept
     return kept
 
@@ -214,10 +178,7 @@ def _kept_run(inst: Instance) -> tuple[list[Step], Schedule, list[int]]:
 def solve_pd2(inst: Instance) -> tuple[Schedule, Pd2Trace]:
     """Run the degree-driven exact algorithm; returns schedule and trace."""
     steps, sched, _ = _kept_run(inst)
-    # The steps are not a field, so they stay out of ==, hash, repr and JSON.
-    trace = Pd2Trace.__new__(Pd2Trace)
-    trace.__dict__["_steps"] = steps
-    return sched, trace
+    return sched, Pd2Trace(steps)
 
 
 def lemma1_bound(inst: Instance) -> int:
@@ -233,25 +194,20 @@ def blocks(inst: Instance, trace: Pd2Trace) -> tuple[Block, ...]:
 
     The block lemma holds for pd2 runs only, and pd2 is deterministic, so
     the trace must equal the run ``solve_pd2(inst)`` returns, which the
-    instance keeps.  A trace whose events were never built and whose steps
-    equal the kept ones is that run, and its events are not built.  Any
-    other trace (hand-built, replaced, unpickled, or solved on another
-    instance) is compared with the run event by event: the first event
-    that differs, or is missing or extra, raises ``ValueError``.
+    instance keeps.  One tuple compare checks that, in C and on item
+    identity for the trace ``solve_pd2`` returned, which holds the kept
+    tuple itself; on a mismatch the first event that differs, or is missing
+    or extra, raises ``ValueError``.
 
     A block whose machine-1 run starts at ``start`` sees B_j ready at
     ``max(0, r[j] - start)`` on its own clock, where ``r[j]`` is B_j's
     release time in the run; no walk over the successors is needed.
     """
     steps, _, r = _kept_run(inst)
-    held = vars(trace)
-    # A list compare walks identities in C when the trace holds the kept list.
-    if "events" in held or held.get("_steps") != steps:
-        for k, (ev, step) in enumerate(zip_longest(trace.events, steps)):
-            got = None if ev is None else (type(ev), ev.b_index, ev.picked_degree, ev.a_batch)
-            want = None if step is None else (DegPick if step[1] else ZeroPick, *step)
+    if trace.events != steps:
+        for k, (got, want) in enumerate(zip_longest(trace.events, steps)):
             if got != want:
-                b = (got or want)[1]
+                b = (got or want)[0]
                 raise ValueError(f"trace is not the pd2 run of this instance at event {k} (B{b})")
     groups: list[tuple[int, list[int], list[int]]] = []  # (label, a_ops, b_ops)
     label = -1
@@ -287,18 +243,12 @@ def blocks(inst: Instance, trace: Pd2Trace) -> tuple[Block, ...]:
 
 def trace_to_json(trace: Pd2Trace) -> str:
     events = []
-    for ev in trace.events:
-        if isinstance(ev, ZeroPick):
-            events.append({"type": "zero", "b": ev.b_index})
+    for j, d, batch in trace.events:
+        # a run's zero picks have empty batches; a hand-built one keeps its batch
+        if d or batch:
+            events.append({"type": "deg", "b": j, "degree": d, "a_batch": list(batch)})
         else:
-            events.append(
-                {
-                    "type": "deg",
-                    "b": ev.b_index,
-                    "degree": ev.picked_degree,
-                    "a_batch": list(ev.a_batch),
-                }
-            )
+            events.append({"type": "zero", "b": j})
     return json.dumps({"events": events}, indent=2) + "\n"
 
 

@@ -9,9 +9,7 @@ import time
 from fractions import Fraction
 
 from crossdock import (
-    DegPick,
     Instance,
-    ZeroPick,
     blocks,
     bounds_report,
     complete_m2_erd,
@@ -49,10 +47,10 @@ def test_criterion_1_worked_example_replay(ex1):
     pred = {j: set(prof.pred[j]) for j in range(1, 8)}
     removed_b: set[int] = set()
     snapshots = []
-    for ev in trace.events:
-        removed_b.add(ev.b_index)
-        if isinstance(ev, DegPick):
-            for a in ev.a_batch:
+    for b, d, batch in trace.events:
+        removed_b.add(b)
+        if d:
+            for a in batch:
                 for j in range(1, 8):
                     pred[j].discard(a)
             snapshots.append(

@@ -7,10 +7,10 @@ key, a position dict, a sort by release time, a walk over ``sorted(arcs)``
 and dict-based adjacency.  ``old_solve_pd2`` is ``solve_pd2`` before it
 shared the machine-2 list scheduler: private predecessor sets and its own
 layout loop.  ``old_blocks`` is ``blocks`` before it read zero and degree
-picks one way: an ``isinstance`` split, a position dict and a start-time
-loop per block.  The library must agree with them exactly, except that
-``blocks`` now rejects every trace but the pd2 run's, which ``old_blocks``
-only spot-checked.
+picks one way: a split of zero from degree picks, a position dict and a
+start-time loop per block.  The library must agree with them exactly,
+except that ``blocks`` now rejects every trace but the pd2 run's, which
+``old_blocks`` only spot-checked.
 """
 
 import heapq
@@ -23,12 +23,10 @@ from hypothesis import given, strategies as st
 import crossdock.instance as instance_module
 from crossdock import (
     Block,
-    DegPick,
     Instance,
     NotD2Error,
     Pd2Trace,
     Schedule,
-    ZeroPick,
     blocks,
     bounds_report,
     check_feasible,
@@ -157,10 +155,10 @@ def old_solve_pd2(inst):
         done_b[j] = True
         m2_seq.append(j)
         if d == 0:
-            events.append(ZeroPick(b_index=j))
+            events.append((j, 0, ()))
             continue
         batch = tuple(sorted(pred[j]))
-        events.append(DegPick(b_index=j, picked_degree=d, a_batch=batch))
+        events.append((j, d, batch))
         m1_seq.extend(batch)
         for a in batch:
             alive_a.discard(a)
@@ -234,33 +232,32 @@ def old_blocks(inst, trace):
     prof = degree_profile(inst)
     seen_a = set()
     seen_b = set()
-    for ev in trace.events:
-        if ev.b_index in seen_b or not (1 <= ev.b_index <= inst.m):
-            raise ValueError(f"trace/instance mismatch at B{ev.b_index}")
-        seen_b.add(ev.b_index)
-        if isinstance(ev, DegPick):
-            if len(ev.a_batch) != ev.picked_degree:
-                raise ValueError(f"batch size mismatch at B{ev.b_index}")
-            for a in ev.a_batch:
-                if a in seen_a or a not in prof.pred[ev.b_index]:
-                    raise ValueError(f"trace/instance mismatch at A{a}")
-                seen_a.add(a)
+    for j, d, batch in trace.events:
+        if j in seen_b or not (1 <= j <= inst.m):
+            raise ValueError(f"trace/instance mismatch at B{j}")
+        seen_b.add(j)
+        if len(batch) != d:
+            raise ValueError(f"batch size mismatch at B{j}")
+        for a in batch:
+            if a in seen_a or a not in prof.pred[j]:
+                raise ValueError(f"trace/instance mismatch at A{a}")
+            seen_a.add(a)
     if seen_b != set(range(1, inst.m + 1)):
         raise ValueError("trace does not cover every B-operation")
     groups = []
     current = None
-    for ev in trace.events:
-        if isinstance(ev, ZeroPick):
+    for j, d, batch in trace.events:
+        if d == 0:
             if current is None:
                 current = (0, [], [])
                 groups.append(current)
-            current[2].append(ev.b_index)
+            current[2].append(j)
         else:
-            if current is None or ev.picked_degree > current[0]:
-                current = (ev.picked_degree, [], [])
+            if current is None or d > current[0]:
+                current = (d, [], [])
                 groups.append(current)
-            current[1].extend(ev.a_batch)
-            current[2].append(ev.b_index)
+            current[1].extend(batch)
+            current[2].append(j)
     result = []
     for label, a_ops, b_ops in groups:
         pos = {a: k for k, a in enumerate(a_ops)}
@@ -296,10 +293,7 @@ def validated_traces(draw):
         batch = [a for a in pred[j] if a not in done and rng.random() < 0.6]
         rng.shuffle(batch)
         done.update(batch)
-        if batch or rng.random() < 0.5:
-            events.append(DegPick(b_index=j, picked_degree=len(batch), a_batch=tuple(batch)))
-        else:
-            events.append(ZeroPick(b_index=j))
+        events.append((j, len(batch), tuple(batch)))
     return inst, Pd2Trace(events=tuple(events))
 
 
@@ -315,17 +309,17 @@ def tampered_traces(draw):
     inst, trace = draw(st.one_of(validated_traces(), solved_d2_traces()))
     events = list(trace.events)
     k = draw(st.integers(0, len(events) - 1))
-    ev = events[k]
+    j, d, batch = events[k]
     how = draw(st.sampled_from(["drop", "repeat", "degree", "foreign_a"]))
     if how == "drop":
         del events[k]
     elif how == "repeat":
-        events.append(ev)
+        events.append(events[k])
     elif how == "degree":
-        events[k] = DegPick(ev.b_index, ev.picked_degree + 1, ev.a_batch)
+        events[k] = (j, d + 1, batch)
     else:
         a = draw(st.integers(1, inst.n + 1))
-        events[k] = DegPick(ev.b_index, len(ev.a_batch) + 1, (*ev.a_batch, a))
+        events[k] = (j, len(batch) + 1, (*batch, a))
     return inst, Pd2Trace(events=tuple(events))
 
 

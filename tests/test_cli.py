@@ -427,6 +427,14 @@ def test_bench_rejects_unknown_algorithm(ex1_file, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("algs", ["", ",", "greedy,,pd2", "greedy,", " ,pd2"])
+def test_bench_rejects_an_empty_algorithm_item(ex1_file, capsys, algs):
+    assert main(["bench", "--dir", str(ex1_file.parent), "--algs", algs]) == 2
+    captured = capsys.readouterr()
+    assert f"--algs {algs!r} has an empty item" in captured.err
+    assert captured.out == ""
+
+
 @st.composite
 def solver_instances(draw):
     if draw(st.booleans()):

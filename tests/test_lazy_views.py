@@ -1,14 +1,13 @@
-"""``Instance.arcs`` and ``Pd2Trace.events`` are built on first read.
+"""``Instance.arcs`` is built on first read.
 
 An instance is its successor table: ``==``, ``hash`` and ``repr`` read
 ``(n, m, _succ)``, and the arc set is a view built from the table only when
-something reads it.  A trace that ``solve_pd2`` returns keeps the run's
-steps and builds its events the same way.  These tests pin both halves: the
-library and CLI pipelines never build either view; every generator and both
-parser paths give a canonical table, so table equality is arc-set equality;
-and a built trace behaves exactly as its eagerly built twin under ``==``,
-``hash``, ``repr``, ``asdict``, ``replace``, pickle, ``copy`` and
-``deepcopy``.
+something reads it.  These tests pin that: the library and CLI pipelines
+never build it, and a solved trace holds the instance's kept run itself;
+every generator and both parser paths give a canonical table, so table
+equality is arc-set equality; and a parsed instance behaves exactly as its
+constructed twin under ``==``, ``hash``, ``repr``, ``asdict``, pickle,
+``copy`` and ``deepcopy``.
 """
 
 import copy
@@ -22,12 +21,9 @@ import crossdock.cli as cli
 import crossdock.instance as instance_module
 import crossdock.pd2 as pd2
 from crossdock import (
-    DegPick,
     Instance,
-    Pd2Trace,
     Schedule,
     TightParams,
-    ZeroPick,
     blocks,
     bounds_report,
     check_feasible,
@@ -43,7 +39,6 @@ from crossdock import (
     solve_exact,
     solve_greedy,
     solve_pd2,
-    trace_to_json,
 )
 
 
@@ -62,7 +57,7 @@ def test_pd2_pipeline_builds_neither_view(layout):
     assert blocks(inst, trace)
     assert check_feasible(inst, sched).ok
     assert "arcs" not in vars(inst)
-    assert "events" not in vars(trace)
+    assert trace.events is pd2._kept_run(inst)[0]
 
 
 @LAYOUTS
@@ -158,7 +153,7 @@ def test_cli_solve_and_verify_build_neither_view(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert len(instances) == 4 and len(traces) == 1
     assert not any("arcs" in vars(inst) for inst in instances)
-    assert "events" not in vars(traces[0])
+    assert traces[0].events is pd2._kept_run(instances[0])[0]
     # verify reads the instance's successor table, not a profile.
     assert not any("profile" in vars(inst) for inst in instances[1::2])
 
@@ -194,27 +189,6 @@ def test_exact_and_erd_build_no_profile(make):
         max((pi.index(i) + 1 for i, k in arcs if k == j), default=0) for j in range(1, inst.m + 1)
     )
     assert "profile" not in vars(inst) and "arcs" not in vars(inst)
-
-
-def _same_under_every_view(fresh, eager, field, check_pickle_bytes):
-    """Each operation on a fresh lazy object gives what it gives on ``eager``.
-
-    ``fresh()`` returns a new object whose view ``field`` is not yet built,
-    so every operation below is the first to read it.
-    """
-    lazy = fresh()
-    assert field not in vars(lazy)
-    assert lazy == eager and eager == fresh()
-    assert hash(fresh()) == hash(eager)
-    assert repr(fresh()) == repr(eager)
-    assert dataclasses.asdict(fresh()) == dataclasses.asdict(eager)
-    assert repr(dataclasses.replace(fresh())) == repr(dataclasses.replace(eager))
-    for trip in (lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy):
-        again = trip(fresh())
-        assert again == eager and repr(again) == repr(eager)
-    if check_pickle_bytes:
-        assert pickle.dumps(fresh()) == pickle.dumps(eager)
-    assert field in vars(lazy) and getattr(lazy, field) == getattr(eager, field)
 
 
 def _arc_sets(n, m):
@@ -329,23 +303,3 @@ def test_eq_and_hash_build_neither_view(layout):
     assert repr(parsed) == repr(generated) != repr(other)
     for inst in (parsed, twin, generated, other):
         assert "arcs" not in vars(inst) and "profile" not in vars(inst)
-
-
-def _eager_trace(inst):
-    """The trace as ``solve_pd2`` built it before events became lazy."""
-    prof = pd2._require_d2(inst)
-    steps = pd2._run(prof, inst.n)[0]
-    return Pd2Trace(tuple([DegPick(j, d, b) if d else ZeroPick(j) for j, d, b in steps]))
-
-
-@given(
-    st.integers(2, 40).flatmap(
-        lambda b: st.tuples(st.integers(1, 40), st.just(b), st.integers(0, b - 2), st.integers(0, 2**32))
-    )
-)
-def test_lazy_events_match_an_eager_trace(params):
-    inst = gen_d2(*params)
-    eager = _eager_trace(inst)
-    _same_under_every_view(lambda: solve_pd2(inst)[1], eager, "events", check_pickle_bytes=True)
-    assert trace_to_json(solve_pd2(inst)[1]) == trace_to_json(eager)
-    assert blocks(inst, solve_pd2(inst)[1]) == blocks(inst, eager)

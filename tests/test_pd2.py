@@ -1,20 +1,21 @@
+import hashlib
+import json
 import random
 
 import pytest
 
 import crossdock.pd2 as pd2
 from crossdock import (
-    DegPick,
     Instance,
     NotD2Error,
     Pd2Trace,
-    ZeroPick,
     blocks,
     blocks_to_json,
     check_feasible,
     gen_d2,
     lemma1_bound,
     makespan,
+    schedule_to_json,
     solve_exact,
     solve_pd2,
     trace_to_json,
@@ -23,15 +24,11 @@ from crossdock.instance import _build_profile
 
 
 def m2_sequence(trace):
-    return tuple(ev.b_index for ev in trace.events)
+    return tuple(j for j, _, _ in trace.events)
 
 
 def m1_sequence(trace):
-    out = []
-    for ev in trace.events:
-        if isinstance(ev, DegPick):
-            out.extend(ev.a_batch)
-    return tuple(out)
+    return tuple(a for _, _, batch in trace.events for a in batch)
 
 
 def test_solve_pd2_ex1(ex1):
@@ -139,18 +136,12 @@ def _k22():
 
 def test_blocks_rejects_traces_that_skip_predecessors():
     inst = _k22()
-    assert solve_pd2(inst)[1].events == (DegPick(1, 2, (1, 2)), ZeroPick(2))
+    assert solve_pd2(inst)[1].events == ((1, 2, (1, 2)), (2, 0, ()))
     # B1 picked at degree 0 (label-0 block), and B1 at degree 1 with one
     # of its two predecessors (label-1 block): neither is the pd2 run.
-    for events in [(ZeroPick(1), ZeroPick(2)), (DegPick(1, 1, (2,)), ZeroPick(2))]:
+    for events in [((1, 0, ()), (2, 0, ())), ((1, 1, (2,)), (2, 0, ()))]:
         with pytest.raises(ValueError, match="event 0 \\(B1\\)"):
             blocks(inst, Pd2Trace(events=events))
-
-
-def test_blocks_rejects_zero_pick_as_degree_pick():
-    inst = _k22()
-    with pytest.raises(ValueError, match="event 1 \\(B2\\)"):
-        blocks(inst, Pd2Trace(events=(DegPick(1, 2, (1, 2)), DegPick(2, 0, ()))))
 
 
 def test_blocks_rejects_swapped_events(ex1):
@@ -165,11 +156,11 @@ def test_blocks_rejects_truncated_and_extended_traces(ex1):
     with pytest.raises(ValueError, match="event 6 \\(B3\\)"):
         blocks(ex1, Pd2Trace(events=events[:-1]))
     with pytest.raises(ValueError, match="event 7 \\(B1\\)"):
-        blocks(ex1, Pd2Trace(events=(*events, ZeroPick(1))))
+        blocks(ex1, Pd2Trace(events=(*events, (1, 0, ()))))
 
 
 def test_blocks_rejects_non_d2(cex):
-    trace = Pd2Trace(events=tuple(ZeroPick(j) for j in range(1, cex.m + 1)))
+    trace = Pd2Trace(events=tuple((j, 0, ()) for j in range(1, cex.m + 1)))
     with pytest.raises(NotD2Error):
         blocks(cex, trace)
 
@@ -191,9 +182,9 @@ def test_block_structure_invariants():
                 assert blk.overhang_len in (1, 2)
         assert a_blocks[-1].overhang_len == 2
         # trace covers every operation exactly once
-        seen_b = [ev.b_index for ev in trace.events]
+        seen_b = list(m2_sequence(trace))
         assert sorted(seen_b) == list(range(1, inst.m + 1))
-        seen_a = [x for ev in trace.events if isinstance(ev, DegPick) for x in ev.a_batch]
+        seen_a = list(m1_sequence(trace))
         assert sorted(seen_a) == list(range(1, inst.n + 1))
 
 
@@ -203,6 +194,13 @@ def test_trace_and_blocks_json(ex1):
     assert '"type": "zero"' in tj and '"type": "deg"' in tj
     bj = blocks_to_json(blocks(ex1, trace))
     assert '"label": 3' in bj and '"overhang_len": 2' in bj
+
+
+def test_trace_json_keeps_a_batch_at_degree_zero():
+    text = trace_to_json(Pd2Trace(events=((2, 0, (1,)), (1, 0, ()))))
+    assert json.loads(text) == {
+        "events": [{"type": "deg", "b": 2, "degree": 0, "a_batch": [1]}, {"type": "zero", "b": 1}]
+    }
 
 
 def _json_block(label, a_ops, b_ops, offset_len, overhang_len):
@@ -236,8 +234,23 @@ def test_blocks_json_full_text(ex1):
 
 def test_trace_event_batches_match_degrees(ex1):
     _, trace = solve_pd2(ex1)
-    for ev in trace.events:
-        if isinstance(ev, DegPick):
-            assert len(ev.a_batch) == ev.picked_degree
-        else:
-            assert isinstance(ev, ZeroPick)
+    for _, d, batch in trace.events:
+        assert len(batch) == d
+
+
+# Recorded from pd2 as it ran before its trace became the pick loop's own
+# triples; any change to a pick, a batch, a block or a start changes it.
+PD2_GOLDEN_DIGEST = "8ac0a7e759a7a39bf98ed689e34aee9520012180d6c473d22aa87157fe1a7ad6"
+
+
+def test_pd2_output_golden_digest():
+    digest = hashlib.sha256()
+    for a in range(1, 60, 3):
+        for b in range(3, 60, 5):
+            for p in sorted({0, 1, b - 2}):
+                for seed in range(4):
+                    inst = gen_d2(a, b, p, seed)
+                    sched, trace = solve_pd2(inst)
+                    text = trace_to_json(trace) + blocks_to_json(blocks(inst, trace)) + schedule_to_json(sched)
+                    digest.update(text.encode())
+    assert digest.hexdigest() == PD2_GOLDEN_DIGEST

@@ -6,13 +6,13 @@ loops in ``test_exact_dp.py`` cover the same claims at n = 10-14.
 """
 
 import json
+import pickle
 
 from hypothesis import given, strategies as st
 
 import crossdock.pd2 as pd2
 from crossdock import (
     Instance,
-    Pd2Trace,
     Schedule,
     blocks,
     bounds_report,
@@ -72,14 +72,10 @@ def test_block_lemma(inst):
 
 @given(d2_instances(max_a=60, max_b=60))
 def test_solved_trace_gives_the_replayed_blocks(inst):
-    # blocks takes solve_pd2's trace as the run by its steps, and compares a
-    # plain copy with the run event by event
+    # solve_pd2's trace holds the kept run's own steps, and an unpickled
+    # copy, whose steps are equal but new objects, is compared by value
     _, trace = solve_pd2(inst)
-    assert blocks(inst, trace) == blocks(inst, Pd2Trace(trace.events))
-
-
-def _steps(trace):
-    return [(ev.b_index, ev.picked_degree, ev.a_batch) for ev in trace.events]
+    assert blocks(inst, trace) == blocks(inst, pickle.loads(pickle.dumps(trace)))
 
 
 @given(d2_instances(max_a=60, max_b=60))
@@ -87,7 +83,7 @@ def test_pd2_schedule_is_its_batches_laid_out_by_release_times(inst):
     # The pick loop writes the schedule and release times itself; they must
     # be the batches' concatenation laid out by release_times in pick order.
     sched, trace = solve_pd2(inst)
-    steps = _steps(trace)
+    steps = trace.events
     pi = tuple(a for _, _, batch in steps for a in batch)
     r = release_times(inst, pi)
     assert sched == list_schedule(inst, pi, r, [j for j, _, _ in steps])
@@ -97,12 +93,12 @@ def test_pd2_schedule_is_its_batches_laid_out_by_release_times(inst):
 @given(d2_instances(max_a=60, max_b=60))
 def test_blocks_match_the_successor_walk(inst):
     # blocks reads offset and overhang off the release times the instance
-    # keeps with its run, for the solved trace and for a plain copy alike.
+    # keeps with its run, for the solved trace and an unpickled copy alike.
     _, trace = solve_pd2(inst)
     solved = blocks(inst, trace)
-    walked = blocks_by_walk(inst, _steps(trace))
+    walked = blocks_by_walk(inst, trace.events)
     assert solved == walked
-    assert blocks(inst, Pd2Trace(trace.events)) == walked
+    assert blocks(inst, pickle.loads(pickle.dumps(trace))) == walked
 
 
 # Comment text that the parser keeps out of the instance: no line breaks or
