@@ -19,7 +19,7 @@ from pathlib import Path
 from . import generators
 from .greedy import bounds_report, solve_greedy
 from .instance import Instance, InstanceError, classify, parse_instance, serialize_instance
-from .pd2 import NotD2Error, lemma1_bound, solve_pd2
+from .pd2 import NotD2Error, solve_pd2
 from .exact import EXACT_DEFAULT_LIMIT, EXACT_MAX_N, solve_exact
 from .schedule import (
     check_feasible,
@@ -124,7 +124,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     print(f"greedy_upper {rep.greedy_upper}")
     print(f"ratio_bound {_fraction(rep.ratio_bound)}")
     if classify(inst).is_d2:
-        print(f"lemma1_bound {lemma1_bound(inst)}")
+        print(f"lemma1_bound {rep.lower_bound}")
     return 0
 
 

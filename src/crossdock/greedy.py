@@ -16,6 +16,8 @@ of 3), so certificates here use max{n+dminA, m+dminB}: the last machine-1
 completion (at least n) is followed by at least dminA successors, and
 machine 2 carries m operations none of which can start before dminB.
 Reports carry the published form alongside, flagged, for comparison.
+pd2 meets this corrected bound on every two-successor instance; Lemma 1's
+class bound is this bound restricted to that class (see ``lemma1_bound``).
 """
 
 from __future__ import annotations

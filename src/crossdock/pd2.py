@@ -3,15 +3,17 @@
 The algorithm repeatedly takes the pending B-operation of minimal current
 in-degree (zero-degree ones go straight onto machine 2), runs its
 remaining predecessors on machine 1, and updates degrees.  The resulting
-schedule meets the class lower bound max{n+2, m} (max{n+2, m+1} without
-pendant B-operations), hence is optimal.  One private function, ``_run``,
-is the pick loop, and it lays out the schedule as it picks: each batch's
-A-operations take the next machine-1 positions, each successor's release
-time is overwritten with the completion of its latest predecessor, and
-each pick starts on machine 2 at the later of its release and the previous
-completion.  That is the machine-1 order of the batches completed in pick
-order, with no second walk over the arcs.  The bookkeeping keeps no copy
-of the shared adjacency: one done-flag per operation marks what has run.
+schedule meets ``lower_bound``, the paper's corrected bound, hence is
+optimal; Lemma 1's class bound max{n+2, m} (max{n+2, m+1} without pendant
+B-operations) is that bound restricted to this class, and ``lemma1_bound``
+returns it.  One private function, ``_run``, is the pick loop, and it lays
+out the schedule as it picks: each batch's A-operations take the next
+machine-1 positions, each successor's release time is overwritten with the
+completion of its latest predecessor, and each pick starts on machine 2 at
+the later of its release and the previous completion.  That is the
+machine-1 order of the batches completed in pick order, with no second
+walk over the arcs.  The bookkeeping keeps no copy of the shared
+adjacency: one done-flag per operation marks what has run.
 
 pd2 is deterministic, so an instance has one run, and the instance keeps
 it as it keeps its profile: ``solve_pd2`` and ``blocks`` run pd2 at most
@@ -39,6 +41,7 @@ import json
 from dataclasses import asdict, dataclass
 from itertools import zip_longest
 
+from .greedy import lower_bound
 from .instance import DegreeProfile, Instance, degree_profile
 from .schedule import Schedule
 
@@ -57,9 +60,17 @@ Step = tuple[int, int, tuple[int, ...]]
 
 @dataclass(frozen=True)
 class Pd2Trace:
-    """A pd2 run: ``(b_index, picked_degree, a_batch)`` per pick, in machine-2 order."""
+    """A pd2 run: ``(b_index, picked_degree, a_batch)`` per pick, in machine-2 order.
+
+    ``events`` must be a tuple, so that a trace hashes and compares equal
+    to the run it records; anything else raises ``TypeError``.
+    """
 
     events: tuple[Step, ...]
+
+    def __post_init__(self) -> None:
+        if type(self.events) is not tuple:
+            raise TypeError(f"Pd2Trace events must be a tuple, got {type(self.events).__name__}")
 
 
 @dataclass(frozen=True)
@@ -182,11 +193,23 @@ def solve_pd2(inst: Instance) -> tuple[Schedule, Pd2Trace]:
 
 
 def lemma1_bound(inst: Instance) -> int:
-    """Class lower bound: max{n+2, m} with pendant B-operations, else max{n+2, m+1}."""
-    prof = _require_d2(inst)
-    if 0 in prof.in_deg:
-        return max(inst.n + 2, inst.m)
-    return max(inst.n + 2, inst.m + 1)
+    """Lemma 1's class bound, which is ``lower_bound`` on this class.
+
+    Lemma 1 bounds a two-successor instance by max{n+2, m} with pendant
+    B-operations, else max{n+2, m+1}.  Every out-degree is 2, so
+    ``lower_bound`` is max{n+2, m+d} with d = dminB:
+
+    - d = 0 gives max{n+2, m};
+    - d = 1 gives max{n+2, m+1};
+    - d >= 2: 2n, the sum of the in-degrees, is at least d*m, so
+      m + d <= 2n/d + d, which is convex in d and equals n + 2 at d = 2
+      and at d = n (d <= n, since each in-degree counts distinct
+      A-operations); both bounds are then n + 2.
+
+    Raises ``NotD2Error`` off the class.
+    """
+    _require_d2(inst)
+    return lower_bound(inst)
 
 
 def blocks(inst: Instance, trace: Pd2Trace) -> tuple[Block, ...]:

@@ -16,6 +16,9 @@ before the canonical whole-text path, the reference the differential parse
 tests compare ``parse_instance`` against.
 
 ``prefix_q`` is the q statistic over a given machine-1 order.
+``lemma1_closed_form`` is Lemma 1's class bound in the form the library
+computed it before ``lemma1_bound`` became ``lower_bound`` on the
+two-successor class; the property tests require the two to agree.
 ``best_m2_bruteforce`` tries every machine-2 order for a fixed machine-1
 order, the check on the ERD rule.  ``optimal_makespan_statespace`` makes
 no modelling assumptions at all (it allows idling on either machine) and
@@ -198,6 +201,14 @@ def prefix_q(inst: Instance, pi: Permutation) -> int:
         if prefix > len(inst.arcs) - inst.m:
             return q
     raise AssertionError("unreachable: inequality holds at q=n since m >= 1")
+
+
+def lemma1_closed_form(inst: Instance) -> int:
+    """Lemma 1's bound on a two-successor instance: max{n+2, m} with a
+    pendant B-operation, else max{n+2, m+1}."""
+    if 0 in degree_profile(inst).in_deg:
+        return max(inst.n + 2, inst.m)
+    return max(inst.n + 2, inst.m + 1)
 
 
 def best_m2_bruteforce(inst: Instance, pi: Permutation) -> Schedule:

@@ -110,7 +110,7 @@ def test_criterion_3_pd2_optimality():
     t0 = time.perf_counter()
     for inst in _random_d2_batch():
         sched, _ = solve_pd2(inst)
-        assert makespan(sched) == solve_exact(inst).optimal_makespan == lemma1_bound(inst)
+        assert makespan(sched) == solve_exact(inst).optimal_makespan == lemma1_bound(inst) == lower_bound(inst)
     assert time.perf_counter() - t0 < 60.0
     _report(3, "exact-class optimality on 220 random instances")
 
@@ -201,7 +201,7 @@ def test_criterion_10_exactness_at_larger_n():
         n, m = rng.randint(12, 14), rng.randint(12, 14)
         inst = gen_d2(n, m, rng.randint(0, m - 2), seed)
         sched, _ = solve_pd2(inst)
-        assert makespan(sched) == solve_exact(inst).optimal_makespan == lemma1_bound(inst)
+        assert makespan(sched) == solve_exact(inst).optimal_makespan == lemma1_bound(inst) == lower_bound(inst)
     for seed in range(40):
         rng = random.Random(50_000 + seed)
         n, m = rng.randint(12, 14), rng.randint(12, 14)

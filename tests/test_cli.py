@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -13,6 +14,7 @@ from crossdock import (
     lower_bound,
     makespan,
     parse_instance,
+    serialize_instance,
 )
 from conftest import EX1_TEXT
 
@@ -125,6 +127,23 @@ def test_bound_flags_printed_form(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "lower_bound 3" in out
     assert "lower_bound_printed 4 [exceeds corrected bound]" in out
+
+
+# Recorded from ``bound`` as it printed Lemma 1's closed form; any change to
+# a line it prints on a two-successor file changes it.
+BOUND_D2_GOLDEN_DIGEST = "fd58142a660cc4e76664b6a417dd6ddada75587f3790c465c9d48991a4bc9957"
+
+
+def test_bound_output_on_d2_files_golden_digest(tmp_path, capsys):
+    for a in range(1, 40, 2):
+        for b in range(2, 40, 3):
+            for p in sorted({0, 1, b - 2}):
+                if b - p < 2:
+                    continue
+                path = tmp_path / f"d2-{a}-{b}-{p}.cd"
+                path.write_text(serialize_instance(gen_d2(a, b, p, a * b)))
+                assert main(["bound", "--in", str(path)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == BOUND_D2_GOLDEN_DIGEST
 
 
 def test_verify_round_trip(ex1_file, tmp_path, capsys):

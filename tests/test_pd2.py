@@ -14,6 +14,7 @@ from crossdock import (
     check_feasible,
     gen_d2,
     lemma1_bound,
+    lower_bound,
     makespan,
     schedule_to_json,
     solve_exact,
@@ -21,6 +22,7 @@ from crossdock import (
     trace_to_json,
 )
 from crossdock.instance import _build_profile
+from oracles import lemma1_closed_form
 
 
 def m2_sequence(trace):
@@ -78,6 +80,30 @@ def test_lemma1_bound_values(ex1):
 def test_lemma1_bound_rejects_non_d2(cex):
     with pytest.raises(NotD2Error):
         lemma1_bound(cex)
+
+
+def _in_degree_regular(n, m):
+    """A d2 instance whose B-operations all have in-degree 2n/m: A_i takes
+    slots 2i-1 and 2i of the sequence 1, 2, ..., m, 1, 2, ... (m >= 2 and
+    m divides 2n), two consecutive and hence distinct B-operations."""
+    arcs = frozenset((k // 2 + 1, k % m + 1) for k in range(2 * n))
+    return Instance(n=n, m=m, arcs=arcs)
+
+
+def test_lemma1_bound_on_in_degree_regular_instances():
+    # Every in-degree is d = 2n/m, from 2 (m = n) up to n (m = 2): the
+    # range where m + d <= n + 2 rests on the convexity of 2n/d + d, with
+    # equality at both ends and only there.
+    for n in range(2, 40):
+        for m in range(2, n + 1):
+            if 2 * n % m:
+                continue
+            inst = _in_degree_regular(n, m)
+            d = 2 * n // m
+            assert set(inst.profile.in_deg) == {d} and set(inst.profile.out_deg) == {2}
+            assert lemma1_bound(inst) == lower_bound(inst) == lemma1_closed_form(inst) == n + 2
+            assert makespan(solve_pd2(inst)[0]) == n + 2
+            assert (m + d == n + 2) == (d in (2, n))
 
 
 def test_pd2_optimal_on_random_instances():
@@ -157,6 +183,16 @@ def test_blocks_rejects_truncated_and_extended_traces(ex1):
         blocks(ex1, Pd2Trace(events=events[:-1]))
     with pytest.raises(ValueError, match="event 7 \\(B1\\)"):
         blocks(ex1, Pd2Trace(events=(*events, (1, 0, ()))))
+
+
+def test_trace_refuses_events_that_are_not_a_tuple(ex1):
+    _, trace = solve_pd2(ex1)
+    with pytest.raises(TypeError, match="must be a tuple, got list"):
+        Pd2Trace(list(trace.events))
+    with pytest.raises(TypeError, match="got NoneType"):
+        Pd2Trace(None)
+    # a solved trace, and one built by hand around a tuple, still hash
+    assert hash(trace) == hash(Pd2Trace(tuple(trace.events)))
 
 
 def test_blocks_rejects_non_d2(cex):

@@ -18,6 +18,7 @@ from crossdock import (
     bounds_report,
     gen_d2,
     lemma1_bound,
+    lower_bound,
     makespan,
     parse_instance,
     release_times,
@@ -28,7 +29,7 @@ from crossdock import (
     solve_greedy,
     solve_pd2,
 )
-from oracles import blocks_by_walk, list_schedule
+from oracles import blocks_by_walk, lemma1_closed_form, list_schedule
 
 
 @st.composite
@@ -46,6 +47,29 @@ def d2_instances(draw, max_a, max_b):
     return gen_d2(draw(st.integers(1, max_a)), b, pendants, draw(st.integers(0, 2**32)))
 
 
+@st.composite
+def gen_d2_edge_pendants(draw, max_a, max_b):
+    """gen_d2 with no pendant, one, or all but two."""
+    b = draw(st.integers(2, max_b))
+    pendants = draw(st.sampled_from([p for p in sorted({0, 1, b - 2}) if b - p >= 2]))
+    return gen_d2(draw(st.integers(1, max_a)), b, pendants, draw(st.integers(0, 2**32)))
+
+
+@st.composite
+def hand_built_d2(draw, max_n, max_m):
+    """Two distinct successors per A-operation, drawn from all of 1..m."""
+    n = draw(st.integers(1, max_n))
+    m = draw(st.integers(2, max_m))
+    pair = st.lists(st.integers(1, m), min_size=2, max_size=2, unique=True)
+    pairs = draw(st.lists(pair, min_size=n, max_size=n))
+    return Instance(n=n, m=m, arcs=frozenset((i, j) for i, js in enumerate(pairs, start=1) for j in js))
+
+
+@given(st.one_of(gen_d2_edge_pendants(max_a=40, max_b=40), hand_built_d2(max_n=40, max_m=40)))
+def test_lemma1_bound_is_the_corrected_bound_and_the_closed_form(inst):
+    assert lemma1_bound(inst) == lower_bound(inst) == lemma1_closed_form(inst)
+
+
 @given(arc_sets(max_size=10))
 def test_bounds_sandwich_the_optimum_and_greedy(inst):
     rep = bounds_report(inst)
@@ -56,7 +80,7 @@ def test_bounds_sandwich_the_optimum_and_greedy(inst):
 @given(d2_instances(max_a=12, max_b=12))
 def test_pd2_meets_lemma1_bound_and_is_optimal(inst):
     sched, _ = solve_pd2(inst)
-    assert makespan(sched) == lemma1_bound(inst) == solve_exact(inst).optimal_makespan
+    assert makespan(sched) == lemma1_bound(inst) == lower_bound(inst) == solve_exact(inst).optimal_makespan
 
 
 @given(d2_instances(max_a=60, max_b=60))
