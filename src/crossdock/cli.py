@@ -10,7 +10,6 @@ import argparse
 import csv
 import functools
 import io
-import math
 import sys
 import time
 from fractions import Fraction
@@ -20,7 +19,7 @@ from . import generators
 from .greedy import bounds_report, solve_greedy
 from .instance import Instance, InstanceError, classify, parse_instance, serialize_instance
 from .pd2 import NotD2Error, solve_pd2
-from .exact import EXACT_DEFAULT_LIMIT, EXACT_MAX_N, solve_exact
+from .exact import solve_exact
 from .schedule import (
     check_feasible,
     makespan,
@@ -29,12 +28,12 @@ from .schedule import (
     schedule_to_json,
 )
 
-# ``--alg`` name -> solver(instance, exact limit) -> Schedule: the one name to
-# solver map, read by ``solve``, ``bench`` and both argument parsers.
+# The one ``--alg`` name -> solver(instance) -> Schedule map.  Each entry looks
+# its solver up when called, so a wrapper later set on these names is used.
 _SOLVERS = {
-    "greedy": lambda inst, _limit: solve_greedy(inst),
-    "pd2": lambda inst, _limit: solve_pd2(inst)[0],
-    "exact": lambda inst, limit: solve_exact(inst, max_n=limit).schedule,
+    "greedy": lambda inst: solve_greedy(inst),
+    "pd2": lambda inst: solve_pd2(inst)[0],
+    "exact": lambda inst: solve_exact(inst).schedule,
 }
 
 
@@ -95,7 +94,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     inst = _read_instance(args.infile)
     try:
-        sched = _SOLVERS[args.alg](inst, args.exact_limit)
+        sched = _SOLVERS[args.alg](inst)
     except NotD2Error as exc:
         raise CliError(f"pd2 requires every A out-degree 2: {exc}") from exc
     except ValueError as exc:
@@ -173,7 +172,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         for alg in sorted(set(algs)):
             t0 = time.perf_counter()
             try:
-                mk = makespan(_SOLVERS[alg](inst, args.exact_limit))
+                mk = makespan(_SOLVERS[alg](inst))
             except NotD2Error:
                 print(f"skipping pd2 on {path.name}: not in the two-successor class", file=sys.stderr)
                 continue
@@ -203,23 +202,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _int_arg(text: str, low: int = 0, high: float = math.inf) -> int:
-    """An integer option in low..high, in ASCII digits only.  int() alone
-    also takes a sign, "_", spaces and other scripts' digits, and the value
-    used, which ``gen`` records, would not be the one typed."""
-    try:
-        value = int(text) if text.isascii() and text.isdigit() else None
-    except ValueError:  # more digits than int() reads
-        value = None
-    if value is None or not low <= value <= high:
-        expected = "of ASCII digits" if high == math.inf else f"in {low}..{high}"
-        raise argparse.ArgumentTypeError(f"must be an integer {expected}, got {text!r}")
-    return value
-
-
-def _exact_limit(text: str) -> int:
-    """``--exact-limit``: an integer the exact solver's 2^n table allows."""
-    return _int_arg(text, 1, EXACT_MAX_N)
+def _int_arg(text: str) -> int:
+    """An integer option in ASCII digits only.  int() alone also takes a
+    sign, "_", spaces and other scripts' digits, and the value used, which
+    ``gen`` records, would not be the one typed."""
+    if text.isascii() and text.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() reads
+            pass
+    raise argparse.ArgumentTypeError(f"must be an integer of ASCII digits, got {text!r}")
 
 
 def _p_arg(text: str) -> float:
@@ -261,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--in", dest="infile", required=True)
     solve.add_argument("--out")
     solve.add_argument("--gantt", action="store_true")
-    solve.add_argument("--exact-limit", type=_exact_limit, default=EXACT_DEFAULT_LIMIT)
     solve.set_defaults(func=_cmd_solve)
 
     bound = sub.add_parser("bound", help="print bounds and the ratio certificate")
@@ -277,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--dir", required=True)
     bench.add_argument("--algs", default=",".join(_SOLVERS))
     bench.add_argument("--format", choices=("csv", "md"), default="md")
-    bench.add_argument("--exact-limit", type=_exact_limit, default=EXACT_DEFAULT_LIMIT)
     bench.set_defaults(func=_cmd_bench)
 
     return parser

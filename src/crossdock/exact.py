@@ -65,7 +65,6 @@ from .schedule import Schedule, complete_m2_erd, makespan
 # 1.1 s at m = 10^6 with 10^6 arcs, a third of it OR-ing the predecessor
 # masks; n = 16 takes about 4 ms (CPython 3.11 on a 2-vCPU Xeon host).
 EXACT_MAX_N = 20
-EXACT_DEFAULT_LIMIT = 16
 
 # Array type codes by field width in bits, narrowest first.
 _WIDTHS = tuple((code, 8 * array(code).itemsize) for code in "BHIQ")
@@ -113,19 +112,16 @@ def _fields(n: int, w: int) -> tuple[int, int]:
     return ones, offset
 
 
-def solve_exact(inst: Instance, max_n: int = EXACT_DEFAULT_LIMIT) -> ExactResult:
+def solve_exact(inst: Instance) -> ExactResult:
     """Minimal makespan over all machine-1 orders, ERD-completed.
 
     Returns the schedule of the lexicographically smallest optimal
     permutation; deterministic regardless of evaluation order.  Raises
-    ``ValueError`` when ``inst.n`` exceeds ``max_n``, or ``max_n`` is not
-    an int in 1..``EXACT_MAX_N``.
+    ``ValueError`` when ``inst.n`` exceeds ``EXACT_MAX_N``.
     """
-    if type(max_n) is not int or not 1 <= max_n <= EXACT_MAX_N:
-        raise ValueError(f"exact limit max_n must be an integer in 1..{EXACT_MAX_N}, got {max_n!r}")
     n, m = inst.n, inst.m
-    if n > max_n:
-        raise ValueError(f"instance too large: n={n} > limit {max_n}")
+    if n > EXACT_MAX_N:
+        raise ValueError(f"instance too large: n={n} > limit {EXACT_MAX_N}")
     code, w = next(cw for cw in _WIDTHS if m + n < 1 << (cw[1] - 1))
     full = (1 << n) - 1
     size = (full + 1) * w // 8

@@ -194,6 +194,16 @@ def schedule_to_json(sched: Schedule) -> str:
     )
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    # json.loads alone keeps the last value of a repeated key.
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"duplicate key {key!r}")
+        data[key] = value
+    return data
+
+
 def schedule_from_json(text: str) -> Schedule:
     """Read a schedule written by ``schedule_to_json``.
 
@@ -202,11 +212,14 @@ def schedule_from_json(text: str) -> Schedule:
     makespan of the starts.  Anything else raises ``ValueError``.
     """
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:  # also int()'s digit limit, deep nesting
         raise ValueError(f"malformed schedule file: {exc}") from exc
     if not isinstance(data, dict):
         raise ValueError("malformed schedule file: expected a JSON object")
+    for key in data:
+        if key not in ("makespan", "start_a", "start_b"):
+            raise ValueError(f"malformed schedule file: unknown key {key!r}")
     starts = []
     for key in ("start_a", "start_b"):
         if key not in data:

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 import crossdock.cli as cli
 from crossdock.cli import _SOLVERS, build_parser, main
-from crossdock.exact import EXACT_DEFAULT_LIMIT
 from crossdock import (
     Instance,
     check_feasible,
@@ -193,8 +192,9 @@ def test_verify_missing_schedule_file(ex1_file, tmp_path, capsys):
         (lambda d: d.update(start_a=[x + 0.5 for x in d["start_a"]]), "is not an integer"),
         (lambda d: d.update(start_b=[str(x) for x in d["start_b"]]), "is not an integer"),
         (lambda d: d.update(makespan=99), "declared makespan 99 but the starts give 8"),
+        (lambda d: d.update(makespam=d.pop("makespan")), "unknown key 'makespam'"),
     ],
-    ids=["float", "string", "makespan"],
+    ids=["float", "string", "makespan", "unknown_key"],
 )
 def test_verify_rejects_coerced_schedule(ex1_file, tmp_path, capsys, edit, fragment):
     sched_path = tmp_path / "s.json"
@@ -211,8 +211,12 @@ def test_verify_rejects_coerced_schedule(ex1_file, tmp_path, capsys, edit, fragm
 
 @pytest.mark.parametrize(
     "text,fragment",
-    [('{"start_a": [%s], "start_b": [1]}' % ("5" * 5000), "digits"), ("[" * 100000, "recursion")],
-    ids=["digit_limit", "nesting"],
+    [
+        ('{"start_a": [%s], "start_b": [1]}' % ("5" * 5000), "digits"),
+        ("[" * 100000, "recursion"),
+        ('{"start_a": [0, 1, 2], "start_b": [1, 2, 3], "start_a": [2, 1, 0]}', "duplicate key 'start_a'"),
+    ],
+    ids=["digit_limit", "nesting", "duplicate_key"],
 )
 def test_verify_prefixes_every_decoder_error(ex1_file, tmp_path, capsys, text, fragment):
     sched_path = tmp_path / "s.json"
@@ -296,13 +300,16 @@ def test_bench_rejects_a_file_as_dir(ex1_file, capsys):
 
 
 def test_bench_skips_exact_above_limit(tmp_path, capsys):
-    assert main(["gen", "tight", "--k", "5", "--l", "2", "--s", "5", "--out", str(tmp_path / "t.cd")]) == 0
+    assert main(["gen", "tight", "--k", "10", "--l", "4", "--s", "6", "--out", str(tmp_path / "n20.cd")]) == 0
+    assert main(["gen", "tight", "--k", "10", "--l", "5", "--s", "6", "--out", str(tmp_path / "n21.cd")]) == 0
     capsys.readouterr()
-    assert main(["bench", "--dir", str(tmp_path), "--algs", "exact", "--exact-limit", "5"]) == 0
+    assert main(["bench", "--dir", str(tmp_path), "--algs", "exact"]) == 0
     captured = capsys.readouterr()
-    assert "skipping exact on t.cd: instance too large: n=12 > limit 5\n" in captured.err
-    # the markdown header and its rule line, and no row
-    assert [line.split()[1] for line in captured.out.splitlines()] == ["instance", "---"]
+    assert captured.err == "skipping exact on n21.cd: instance too large: n=21 > limit 20\n"
+    # the markdown header, its rule line and one row, n = 20 at its optimum 2k+s+1
+    rows = [[c.strip() for c in line.strip("|").split("|")] for line in captured.out.splitlines()]
+    assert [row[0] for row in rows] == ["instance", "---", "n20.cd"]
+    assert rows[2][1:6] == ["20", "26", "50", "exact", "27"]
 
 
 def test_bench_csv_md_same_values(tmp_path, capsys):
@@ -363,15 +370,14 @@ def test_gen_solve_verify_round_trip(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["solve", "bench"])
-@pytest.mark.parametrize("limit", ["-1", "0", "21", "abc", "1.5", "+3", "١"])
-def test_exact_limit_outside_range_exits_2(command, limit, tf_file, capsys):
+def test_exact_limit_is_not_an_option(command, tf_file, capsys):
     where = ["--in", str(tf_file), "--alg", "exact"] if command == "solve" else ["--dir", str(tf_file.parent)]
     with pytest.raises(SystemExit) as exc:
-        main([command, *where, "--exact-limit", limit])
+        main([command, *where, "--exact-limit", "20"])
     assert exc.value.code == 2
     captured = capsys.readouterr()
-    assert f"must be an integer in 1..20, got {limit!r}" in captured.err
-    assert "makespan" not in captured.out
+    assert "unrecognized arguments: --exact-limit 20" in captured.err
+    assert captured.out == ""
 
 
 def test_solve_exact_n14_round_trip(tmp_path, capsys):
@@ -384,12 +390,25 @@ def test_solve_exact_n14_round_trip(tmp_path, capsys):
     assert "feasible, makespan 18" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("k,l,s,n,opt", [(8, 4, 5, 17, 22), (10, 4, 6, 20, 27)])
+def test_solve_exact_n17_to_20_by_default(k, l, s, n, opt, tmp_path, capsys):
+    inst_path, sched_path = tmp_path / "tf.cd", tmp_path / "tf.json"
+    assert main(["gen", "tight", "--k", str(k), "--l", str(l), "--s", str(s), "--out", str(inst_path)]) == 0
+    assert f"n={n} " in capsys.readouterr().out
+    assert main(["solve", "--alg", "exact", "--in", str(inst_path), "--out", str(sched_path)]) == 0
+    assert capsys.readouterr().out == f"makespan {opt}\n"  # 2k + s + 1
+    assert main(["verify", "--in", str(inst_path), "--schedule", str(sched_path)]) == 0
+    assert capsys.readouterr().out == f"feasible, makespan {opt}\n"
+
+
 def test_solve_exact_above_limit(tmp_path, capsys):
-    path = tmp_path / "tf635.cd"
-    main(["gen", "tight", "--k", "6", "--l", "3", "--s", "5", "--out", str(path)])
+    path = tmp_path / "tf1056.cd"
+    main(["gen", "tight", "--k", "10", "--l", "5", "--s", "6", "--out", str(path)])
     capsys.readouterr()
-    assert main(["solve", "--alg", "exact", "--in", str(path), "--exact-limit", "13"]) == 2
-    assert "instance too large: n=14 > limit 13" in capsys.readouterr().err
+    assert main(["solve", "--alg", "exact", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: instance too large: n=21 > limit 20\n"
+    assert captured.out == ""
 
 
 def test_solve_rejects_byte_order_mark(tmp_path, capsys):
@@ -469,7 +488,7 @@ def solver_instances(draw):
 @given(inst=solver_instances())
 def test_every_cli_solver_is_feasible_and_above_lower_bound(alg, inst):
     try:
-        sched = _SOLVERS[alg](inst, EXACT_DEFAULT_LIMIT)
+        sched = _SOLVERS[alg](inst)
     except ValueError:
         return  # instance outside the solver's class, such as pd2 on a non-d2 instance
     assert check_feasible(inst, sched).ok

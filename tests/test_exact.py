@@ -32,9 +32,9 @@ def test_solve_exact_cex(cex):
 
 
 def test_solve_exact_size_limit():
-    inst = Instance(n=4, m=1, arcs=frozenset())
-    with pytest.raises(ValueError, match="too large"):
-        solve_exact(inst, max_n=3)
+    inst = Instance(n=21, m=1, arcs=frozenset())
+    with pytest.raises(ValueError, match="^instance too large: n=21 > limit 20$"):
+        solve_exact(inst)
 
 
 def test_search_space_size_ex1(ex1):

@@ -29,7 +29,6 @@ from crossdock import (
     solve_greedy,
     solve_pd2,
 )
-from crossdock.exact import EXACT_MAX_N
 from oracles import enumerate_exact, optimal_makespan_statespace, subset_dp_exact
 
 
@@ -107,13 +106,7 @@ def test_dp_attains_tight_family_formula():
 def test_dp_attains_tight_family_formula_at_n_15_16(k, l, s):
     assert k + l + s in (15, 16)
     inst = gen_tight(TightParams(k, l, s))
-    assert solve_exact(inst, max_n=16).optimal_makespan == 2 * k + s + 1
-
-
-@pytest.mark.parametrize("limit", [0, -1, EXACT_MAX_N + 1, 10.5, True, None, "16"])
-def test_solve_exact_rejects_limit_outside_range(limit):
-    with pytest.raises(ValueError, match=f"1..{EXACT_MAX_N}"):
-        solve_exact(Instance(n=1, m=1, arcs=frozenset()), max_n=limit)
+    assert solve_exact(inst).optimal_makespan == 2 * k + s + 1
 
 
 def from_pred_masks(n: int, masks) -> Instance:
@@ -185,11 +178,11 @@ def test_kernel_matches_list_dp_property(inst):
 def test_dp_attains_tight_family_formula_at_n_17_to_20(k, l, s):
     assert 17 <= k + l + s <= 20
     inst = gen_tight(TightParams(k, l, s))
-    assert solve_exact(inst, max_n=20).optimal_makespan == 2 * k + s + 1
+    assert solve_exact(inst).optimal_makespan == 2 * k + s + 1
 
 
 @pytest.mark.parametrize("n,m,pendants,seed", [(18, 20, 4, 1), (19, 24, 0, 2), (20, 16, 3, 3), (20, 30, 10, 4)])
 def test_dp_equals_pd2_at_n_18_to_20(n, m, pendants, seed):
     inst = gen_d2(n, m, pendants, seed)
     sched, _trace = solve_pd2(inst)
-    assert makespan(sched) == lemma1_bound(inst) == solve_exact(inst, max_n=20).optimal_makespan
+    assert makespan(sched) == lemma1_bound(inst) == solve_exact(inst).optimal_makespan

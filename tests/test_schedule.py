@@ -319,6 +319,10 @@ def test_schedule_json_rejects_garbage():
         ('{"makespan": true, "start_a": [0], "start_b": [1]}', "makespan True is not an integer"),
         ('{"start_a": 0, "start_b": [1]}', "'start_a' is not a list"),
         ('{"start_a": [0]}', "missing 'start_b'"),
+        ('{"start_a": [0], "start_b": [1], "start_a": [5]}', "^malformed schedule file: duplicate key 'start_a'$"),
+        ('{"makespan": 9, "makespan": 2, "start_a": [0], "start_b": [1]}', "duplicate key 'makespan'"),
+        ('{"makespam": 7, "start_a": [0], "start_b": [1]}', "^malformed schedule file: unknown key 'makespam'$"),
+        ('{"start_a": [0], "start_b": [1], "start_c": []}', "unknown key 'start_c'"),
         ("[[0], [1]]", "expected a JSON object"),
     ],
 )
@@ -347,13 +351,15 @@ def test_schedule_to_json_refuses_what_the_reader_refuses(start_a, start_b, frag
     [
         ('{"start_a": [%s], "start_b": [1]}' % ("5" * 5000), "digits"),
         ("[" * 100000, "recursion"),
+        ('\ufeff{"start_a": [0], "start_b": [1]}', "BOM"),
     ],
-    ids=["digit_limit", "nesting"],
+    ids=["digit_limit", "nesting", "byte_order_mark"],
 )
 def test_schedule_json_prefixes_every_decoder_error(text, fragment):
     # json.loads raises a plain ValueError, not a JSONDecodeError, on a
     # number longer than int() reads, and a RecursionError on deep nesting;
-    # both get the same prefix.
+    # both get the same prefix.  A leading byte-order mark keeps json.loads'
+    # own message, which a bare JSONDecoder.decode would not give.
     with pytest.raises(ValueError, match=f"^malformed schedule file: .*{fragment}"):
         schedule_from_json(text)
 
