@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, count, repeat
-from operator import add, floordiv, mod, mul
+from operator import floordiv, mod
 from typing import Iterable
 
 # The largest n or m an instance may have: 50 times the largest instances the
@@ -166,14 +166,12 @@ def _parse_canonical(text: str) -> Instance | None:
     None for any other text, valid or not.
 
     That layout is: "c" comment lines, the header, then one "a <i> <j>\n"
-    line per arc with single spaces.  The layout is checked over the whole
-    arc block at once, and its numbers are read as one JSON array, so
-    "a 01 1" (JSON has no leading zeros) goes to the line parser.  The
-    serializer writes the arcs in (i, j) order, and ``_succ_table`` checks
-    their order and range in the one pass that cuts their rows.  If it
-    refuses them, the tails are range-checked here, the arcs sorted as one
-    int each and cut again.  So arcs in any order are read, and a repeated
-    arc or an index out of range gives None.
+    line per arc with single spaces, the arcs in (i, j) order.  The layout
+    is checked over the whole arc block at once, and its numbers are read
+    as one JSON array, so "a 01 1" (JSON has no leading zeros) goes to the
+    line parser.  ``_succ_table`` checks the arcs' order, range and
+    uniqueness in the one pass that cuts their rows, so arcs out of order,
+    a repeated arc or an index out of range give None.
     Returning None is never an error: the caller falls back to the line
     parser, which accepts or rejects the text itself.
     """
@@ -219,13 +217,6 @@ def _parse_canonical(text: str) -> Instance | None:
     heads, tails = nums[0::2], tuple(nums[1::2])
     del nums
     succ = _succ_table(n, m, heads, tails)
-    if succ is None:
-        # Arcs in another order, a repeated arc or an index out of range.
-        # A key i * (m + 1) + j reads back as (i, j) only for 1 <= j <= m,
-        # so the tails are range-checked before the arcs are sorted as keys.
-        if not (1 <= min(tails) and max(tails) <= m):
-            return None
-        succ = _succ_table(n, m, *_split_keys(sorted(map(add, map(mul, heads, repeat(m + 1)), tails)), m))
     return None if succ is None else Instance._from_succ(n, m, succ)
 
 
@@ -278,12 +269,13 @@ def parse_instance(text: str) -> Instance:
     m may not exceed ``MAX_OPS``; a larger header is an error at that line.
 
     Text in the canonical layout that ``serialize_instance`` writes (comments
-    first, single spaces, a final newline, arcs in any order) is read in one
-    pass over the whole text: its layout is checked over the whole arc
+    first, single spaces, a final newline, arcs in (i, j) order) is read in
+    one pass over the whole text: its layout is checked over the whole arc
     block, and the order, range and uniqueness of its arcs in the one pass
-    of ``_succ_table`` that cuts the rows.  Any other text (a carriage
-    return, tab, extra space, blank line or comment after the header), and
-    every invalid one, goes to the line parser, the one place that raises.
+    of ``_succ_table`` that cuts the rows.  Any other text (arcs out of
+    order, a carriage return, tab, extra space, blank line or comment after
+    the header), and every invalid one, goes to the line parser, the one
+    place that raises.
     It checks each line's characters, then its grammar, then its indices'
     range, before it reads the next line, so an error names the same line
     whichever layout the text is in.  Either way the instance holds its
@@ -351,11 +343,24 @@ def parse_instance(text: str) -> Instance:
 def serialize_instance(inst: Instance, comments: Iterable[str] = ()) -> str:
     """Emit the canonical text form: comments, header, arcs in (i, j) order.
 
-    parse_instance(serialize_instance(x)) == x for every valid instance.
-    Arcs are written from the successor table, so neither ``arcs`` nor the
-    profile is built.
+    parse_instance(serialize_instance(x)) == x for every valid instance,
+    and every text returned takes the whole-text parse.  So each comment
+    must be a ``str`` that the parser reads as one comment line: no line
+    break and no control character other than tab.  Anything else, and a
+    bare ``str`` in place of the iterable, raises ``InstanceError`` naming
+    the comment's index.  Arcs are written from the successor table, so
+    neither ``arcs`` nor the profile is built.
     """
-    lines = [f"c {c}" for c in comments]
+    if isinstance(comments, str):
+        raise InstanceError("comments must be an iterable of str, not a str")
+    lines = []
+    for k, c in enumerate(comments):
+        if type(c) is not str:
+            raise InstanceError(f"comment {k} is not a str: {type(c).__name__}")
+        found = _COMMENT_IRREGULAR.search(c)
+        if found is not None:
+            raise InstanceError(f"comment {k} holds control character U+{ord(found.group()):04X}")
+        lines.append(f"c {c}")
     lines.append(f"p cdock {inst.n} {inst.m}")
     lines.extend(f"a {i} {j}" for i, row in enumerate(inst._succ) for j in row)
     return "\n".join(lines) + "\n"

@@ -62,8 +62,9 @@ Step = tuple[int, int, tuple[int, ...]]
 class Pd2Trace:
     """A pd2 run: ``(b_index, picked_degree, a_batch)`` per pick, in machine-2 order.
 
-    ``events`` must be a tuple, so that a trace hashes and compares equal
-    to the run it records; anything else raises ``TypeError``.
+    ``events`` must be a tuple that hashes, so that a trace hashes and
+    compares equal to the run it records; anything else, such as a list
+    step or a list batch, raises ``TypeError``.
     """
 
     events: tuple[Step, ...]
@@ -71,6 +72,10 @@ class Pd2Trace:
     def __post_init__(self) -> None:
         if type(self.events) is not tuple:
             raise TypeError(f"Pd2Trace events must be a tuple, got {type(self.events).__name__}")
+        try:
+            hash(self.events)
+        except TypeError as exc:
+            raise TypeError(f"Pd2Trace events must be hashable: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -106,14 +111,20 @@ def _run(prof: DegreeProfile, n: int) -> tuple[list[Step], list[int], list[int],
     degree; a stale entry is one of an operation already picked (see the
     loop), and is skipped when popped.
 
-    The same loop lays out the schedule.  The batches run back to back on
-    machine 1, and ``r[u]`` (``r[0]`` unused) is overwritten with the
-    completion of each predecessor of B_u as it runs, so it ends as B_u's
-    release time, as ``release_times`` gives it for the batches'
-    concatenation.  A pick's release is final when it starts: a degree
-    pick's last predecessor is in its own batch, a zero pick's ran
-    earlier.  It starts on machine 2 at the later of its release and the
-    previous completion.
+    The same loop lays out the schedule, and it is
+    ``complete_m2_erd(inst, pi)`` for ``pi`` the batches joined in order.
+    The batches run back to back on machine 1, and ``r[u]`` (``r[0]``
+    unused) is overwritten with the completion of each predecessor of B_u
+    as it runs, so it ends as B_u's release time under ``pi``.  Each pick
+    starts on machine 2 at the later of its release and the previous
+    completion, so it remains to see that pick order is the ERD order,
+    release time then index.  Pendants, released at 0, come first in index
+    order.  A degree pick's release is the end of its own batch, which
+    rises from pick to pick.  A zero pick released in the batch of the
+    degree pick j had degree at least j's when j was picked, and its
+    pending predecessors all lie in j's batch, so they are exactly that
+    batch: it has j's release time and, the degrees being equal, a larger
+    index than j.  The zero picks after j follow in index order.
     """
     succ, pred = prof.succ, prof.pred
     deg = [0, *prof.in_deg]

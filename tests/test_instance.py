@@ -135,6 +135,24 @@ def test_serialize_smallest():
     assert serialize_instance(inst) == "p cdock 1 1\na 1 1\n"
 
 
+@pytest.mark.parametrize(
+    "comments,message",
+    [
+        ("hi", "comments must be an iterable of str, not a str"),
+        ([3], "comment 0 is not a str: int"),
+        (["ok", b"hi"], "comment 1 is not a str: bytes"),
+        (["a\nb"], "comment 0 holds control character U+000A"),
+        (["ok", "\x00"], "comment 1 holds control character U+0000"),
+        (["tab\tok", "cr\r"], "comment 1 holds control character U+000D"),
+    ],
+    ids=["bare_str", "int", "bytes", "line_break", "nul", "carriage_return"],
+)
+def test_serialize_refuses_comments_the_parser_would_not_read_back(comments, message):
+    with pytest.raises(InstanceError) as exc:
+        serialize_instance(Instance(n=1, m=1, arcs={(1, 1)}), comments)
+    assert str(exc.value) == message
+
+
 def test_serialize_ex1_arc_order(ex1):
     lines = serialize_instance(ex1).splitlines()
     arcs = [tuple(int(x) for x in line.split()[1:]) for line in lines[1:]]

@@ -232,16 +232,18 @@ def _assert_canonical(inst):
     st.randoms(use_true_random=False),
 )
 def test_every_source_gives_a_canonical_table(inst, newline, order, rnd):
-    # "\n" text takes the whole-text parse, which sorts shuffled arcs and
-    # rows written in descending order; "\r\n" text takes the line parser.
+    # "\n" text with arcs in (i, j) order takes the whole-text parse; the
+    # line parser reads the rest, shuffled arcs and rows written in
+    # descending order among them.
     _assert_canonical(inst)
     header, *arcs = serialize_instance(inst).splitlines()
+    in_order = list(arcs)
     if order == "shuffled":
         rnd.shuffle(arcs)
     elif order == "rows_reversed":
         arcs.sort(key=lambda line: (int(line.split()[1]), -int(line.split()[2])))
     text = newline.join([header, *arcs]) + newline
-    assert (instance_module._parse_canonical(text) is not None) == (newline == "\n")
+    assert (instance_module._parse_canonical(text) is not None) == (newline == "\n" and arcs == in_order)
     parsed = parse_instance(text)
     _assert_canonical(parsed)
     assert parsed._succ == inst._succ

@@ -1,9 +1,10 @@
 """The canonical whole-text parse against the line-by-line reference parser.
 
 ``parse_instance`` reads text in ``serialize_instance``'s layout, arcs in
-any order, in one pass and hands every other text to its line parser.  On any text the two paths
-must agree with ``oracles.parse_instance_lines``: an equal instance with an
-equal profile, or the same ``InstanceError`` message, line number included.
+(i, j) order, in one pass and hands every other text, arcs out of order
+included, to its line parser.  On any text the two paths must agree with
+``oracles.parse_instance_lines``: an equal instance with an equal profile,
+or the same ``InstanceError`` message, line number included.
 """
 
 import pytest
@@ -197,7 +198,7 @@ def test_parse_matches_line_parser(text):
         ("p cdock 9 9\na 1 2 3\na 4\n", "malformed arc line, line 2"),
         ("c \x0c\np cdock 2 2\n", "control character U+000C, line 1"),
         # As a key i * (m + 1) + j with m = 2, the arc (1, 4) reads back as
-        # (2, 1): only the range check before the sort keeps it out.
+        # (2, 1): the line parser's range check must come before the key.
         pytest.param("p cdock 2 2\na 2 2\na 1 4\n", "index out of range, line 3", id="alias_after_fallback"),
         pytest.param("p cdock 2 2\na 1 4\na 2 2\n", "index out of range, line 2", id="alias_first"),
         # Sorted heads, so the one-pass row cut meets each of these itself.
@@ -268,8 +269,10 @@ def test_valid_non_canonical_texts_take_the_line_parser(text):
     ids=["row_unsorted", "rows_unsorted", "rows_unsorted_rising", "shuffled", "row_descending_heads_sorted"],
 )
 def test_arcs_out_of_order_take_the_whole_text_path(text):
-    assert instance_module._parse_canonical(text) is not None
+    # The whole-text path refuses arcs out of order; the line parser reads them.
+    assert instance_module._parse_canonical(text) is None
     assert_same_outcome(text)
+    assert parse_instance(text).arcs
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -281,7 +284,7 @@ def test_parsers_agree_on_generated_instances(seed):
         assert outcome(parse_instance, text) == expected
         comment, header, *arcs = text.splitlines()
         reversed_text = "\n".join([comment, header, *reversed(arcs)]) + "\n"
-        assert instance_module._parse_canonical(reversed_text) is not None
+        assert instance_module._parse_canonical(reversed_text) is None
         assert outcome(parse_instance, reversed_text) == expected
         crlf_text = reversed_text.replace("\n", "\r\n")
         assert instance_module._parse_canonical(crlf_text) is None

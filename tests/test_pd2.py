@@ -191,6 +191,12 @@ def test_trace_refuses_events_that_are_not_a_tuple(ex1):
         Pd2Trace(list(trace.events))
     with pytest.raises(TypeError, match="got NoneType"):
         Pd2Trace(None)
+    # a tuple whose steps or batches are lists cannot be hashed
+    with pytest.raises(TypeError, match="must be hashable: unhashable type: 'list'"):
+        Pd2Trace(tuple(list(e) for e in trace.events))
+    j, d, batch = trace.events[-1]
+    with pytest.raises(TypeError, match="must be hashable: unhashable type: 'list'"):
+        Pd2Trace((*trace.events[:-1], (j, d, list(batch))))
     # a solved trace, and one built by hand around a tuple, still hash
     assert hash(trace) == hash(Pd2Trace(tuple(trace.events)))
 

@@ -8,14 +8,18 @@ loops in ``test_exact_dp.py`` cover the same claims at n = 10-14.
 import json
 import pickle
 
+import pytest
 from hypothesis import given, strategies as st
 
+import crossdock.instance as instance_module
 import crossdock.pd2 as pd2
 from crossdock import (
     Instance,
+    InstanceError,
     Schedule,
     blocks,
     bounds_report,
+    complete_m2_erd,
     gen_d2,
     lemma1_bound,
     lower_bound,
@@ -114,6 +118,14 @@ def test_pd2_schedule_is_its_batches_laid_out_by_release_times(inst):
     assert tuple(pd2._kept_run(inst)[2]) == (0, *r)
 
 
+@given(st.one_of(d2_instances(max_a=60, max_b=60), hand_built_d2(max_n=40, max_m=40)))
+def test_pd2_schedule_is_the_erd_completion_of_its_batches(inst):
+    # Pick order is release time then index, so machine 2 runs as ERD does.
+    sched, trace = solve_pd2(inst)
+    pi = tuple(a for _, _, batch in trace.events for a in batch)
+    assert sched == complete_m2_erd(inst, pi)
+
+
 @given(d2_instances(max_a=60, max_b=60))
 def test_blocks_match_the_successor_walk(inst):
     # blocks reads offset and overhang off the release times the instance
@@ -125,16 +137,20 @@ def test_blocks_match_the_successor_walk(inst):
     assert blocks(inst, pickle.loads(pickle.dumps(trace))) == walked
 
 
-# Comment text that the parser keeps out of the instance: no line breaks or
-# control characters, any other character allowed.
-comment_text = st.text(
-    st.characters(blacklist_categories=("Cc", "Cs"), blacklist_characters="\u2028\u2029"), max_size=10
-)
+def _control(ch):
+    return ch != "\t" and (ch < " " or ch == "\x7f")
 
 
-@given(arc_sets(max_size=30), st.lists(comment_text, max_size=3))
+@given(arc_sets(max_size=30), st.lists(st.text(max_size=10), max_size=3))
 def test_parse_inverts_serialize(inst, comments):
+    # Any comment text: one with a control character other than tab, a line
+    # break included, is refused; every text written takes the whole-text path.
+    if any(_control(ch) for c in comments for ch in c):
+        with pytest.raises(InstanceError):
+            serialize_instance(inst, comments)
+        return
     text = serialize_instance(inst, comments)
+    assert instance_module._parse_canonical(text) is not None
     parsed = parse_instance(text)
     assert parsed == inst
     assert parsed.profile == Instance(n=inst.n, m=inst.m, arcs=inst.arcs).profile
