@@ -50,7 +50,8 @@ class Instance:
         if not (type(n) is int and type(m) is int and 1 <= n <= MAX_OPS and 1 <= m <= MAX_OPS):
             raise InstanceError(f"n and m must be integers in 1..{MAX_OPS}, got n={n!r}, m={m!r}")
         try:
-            arcs = frozenset(arcs)
+            arcs = list(arcs)
+            frozenset(arcs)
         except TypeError as exc:  # not iterable, or an item that is not hashable
             raise InstanceError(f"arcs must be an iterable of (i, j) pairs: {exc}") from None
         keys = []  # one int per arc, as _split_keys reads them
@@ -61,7 +62,12 @@ class Instance:
             if not (type(i) is int and type(j) is int and 1 <= i <= n and 1 <= j <= m):
                 raise InstanceError(f"arc {arc!r} is not a pair of integers in 1..{n} x 1..{m}")
             keys.append(i * (m + 1) + j)
-        self.__dict__.update(n=n, m=m, _succ=_succ_table(n, m, *_split_keys(sorted(keys), m)))
+        keys.sort()
+        succ = _succ_table(n, m, *_split_keys(keys, m))
+        if succ is None:  # every arc is in range, so one is repeated
+            key = next(a for a, b in zip(keys, keys[1:]) if a == b)
+            raise InstanceError(f"arc {divmod(key, m + 1)!r} is repeated")
+        self.__dict__.update(n=n, m=m, _succ=succ)
 
     @classmethod
     def _from_succ(cls, n: int, m: int, succ: tuple[tuple[int, ...], ...]) -> Instance:
@@ -156,45 +162,24 @@ _COMMENT_IRREGULAR = re.compile(r"[\x00-\x08\x0a-\x1f\x7f]")
 _DATA_IRREGULAR = re.compile(r"[^\t\x20-\x2a\x2c\x2e-\x5e\x60-\x7e]")
 
 
-_HEADER = re.compile(r"p cdock ([0-9]+) ([0-9]+)")
 _COMMAS = bytes.maketrans(b" \n", b",,")
 _JSON_ARRAY = json.JSONDecoder().raw_decode  # one C-level scan of a str
 
 
-def _parse_canonical(text: str) -> Instance | None:
-    """The instance of text in the layout ``serialize_instance`` writes, or
-    None for any other text, valid or not.
+def _arc_block(text: str, start: int, n: int, m: int) -> Instance | None:
+    """The instance of header n, m and the arc block ``text[start:]``, if
+    that block is in the layout ``serialize_instance`` writes, or None.
 
-    That layout is: "c" comment lines, the header, then one "a <i> <j>\n"
-    line per arc with single spaces, the arcs in (i, j) order.  The layout
-    is checked over the whole arc block at once, and its numbers are read
-    as one JSON array, so "a 01 1" (JSON has no leading zeros) goes to the
-    line parser.  ``_succ_table`` checks the arcs' order, range and
-    uniqueness in the one pass that cuts their rows, so arcs out of order,
-    a repeated arc or an index out of range give None.
-    Returning None is never an error: the caller falls back to the line
-    parser, which accepts or rejects the text itself.
+    That layout is one "a <i> <j>\n" line per arc with single spaces, the
+    arcs in (i, j) order.  The layout is checked over the whole block at
+    once, and its numbers are read as one JSON array, so "a 01 1" (JSON has
+    no leading zeros) gives None.  ``_succ_table`` checks the arcs' order,
+    range and uniqueness in the one pass that cuts their rows, so arcs out
+    of order, a repeated arc or an index out of range give None.
+    Returning None is never an error: the line parser then reads the block
+    itself, and accepts or rejects it.
     """
-    start = 0
-    while text.startswith("c", start):
-        end = text.find("\n", start)
-        line = text[start:end]
-        if end < 0 or not (line == "c" or line.startswith("c ")) or _COMMENT_IRREGULAR.search(line):
-            return None
-        start = end + 1
-    end = text.find("\n", start)
-    header = _HEADER.fullmatch(text, start, end) if end >= 0 else None
-    if header is None:
-        return None
-    # Digit strings past int()'s length limit raise ValueError here, as in
-    # the line parser, which then reports them.
-    try:
-        n, m = int(header[1]), int(header[2])
-    except ValueError:
-        return None
-    if not (1 <= n <= MAX_OPS and 1 <= m <= MAX_OPS):
-        return None
-    body = text[end + 1 :]
+    body = text[start:]
     if not body.isascii():
         return None
     block = body.encode("ascii")
@@ -267,28 +252,33 @@ def parse_instance(text: str) -> Instance:
     so digits from other scripts and a leading byte-order mark are errors,
     as are signs, underscores and control characters other than tab.  n and
     m may not exceed ``MAX_OPS``; a larger header is an error at that line.
+    Text that is not a ``str`` raises ``TypeError``.
 
-    Text in the canonical layout that ``serialize_instance`` writes (comments
-    first, single spaces, a final newline, arcs in (i, j) order) is read in
-    one pass over the whole text: its layout is checked over the whole arc
-    block, and the order, range and uniqueness of its arcs in the one pass
-    of ``_succ_table`` that cuts the rows.  Any other text (arcs out of
-    order, a carriage return, tab, extra space, blank line or comment after
-    the header), and every invalid one, goes to the line parser, the one
-    place that raises.
-    It checks each line's characters, then its grammar, then its indices'
-    range, before it reads the next line, so an error names the same line
-    whichever layout the text is in.  Either way the instance holds its
-    successor table, which the profile shares, and builds ``arcs`` only
-    when something reads it.
+    The parser reads one line at a time: it checks the line's characters,
+    then its grammar, then its indices' range, before it reads the next, so
+    an error names its line.  Right after the header it hands the rest of
+    the text, once, to ``_arc_block``, which reads an arc block in the
+    layout ``serialize_instance`` writes (single spaces, a final newline,
+    arcs in (i, j) order) in one pass over the whole block.  Any other
+    block (arcs out of order, a carriage return, tab, extra space, blank
+    line or comment after the header), and every invalid one, the parser
+    reads on line by line; it is the one place that raises.  Either way the
+    instance holds its successor table, which the profile shares, and
+    builds ``arcs`` only when something reads it.
     """
-    inst = _parse_canonical(text)
-    if inst is not None:
-        return inst
+    if not isinstance(text, str):
+        raise TypeError(f"instance text must be a str, got {type(text).__name__}")
     n = m = None
     keys: set[int] = set()  # one int per arc, as _split_keys reads them
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        body = raw.removesuffix("\r")
+    # Each line is found from the end of the last, so a block that
+    # _arc_block reads is never split into lines.
+    end, lineno = -1, 0
+    while end < len(text):
+        start, lineno = end + 1, lineno + 1
+        end = text.find("\n", start)
+        if end < 0:
+            end = len(text)
+        body = text[start:end].removesuffix("\r")
         line = body.strip()
         comment = line == "c" or line.startswith("c ")
         found = (_COMMENT_IRREGULAR if comment else _DATA_IRREGULAR).search(body)
@@ -331,6 +321,8 @@ def parse_instance(text: str) -> Instance:
             if n > MAX_OPS or m > MAX_OPS:
                 raise InstanceError(f"n and m must be at most {MAX_OPS}, line {lineno}")
             width = m + 1
+            if (inst := _arc_block(text, end + 1, n, m)) is not None:
+                return inst
         else:
             raise InstanceError(f"unrecognized line type {fields[0]!r}, line {lineno}")
     if n is None or m is None:
@@ -344,12 +336,12 @@ def serialize_instance(inst: Instance, comments: Iterable[str] = ()) -> str:
     """Emit the canonical text form: comments, header, arcs in (i, j) order.
 
     parse_instance(serialize_instance(x)) == x for every valid instance,
-    and every text returned takes the whole-text parse.  So each comment
-    must be a ``str`` that the parser reads as one comment line: no line
-    break and no control character other than tab.  Anything else, and a
-    bare ``str`` in place of the iterable, raises ``InstanceError`` naming
-    the comment's index.  Arcs are written from the successor table, so
-    neither ``arcs`` nor the profile is built.
+    and the parser reads the arc block of every text returned in one pass.
+    Each comment must be a ``str`` that the parser reads back as one
+    comment line: no line break and no control character other than tab.
+    Anything else, and a bare ``str`` in place of the iterable, raises
+    ``InstanceError`` naming the comment's index.  Arcs are written from
+    the successor table, so neither ``arcs`` nor the profile is built.
     """
     if isinstance(comments, str):
         raise InstanceError("comments must be an iterable of str, not a str")

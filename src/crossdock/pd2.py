@@ -231,7 +231,7 @@ def blocks(inst: Instance, trace: Pd2Trace) -> tuple[Block, ...]:
     instance keeps.  One tuple compare checks that, in C and on item
     identity for the trace ``solve_pd2`` returned, which holds the kept
     tuple itself; on a mismatch the first event that differs, or is missing
-    or extra, raises ``ValueError``.
+    or extra, raises ``ValueError``, whatever that event holds.
 
     A block whose machine-1 run starts at ``start`` sees B_j ready at
     ``max(0, r[j] - start)`` on its own clock, where ``r[j]`` is B_j's
@@ -241,8 +241,9 @@ def blocks(inst: Instance, trace: Pd2Trace) -> tuple[Block, ...]:
     if trace.events != steps:
         for k, (got, want) in enumerate(zip_longest(trace.events, steps)):
             if got != want:
-                b = (got or want)[0]
-                raise ValueError(f"trace is not the pd2 run of this instance at event {k} (B{b})")
+                step = got if k < len(trace.events) else want  # want when got is missing
+                b = f" (B{step[0]})" if _is_step(step) else ""
+                raise ValueError(f"trace is not the pd2 run of this instance at event {k}{b}")
     groups: list[tuple[int, list[int], list[int]]] = []  # (label, a_ops, b_ops)
     label = -1
     for j, d, batch in steps:
@@ -275,9 +276,18 @@ def blocks(inst: Instance, trace: Pd2Trace) -> tuple[Block, ...]:
     return tuple(result)
 
 
+def _is_step(event: object) -> bool:
+    """Whether ``event`` is a (b_index, picked_degree, a_batch) triple."""
+    return type(event) is tuple and len(event) == 3 and type(event[2]) is tuple
+
+
 def trace_to_json(trace: Pd2Trace) -> str:
+    """The trace as JSON; an event that is not a step raises ``ValueError``."""
     events = []
-    for j, d, batch in trace.events:
+    for k, event in enumerate(trace.events):
+        if not _is_step(event):
+            raise ValueError(f"trace event {k} is not a (b_index, degree, batch) triple: {event!r}")
+        j, d, batch = event
         # a run's zero picks have empty batches; a hand-built one keeps its batch
         if d or batch:
             events.append({"type": "deg", "b": j, "degree": d, "a_batch": list(batch)})

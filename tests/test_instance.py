@@ -96,6 +96,24 @@ def test_parse_comments_keep_signs_and_tabs():
     assert parse_instance(text) == Instance(n=2, m=2, arcs=frozenset({(1, 2)}))
 
 
+@pytest.mark.parametrize("text", [b"p cdock 1 1\n", None, ["p cdock 1 1"]])
+def test_parse_refuses_text_that_is_not_a_str(text):
+    with pytest.raises(TypeError, match=f"^instance text must be a str, got {type(text).__name__}$"):
+        parse_instance(text)
+
+
+def test_constructor_refuses_a_repeated_arc():
+    # The parser refuses the same arcs as text; a set would merge them.
+    with pytest.raises(InstanceError, match=re.escape("arc (1, 1) is repeated")):
+        Instance(1, 1, [(1, 1), (1, 1)])
+    with pytest.raises(InstanceError, match=re.escape("arc (2, 3) is repeated")):
+        Instance(2, 3, iter([(2, 3), (1, 1), (2, 3), (1, 2)]))
+    with pytest.raises(InstanceError):
+        parse_instance("p cdock 1 1\na 1 1\na 1 1\n")
+    # A set or a list without repeats gives the one instance of its arcs.
+    assert Instance(2, 3, [(2, 3), (1, 1)]) == Instance(2, 3, {(1, 1), (2, 3)})
+
+
 def test_constructor_rejects_bad_sizes():
     with pytest.raises(InstanceError):
         Instance(n=0, m=1, arcs=frozenset())

@@ -40,9 +40,10 @@ from crossdock import (
     solve_greedy,
     solve_pd2,
 )
+from conftest import one_pass
 
 
-# Canonical text takes the whole-text parse, CRLF text the line parser.
+# Canonical text takes the one-pass read, CRLF text the line parser.
 LAYOUTS = pytest.mark.parametrize(
     "layout", [lambda t: t, lambda t: t.replace("\n", "\r\n")], ids=["lf", "crlf"]
 )
@@ -232,9 +233,10 @@ def _assert_canonical(inst):
     st.randoms(use_true_random=False),
 )
 def test_every_source_gives_a_canonical_table(inst, newline, order, rnd):
-    # "\n" text with arcs in (i, j) order takes the whole-text parse; the
-    # line parser reads the rest, shuffled arcs and rows written in
-    # descending order among them.
+    # An arc block in (i, j) order with "\n" line ends takes the one-pass
+    # read, as does a header alone, whatever its line end; the line parser
+    # reads the rest, shuffled arcs and rows written in descending order
+    # among them.
     _assert_canonical(inst)
     header, *arcs = serialize_instance(inst).splitlines()
     in_order = list(arcs)
@@ -243,7 +245,7 @@ def test_every_source_gives_a_canonical_table(inst, newline, order, rnd):
     elif order == "rows_reversed":
         arcs.sort(key=lambda line: (int(line.split()[1]), -int(line.split()[2])))
     text = newline.join([header, *arcs]) + newline
-    assert (instance_module._parse_canonical(text) is not None) == (newline == "\n" and arcs == in_order)
+    assert (one_pass(text) is not None) == (arcs == in_order and (newline == "\n" or not arcs))
     parsed = parse_instance(text)
     _assert_canonical(parsed)
     assert parsed._succ == inst._succ

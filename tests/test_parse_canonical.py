@@ -1,11 +1,17 @@
-"""The canonical whole-text parse against the line-by-line reference parser.
+"""The one-pass arc-block read against the line-by-line reference parser.
 
-``parse_instance`` reads text in ``serialize_instance``'s layout, arcs in
-(i, j) order, in one pass and hands every other text, arcs out of order
-included, to its line parser.  On any text the two paths must agree with
-``oracles.parse_instance_lines``: an equal instance with an equal profile,
-or the same ``InstanceError`` message, line number included.
+``parse_instance`` reads every line up to the header itself, then hands the
+rest of the text, once, to ``_arc_block``.  An arc block in
+``serialize_instance``'s layout, arcs in (i, j) order, is read there in one
+pass; any other block, arcs out of order included, the line parser reads
+on.  ``conftest.one_pass`` spies on ``_arc_block`` to tell the two paths
+apart.  On any text they must agree with ``oracles.parse_instance_lines``:
+an equal instance with an equal profile, or the same ``InstanceError``
+message, line number included.
 """
+
+import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,13 +20,16 @@ from crossdock import (
     Instance,
     InstanceError,
     MAX_OPS,
+    TightParams,
     gen_d2,
     gen_random,
+    gen_tight,
     parse_instance,
     serialize_instance,
 )
 from crossdock import instance as instance_module
 from crossdock.cli import main
+from conftest import one_pass
 from oracles import parse_instance_lines
 
 
@@ -149,9 +158,9 @@ def edited_texts(draw):
 
 
 @given(instances(), st.lists(COMMENT_TEXT, max_size=3))
-def test_canonical_text_takes_the_whole_text_path(inst, comments):
+def test_canonical_text_takes_the_one_pass_read(inst, comments):
     text = serialize_instance(inst, comments)
-    fast = instance_module._parse_canonical(text)
+    fast = one_pass(text)
     expected = parse_instance_lines(text)
     assert fast == expected == inst
     assert fast.profile == expected.profile
@@ -164,53 +173,53 @@ def test_parse_matches_line_parser(text):
     assert_same_outcome(text)
 
 
-@pytest.mark.parametrize(
-    "text,message",
-    [
-        # Its line, space and tag counts balance, but line 2 is not an arc.
-        ("p cdock 9 9\na 1 2 a\n3 4\n", "malformed arc line, line 2"),
-        ("p cdock 2 2\na 1 1\na 1 1\n", "duplicate arc, line 3"),
-        ("p cdock 2 2\na 2 1\na 1 1\na 2 1\n", "duplicate arc, line 4"),
-        ("p cdock 2 2\na 1 2\na 1 3\n", "index out of range, line 3"),
-        ("p cdock 2 2\na 1 1\na 3 1\n", "index out of range, line 3"),
-        # Five tokens, two tags, four spaces: the short line must not pass.
-        ("p cdock 3 3\na 1 2\na 3 \n", "malformed arc line, line 3"),
-        # No final newline, and the last line break is not followed by a tag.
-        ("p cdock 2 2\na 1 1\na 2\n 2", "malformed arc line, line 3"),
-        ("p cdock 2 2\na 0 1\n", "index out of range, line 2"),
-        ("p cdock 2 2\na 1 0\na 1 1\n", "index out of range, line 2"),
-        # int() reads these, so only the character test keeps them out.
-        ("p cdock 20 2\na 1_0 1\n", "unexpected character '_', line 2"),
-        ("p cdock 2 2\na +1 1\n", "unexpected character '+', line 2"),
-        ("p cdock 2 2\na 1 1\x0c\n", "control character U+000C, line 2"),
-        ("p cdock 2 2\na 1 x\n", "malformed arc line, line 2"),
-        ("p cdock 2 2\na 1 1\np cdock 2 2\n", "duplicate header, line 3"),
-        ("a 1 1\np cdock 2 2\n", "arc before header, line 1"),
-        ("p cdock 5 5\na1 2 3\n", "unrecognized line type 'a1', line 2"),
-        # Less their digits these are count lines "a  \n", but a digit before
-        # a tag or after the last newline must not join a number.
-        ("p cdock 40 9\na 1 2\n3a 4 5\n", "unrecognized line type '3a', line 3"),
-        ("p cdock 60 9\n5a 1 2\n", "unrecognized line type '5a', line 2"),
-        ("p cdock 9 9\na 1 2\n12", "unrecognized line type '12', line 3"),
-        ("p cdock 3 3\n12", "unrecognized line type '12', line 2"),
-        ("p cdock 3 3\na 1 2\na 2 0\n", "index out of range, line 3"),
-        # Its line counts balance, but not its lines.
-        ("p cdock 9 9\na 1 2 3\na 4\n", "malformed arc line, line 2"),
-        ("c \x0c\np cdock 2 2\n", "control character U+000C, line 1"),
-        # As a key i * (m + 1) + j with m = 2, the arc (1, 4) reads back as
-        # (2, 1): the line parser's range check must come before the key.
-        pytest.param("p cdock 2 2\na 2 2\na 1 4\n", "index out of range, line 3", id="alias_after_fallback"),
-        pytest.param("p cdock 2 2\na 1 4\na 2 2\n", "index out of range, line 2", id="alias_first"),
-        # Sorted heads, so the one-pass row cut meets each of these itself.
-        pytest.param("p cdock 2 2\na 1 1\na 2 0\na 2 1\n", "index out of range, line 3", id="tail_0_opens_a_row"),
-        pytest.param("p cdock 2 2\na 1 1\na 1 3\na 2 1\n", "index out of range, line 3", id="tail_m_plus_1_closes_a_row"),
-        pytest.param("p cdock 2 2\na 1 1\na 2 1\na 2 1\n", "duplicate arc, line 4", id="repeat_after_a_row_change"),
-        pytest.param("p cdock 2 2\na 0 1\na 1 1\n", "index out of range, line 2", id="head_0_first"),
-        pytest.param("p cdock 2 2\na 1 1\na 2 1\na 3 2\n", "index out of range, line 4", id="head_n_plus_1_sorted"),
-    ],
-)
+REJECTED = [
+    # Its line, space and tag counts balance, but line 2 is not an arc.
+    ("p cdock 9 9\na 1 2 a\n3 4\n", "malformed arc line, line 2"),
+    ("p cdock 2 2\na 1 1\na 1 1\n", "duplicate arc, line 3"),
+    ("p cdock 2 2\na 2 1\na 1 1\na 2 1\n", "duplicate arc, line 4"),
+    ("p cdock 2 2\na 1 2\na 1 3\n", "index out of range, line 3"),
+    ("p cdock 2 2\na 1 1\na 3 1\n", "index out of range, line 3"),
+    # Five tokens, two tags, four spaces: the short line must not pass.
+    ("p cdock 3 3\na 1 2\na 3 \n", "malformed arc line, line 3"),
+    # No final newline, and the last line break is not followed by a tag.
+    ("p cdock 2 2\na 1 1\na 2\n 2", "malformed arc line, line 3"),
+    ("p cdock 2 2\na 0 1\n", "index out of range, line 2"),
+    ("p cdock 2 2\na 1 0\na 1 1\n", "index out of range, line 2"),
+    # int() reads these, so only the character test keeps them out.
+    ("p cdock 20 2\na 1_0 1\n", "unexpected character '_', line 2"),
+    ("p cdock 2 2\na +1 1\n", "unexpected character '+', line 2"),
+    ("p cdock 2 2\na 1 1\x0c\n", "control character U+000C, line 2"),
+    ("p cdock 2 2\na 1 x\n", "malformed arc line, line 2"),
+    ("p cdock 2 2\na 1 1\np cdock 2 2\n", "duplicate header, line 3"),
+    ("a 1 1\np cdock 2 2\n", "arc before header, line 1"),
+    ("p cdock 5 5\na1 2 3\n", "unrecognized line type 'a1', line 2"),
+    # Less their digits these are count lines "a  \n", but a digit before
+    # a tag or after the last newline must not join a number.
+    ("p cdock 40 9\na 1 2\n3a 4 5\n", "unrecognized line type '3a', line 3"),
+    ("p cdock 60 9\n5a 1 2\n", "unrecognized line type '5a', line 2"),
+    ("p cdock 9 9\na 1 2\n12", "unrecognized line type '12', line 3"),
+    ("p cdock 3 3\n12", "unrecognized line type '12', line 2"),
+    ("p cdock 3 3\na 1 2\na 2 0\n", "index out of range, line 3"),
+    # Its line counts balance, but not its lines.
+    ("p cdock 9 9\na 1 2 3\na 4\n", "malformed arc line, line 2"),
+    ("c \x0c\np cdock 2 2\n", "control character U+000C, line 1"),
+    # As a key i * (m + 1) + j with m = 2, the arc (1, 4) reads back as
+    # (2, 1): the line parser's range check must come before the key.
+    pytest.param("p cdock 2 2\na 2 2\na 1 4\n", "index out of range, line 3", id="alias_after_fallback"),
+    pytest.param("p cdock 2 2\na 1 4\na 2 2\n", "index out of range, line 2", id="alias_first"),
+    # Sorted heads, so the one-pass row cut meets each of these itself.
+    pytest.param("p cdock 2 2\na 1 1\na 2 0\na 2 1\n", "index out of range, line 3", id="tail_0_opens_a_row"),
+    pytest.param("p cdock 2 2\na 1 1\na 1 3\na 2 1\n", "index out of range, line 3", id="tail_m_plus_1_closes_a_row"),
+    pytest.param("p cdock 2 2\na 1 1\na 2 1\na 2 1\n", "duplicate arc, line 4", id="repeat_after_a_row_change"),
+    pytest.param("p cdock 2 2\na 0 1\na 1 1\n", "index out of range, line 2", id="head_0_first"),
+    pytest.param("p cdock 2 2\na 1 1\na 2 1\na 3 2\n", "index out of range, line 4", id="head_n_plus_1_sorted"),
+]
+
+
+@pytest.mark.parametrize("text,message", REJECTED)
 def test_rejected_texts_give_the_line_parsers_error(text, message):
-    assert instance_module._parse_canonical(text) is None
+    assert one_pass(text) is None
     with pytest.raises(InstanceError) as exc:
         parse_instance(text)
     assert str(exc.value) == message
@@ -220,13 +229,13 @@ def test_rejected_texts_give_the_line_parsers_error(text, message):
 @pytest.mark.parametrize("text", ["p cdock 2 2\na 1 " + "1" * 5000 + "\n", "p cdock " + "1" * 5000 + " 2\n"])
 def test_overlong_numbers_take_the_line_parser(text):
     # Past int()'s digit limit, where the interpreter has one, int() raises.
-    assert instance_module._parse_canonical(text) is None
+    assert one_pass(text) is None
     assert_same_outcome(text)
 
 
-def test_header_alone_takes_the_whole_text_path():
+def test_header_alone_takes_the_one_pass_read():
     text = "p cdock 3 3\n"
-    assert instance_module._parse_canonical(text) == Instance(3, 3, frozenset())
+    assert one_pass(text) == Instance(3, 3, frozenset())
     assert_same_outcome(text)
 
 
@@ -241,18 +250,33 @@ def test_header_alone_takes_the_whole_text_path():
         "p cdock 2 2\nc mid\na 1 1\n",
         "p cdock 2 2\na 1 1",
         "p cdock 2 2\n\na 1 1\n",
-        "p  cdock 2 2\na 1 1\n",
         # The JSON decode refuses a leading zero; int() reads "01" as 1.
         "p cdock 2 2\na 01 1\n",
     ],
     ids=[
         "crlf", "tab", "double_space", "trailing_space", "leading_space",
-        "comment_after_header", "no_final_newline", "blank_line", "header_spacing",
-        "leading_zero",
+        "comment_after_header", "no_final_newline", "blank_line", "leading_zero",
     ],
 )
 def test_valid_non_canonical_texts_take_the_line_parser(text):
-    assert instance_module._parse_canonical(text) is None
+    assert one_pass(text) is None
+    assert_same_outcome(text)
+    assert parse_instance(text).arcs
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "p  cdock 2 2\na 1 1\n",
+        "p cdock 2 2\r\na 1 1\n",
+        "\np cdock 2 2\na 1 1\n",
+        " c lead\np cdock 2 2\na 1 1\n",
+    ],
+    ids=["header_spacing", "crlf_header", "blank_before_header", "comment_leading_space"],
+)
+def test_lines_up_to_the_header_in_any_layout_take_the_one_pass_read(text):
+    # The line parser reads them; the arc block after is the serializer's.
+    assert one_pass(text) == parse_instance_lines(text)
     assert_same_outcome(text)
     assert parse_instance(text).arcs
 
@@ -268,9 +292,9 @@ def test_valid_non_canonical_texts_take_the_line_parser(text):
     ],
     ids=["row_unsorted", "rows_unsorted", "rows_unsorted_rising", "shuffled", "row_descending_heads_sorted"],
 )
-def test_arcs_out_of_order_take_the_whole_text_path(text):
-    # The whole-text path refuses arcs out of order; the line parser reads them.
-    assert instance_module._parse_canonical(text) is None
+def test_arcs_out_of_order_take_the_line_parser(text):
+    # The one-pass read refuses arcs out of order; the line parser reads them.
+    assert one_pass(text) is None
     assert_same_outcome(text)
     assert parse_instance(text).arcs
 
@@ -280,15 +304,69 @@ def test_parsers_agree_on_generated_instances(seed):
     for inst in (gen_random(60, 50, 0.3, seed), gen_d2(300, 250, 5, seed)):
         text = serialize_instance(inst, comments=[f"seed {seed}"])
         expected = ("ok", inst, instance_module._build_profile(inst))
-        assert instance_module._parse_canonical(text) is not None
+        assert one_pass(text) is not None
         assert outcome(parse_instance, text) == expected
         comment, header, *arcs = text.splitlines()
         reversed_text = "\n".join([comment, header, *reversed(arcs)]) + "\n"
-        assert instance_module._parse_canonical(reversed_text) is None
+        assert one_pass(reversed_text) is None
         assert outcome(parse_instance, reversed_text) == expected
         crlf_text = reversed_text.replace("\n", "\r\n")
-        assert instance_module._parse_canonical(crlf_text) is None
+        assert one_pass(crlf_text) is None
         assert outcome(parse_instance, crlf_text) == expected
+
+
+def _golden_texts():
+    """A seeded corpus: the serializer's text of each generator with 0 to 2
+    comments, that text in other valid layouts, corrupted copies of it, and
+    every rejected text above."""
+    rnd = random.Random(24)
+    sources = [
+        *(gen_random(n, m, p, seed) for n, m, p in ((1, 1, 1.0), (5, 7, 0.4), (30, 20, 0.3)) for seed in (0, 1)),
+        *(gen_d2(a, b, pendants, seed) for a, b, pendants in ((1, 2, 0), (8, 10, 2), (40, 30, 5)) for seed in (0, 1)),
+        *(gen_tight(TightParams(k, l, s)) for k, l, s in ((1, 1, 3), (3, 2, 4))),
+    ]
+    for k, inst in enumerate(sources):
+        text = serialize_instance(inst, ["golden", "Größe ½"][: k % 3])
+        yield text
+        yield text.replace("\n", "\r\n")
+        lines = text.split("\n")[:-1]
+        h = next(k for k, line in enumerate(lines) if line.startswith("p"))
+        arcs = lines[h + 1 :]
+        for layout in (
+            [*lines[:h], lines[h].replace(" ", "  "), *arcs],
+            [*lines[:h], lines[h] + "\r", *arcs],
+            [*lines[:h], "", " ", lines[h], *arcs],
+            ["c before", *lines[:h + 1], "c after", *arcs],
+            [*lines[:h + 1], "", *arcs],
+            [*lines[:h + 1], *rnd.sample(arcs, len(arcs))],
+        ):
+            yield "\n".join(layout) + "\n"
+        edits = [f"a {inst.n + 1} 1", f"a 1 {inst.m + 1}", "a 0 1"]
+        if arcs:
+            edits.append(rnd.choice(arcs))
+            fields = rnd.choice(arcs).split(" ")
+            fields[rnd.randrange(3)] = rnd.choice([t for t in BAD_TOKENS if len(t) < 10])
+            edits.append(" ".join(fields))
+        for edit in edits:
+            at = rnd.randint(h + 1, len(lines))
+            yield "\n".join([*lines[:at], edit, *lines[at:]]) + "\n"
+    yield from ["", "c only\n", "p cdock 3 3", "p cdock 3 3\r\n", f"p cdock {MAX_OPS + 1} 1\n"]
+    yield from ["\n\np cdock 2 2\na 1 1\n", "c x\r\n\r\np cdock 2 2\r\na 2 1\n", "p cdock 2 2\na 1 1"]
+    for case in REJECTED:
+        yield getattr(case, "values", case)[0]
+
+
+# The outcomes of the corpus as the parser read it before the line parser
+# became the only reader of comments and the header; a change to any
+# instance, profile or error message, line number included, changes it.
+GOLDEN_PARSE_DIGEST = "3197bd0ff6d4790fa455e4aa8cb154653f81ead4b368855b7551e749505a6f1f"
+
+
+def test_parse_outcomes_golden_digest():
+    digest = hashlib.sha256()
+    for text in _golden_texts():
+        digest.update(repr(outcome(parse_instance, text)).encode())
+    assert digest.hexdigest() == GOLDEN_PARSE_DIGEST
 
 
 # -- the size cap -------------------------------------------------------------

@@ -185,6 +185,21 @@ def test_blocks_rejects_truncated_and_extended_traces(ex1):
         blocks(ex1, Pd2Trace(events=(*events, (1, 0, ()))))
 
 
+@pytest.mark.parametrize(
+    "events,k",
+    [(lambda ev: (*ev, ()), 7), (lambda ev: (5,), 0), (lambda ev: (None, *ev[1:]), 0), (lambda ev: ((1, 0),), 0)],
+    ids=["empty_extra", "int", "none_first", "pair"],
+)
+def test_events_that_are_not_steps_raise_value_error(ex1, events, k):
+    # Each event hashes, so the trace is built; blocks and trace_to_json then
+    # name the event, with no B-operation, since it holds none.
+    trace = Pd2Trace(events(solve_pd2(ex1)[1].events))
+    with pytest.raises(ValueError, match=f"at event {k}$"):
+        blocks(ex1, trace)
+    with pytest.raises(ValueError, match=f"trace event {k} is not a \\(b_index, degree, batch\\) triple"):
+        trace_to_json(trace)
+
+
 def test_trace_refuses_events_that_are_not_a_tuple(ex1):
     _, trace = solve_pd2(ex1)
     with pytest.raises(TypeError, match="must be a tuple, got list"):

@@ -11,7 +11,6 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
-import crossdock.instance as instance_module
 import crossdock.pd2 as pd2
 from crossdock import (
     Instance,
@@ -33,6 +32,7 @@ from crossdock import (
     solve_greedy,
     solve_pd2,
 )
+from conftest import one_pass
 from oracles import blocks_by_walk, lemma1_closed_form, list_schedule
 
 
@@ -144,13 +144,13 @@ def _control(ch):
 @given(arc_sets(max_size=30), st.lists(st.text(max_size=10), max_size=3))
 def test_parse_inverts_serialize(inst, comments):
     # Any comment text: one with a control character other than tab, a line
-    # break included, is refused; every text written takes the whole-text path.
+    # break included, is refused; every text written takes the one-pass read.
     if any(_control(ch) for c in comments for ch in c):
         with pytest.raises(InstanceError):
             serialize_instance(inst, comments)
         return
     text = serialize_instance(inst, comments)
-    assert instance_module._parse_canonical(text) is not None
+    assert one_pass(text) is not None
     parsed = parse_instance(text)
     assert parsed == inst
     assert parsed.profile == Instance(n=inst.n, m=inst.m, arcs=inst.arcs).profile
