@@ -274,8 +274,9 @@ def test_valid_non_canonical_texts_take_the_line_parser(text):
     ],
     ids=["header_spacing", "crlf_header", "blank_before_header", "comment_leading_space"],
 )
-def test_lines_up_to_the_header_in_any_layout_take_the_one_pass_read(text):
-    # The line parser reads them; the arc block after is the serializer's.
+def test_header_layouts_take_the_one_pass_read(text):
+    # The line parser reads the lines up to the header, whatever their
+    # layout; the arc block after them is in the serializer's layout.
     assert one_pass(text) == parse_instance_lines(text)
     assert_same_outcome(text)
     assert parse_instance(text).arcs
@@ -330,7 +331,7 @@ def _golden_texts():
         yield text
         yield text.replace("\n", "\r\n")
         lines = text.split("\n")[:-1]
-        h = next(k for k, line in enumerate(lines) if line.startswith("p"))
+        h = next(i for i, line in enumerate(lines) if line.startswith("p"))
         arcs = lines[h + 1 :]
         for layout in (
             [*lines[:h], lines[h].replace(" ", "  "), *arcs],
