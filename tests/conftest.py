@@ -1,3 +1,6 @@
+import math
+from contextlib import contextmanager
+
 import pytest
 
 import crossdock.instance as instance_module
@@ -36,24 +39,60 @@ def cex() -> Instance:
     return Instance(n=1, m=3, arcs=frozenset({(1, 1)}))
 
 
-def one_pass(text):
-    """The instance ``parse_instance(text)`` returns if ``_arc_block`` read
-    its arc block in one pass, else None (None too if it raises
-    ``InstanceError``).  A spy around ``_arc_block`` sees the reads, and
-    the parser may call it at most once per text.  No fixture, so that
-    Hypothesis tests may call it."""
-    real, reads = instance_module._arc_block, []
+def _spied(name, text):
+    """``parse_instance(text)``, None if it raises ``InstanceError``, and
+    what each call of the parser's helper ``name`` returned, seen by a spy
+    around it.  The parser may call the helper at most once per text."""
+    real, reads = getattr(instance_module, name), []
 
     def spy(*args):
         reads.append(real(*args))
         return reads[-1]
 
-    instance_module._arc_block = spy
+    setattr(instance_module, name, spy)
     try:
         inst = parse_instance(text)
     except InstanceError:
         inst = None
     finally:
-        instance_module._arc_block = real
+        setattr(instance_module, name, real)
     assert len(reads) <= 1
+    return inst, reads
+
+
+def one_pass(text):
+    """The instance ``parse_instance(text)`` returns if ``_arc_block`` read
+    its arc block in one pass, else None (None too if it raises
+    ``InstanceError``).  No fixture, so that Hypothesis tests may call it."""
+    inst, reads = _spied("_arc_block", text)
     return inst if reads and reads[0] is inst else None
+
+
+def row_read(text):
+    """The instance ``parse_instance(text)`` returns if the row reader
+    ``_long_rows`` read its arc block, else None."""
+    inst, reads = _spied("_long_rows", text)
+    return inst if reads and reads[0] is inst else None
+
+
+def row_refused(text):
+    """Whether the row reader was handed the arc block of ``text`` and
+    refused it, so that the line parser read the block."""
+    return _spied("_long_rows", text)[1] == [None]
+
+
+# Mean row lengths that force one writer and reader on every text: the row
+# ones from 0, the per-arc ones and the one-pass read at infinity.
+FORCED_ROW_GATES = pytest.mark.parametrize("gate", [0, math.inf], ids=["rows_always", "rows_never"])
+
+
+@contextmanager
+def long_row_gate(value):
+    """Parse and serialize with the mean row length ``_LONG_ROW`` set to
+    ``value``, and restore it after."""
+    real = instance_module._LONG_ROW
+    instance_module._LONG_ROW = value
+    try:
+        yield
+    finally:
+        instance_module._LONG_ROW = real

@@ -13,7 +13,9 @@ result, schedule and all, against it wherever n <= 14.
 
 ``parse_instance_lines`` is the line-by-line instance parser as it was
 before the canonical whole-text path, the reference the differential parse
-tests compare ``parse_instance`` against.
+tests compare ``parse_instance`` against.  ``serialize_by_arcs`` is the
+per-arc writer ``serialize_instance`` keeps for short rows, the reference
+its row-joined writer for long rows must equal byte for byte.
 
 ``prefix_q`` is the q statistic over a given machine-1 order.
 ``lemma1_closed_form`` is Lemma 1's class bound in the form the library
@@ -426,3 +428,13 @@ def parse_instance_lines(text: str) -> Instance:
     if n is None or m is None:
         raise InstanceError("missing header")
     return Instance(n=n, m=m, arcs=frozenset(arcs))
+
+
+def serialize_by_arcs(inst: Instance, comments: Iterable[str] = ()) -> str:
+    """The canonical text of ``inst`` written one "a <i> <j>" line per arc,
+    as ``serialize_instance`` writes every instance whose rows are short;
+    the comments are taken as given, unchecked."""
+    lines = [f"c {c}" for c in comments]
+    lines.append(f"p cdock {inst.n} {inst.m}")
+    lines.extend(f"a {i} {j}" for i, row in enumerate(inst._succ) for j in row)
+    return "\n".join(lines) + "\n"

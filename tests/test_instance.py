@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import pytest
@@ -9,13 +10,15 @@ from crossdock import (
     InstanceError,
     classify,
     degree_profile,
+    gen_d2,
     gen_random,
     gen_tight,
     parse_instance,
     serialize_instance,
     TightParams,
 )
-from conftest import EX1_TEXT
+from conftest import EX1_TEXT, FORCED_ROW_GATES, long_row_gate
+from oracles import serialize_by_arcs
 
 
 def test_parse_smallest():
@@ -187,6 +190,52 @@ def test_round_trip_random_instances():
         assert parse_instance(text) == inst
         # canonical form is idempotent
         assert serialize_instance(parse_instance(text)) == text
+
+
+# Mean rows from 0 to 300 arcs, on both sides of the row writer's gate, and
+# m from 1 to 300, on both sides of the arc count its digit table must not
+# pass.
+@given(
+    n=st.integers(1, 3),
+    m=st.integers(1, 300),
+    p=st.sampled_from([0.0, 0.05, 0.3, 0.6, 1.0]),
+    seed=st.integers(0, 10**6),
+    comments=st.lists(st.text(alphabet="ab 1\té½", max_size=5), max_size=2),
+)
+def test_serialize_equals_the_per_arc_writer(n, m, p, seed, comments):
+    inst = gen_random(n, m, p, seed)
+    text = serialize_instance(inst, comments)
+    assert text == serialize_by_arcs(inst, comments)
+    assert parse_instance(text) == inst
+
+
+@FORCED_ROW_GATES
+@given(seed=st.integers(0, 10**6))
+def test_serialize_under_a_forced_row_gate(gate, seed):
+    inst = gen_random(1 + seed % 5, 1 + seed % 7, 0.7, seed)
+    with long_row_gate(gate):
+        assert serialize_instance(inst, ["forced"]) == serialize_by_arcs(inst, ["forced"])
+
+
+def _serializer_corpus():
+    yield gen_random(500, 500, 0.5, 25), ["dense 500"]
+    yield gen_random(120, 300, 0.9, 25), []
+    yield gen_random(120, 300, 0.9, 26), ["Größe ½", "\ttab"]
+    yield gen_d2(2000, 1500, 40, 25), ["d2"]
+    yield gen_tight(TightParams(3, 2, 4)), []
+    yield gen_tight(TightParams(20, 10, 300)), ["tight"]
+
+
+# The serializer's bytes on the corpus above, as the per-arc writer wrote
+# them before long rows were joined one row at a time.
+SERIALIZER_DIGEST = "895b381f7fa60368f5453e95c666e118d00450cca2ea4845db56606915064827"
+
+
+def test_serializer_golden_digest():
+    digest = hashlib.sha256()
+    for inst, comments in _serializer_corpus():
+        digest.update(serialize_instance(inst, comments).encode())
+    assert digest.hexdigest() == SERIALIZER_DIGEST
 
 
 def test_degree_profile_ex1_sorted_in_degrees(ex1):

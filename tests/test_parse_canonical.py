@@ -3,9 +3,12 @@
 ``parse_instance`` reads every line up to the header itself, then hands the
 rest of the text, once, to ``_arc_block``.  An arc block in
 ``serialize_instance``'s layout, arcs in (i, j) order, is read there in one
-pass; any other block, arcs out of order included, the line parser reads
-on.  ``conftest.one_pass`` spies on ``_arc_block`` to tell the two paths
-apart.  On any text they must agree with ``oracles.parse_instance_lines``:
+pass, or, when its rows average at least ``_LONG_ROW`` arcs, one row at a
+time by ``_long_rows``; any other block, arcs out of order included, the
+line parser reads on.  ``conftest.one_pass`` and ``conftest.row_read`` spy
+on ``_arc_block`` and ``_long_rows`` to tell the paths apart, and
+``conftest.long_row_gate`` forces the gate either way.  On any text they
+must agree with ``oracles.parse_instance_lines``:
 an equal instance with an equal profile, or the same ``InstanceError``
 message, line number included.
 """
@@ -29,7 +32,7 @@ from crossdock import (
 )
 from crossdock import instance as instance_module
 from crossdock.cli import main
-from conftest import one_pass
+from conftest import FORCED_ROW_GATES, long_row_gate, one_pass, row_read, row_refused
 from oracles import parse_instance_lines
 
 
@@ -368,6 +371,127 @@ def test_parse_outcomes_golden_digest():
     for text in _golden_texts():
         digest.update(repr(outcome(parse_instance, text)).encode())
     assert digest.hexdigest() == GOLDEN_PARSE_DIGEST
+
+
+# -- both readers of a block in the serializer's layout -----------------------
+# An arc block whose mean row length reaches _LONG_ROW is read one row at a
+# time by _long_rows, any shorter one by the one-pass read.  Every refusal
+# above, and the golden corpus, must read the same with the gate forced
+# either way: at 0 every block in the serializer's layout reaches the row
+# reader, and at infinity none does.
+
+
+@FORCED_ROW_GATES
+@pytest.mark.parametrize("text,message", REJECTED)
+def test_rejected_texts_under_a_forced_row_gate(gate, text, message):
+    with long_row_gate(gate):
+        test_rejected_texts_give_the_line_parsers_error(text, message)
+
+
+@FORCED_ROW_GATES
+def test_golden_digest_under_a_forced_row_gate(gate):
+    with long_row_gate(gate):
+        test_parse_outcomes_golden_digest()
+
+
+@FORCED_ROW_GATES
+@settings(max_examples=200)
+@given(text=edited_texts())
+def test_parse_matches_line_parser_under_a_forced_row_gate(gate, text):
+    with long_row_gate(gate):
+        assert_same_outcome(text)
+
+
+@FORCED_ROW_GATES
+@given(inst=instances(), comments=st.lists(COMMENT_TEXT, max_size=3))
+def test_canonical_text_under_a_forced_row_gate(gate, inst, comments):
+    with long_row_gate(gate):
+        text = serialize_instance(inst, comments)
+        assert one_pass(text) == parse_instance_lines(text) == inst
+        assert_same_outcome(text)
+
+
+def test_empty_tail_under_a_forced_row_gate():
+    # Its one line is the whole row, and the row's tails decode to [].
+    with long_row_gate(0):
+        assert row_refused("p cdock 3 3\na 3 \n")
+        test_rejected_texts_give_the_line_parsers_error("p cdock 3 3\na 3 \n", "malformed arc line, line 2")
+
+
+def _one_row(tails, head="1", n=1, m=200):
+    return f"p cdock {n} {m}\n" + "".join(f"a {head} {j}\n" for j in tails)
+
+
+SWAPPED = [*range(1, 100), 101, 100, *range(102, 201)]
+# Each a block in the serializer's layout whose mean row length reaches the
+# gate: the row reader refuses it, and the line parser reads it.
+LONG_ROWS_REFUSED = [
+    pytest.param(_one_row(SWAPPED), None, id="two_tails_swapped"),
+    pytest.param(_one_row([*range(1, 101), *range(100, 201)]), "duplicate arc, line 102", id="repeated_tail"),
+    pytest.param(_one_row(range(1, 202)), "index out of range, line 202", id="tail_m_plus_1"),
+    pytest.param(_one_row(range(0, 200)), "index out of range, line 2", id="tail_0"),
+    pytest.param(
+        "p cdock 2 200\n" + "".join(f"a {i} {j}\n" for i, lo in ((1, 1), (2, 1), (1, 101)) for j in range(lo, lo + 100)),
+        None,
+        id="head_comes_back",
+    ),
+    pytest.param(
+        "p cdock 2 200\n" + "".join(f"a {i} {j}\n" for i, lo in ((1, 1), (2, 1), (1, 100)) for j in range(lo, lo + 100)),
+        "duplicate arc, line 202",
+        id="head_comes_back_repeating",
+    ),
+    pytest.param(_one_row(range(1, 201)).replace("\na 1 100\n", "\na 01 100\n"), None, id="leading_zero_mid_row"),
+    pytest.param(_one_row(range(1, 201), head="01"), None, id="leading_zero_head"),
+    pytest.param(_one_row(range(1, 201), head="0"), "index out of range, line 2", id="head_0"),
+    pytest.param(_one_row(range(1, 201), head="2"), "index out of range, line 2", id="head_n_plus_1"),
+    pytest.param(_one_row(range(1, 201)).replace("\na 1 50\n", "\na 1 \n"), "malformed arc line, line 51", id="empty_tail"),
+    pytest.param(_one_row(range(1, 201)).replace("\na 1 50\n", "\na  50\n"), "malformed arc line, line 51", id="empty_head"),
+]
+
+
+@pytest.mark.parametrize("text,message", LONG_ROWS_REFUSED)
+def test_long_rows_the_row_reader_refuses(text, message):
+    assert row_refused(text)
+    assert_same_outcome(text)
+    if message is not None:
+        with pytest.raises(InstanceError) as exc:
+            parse_instance(text)
+        assert str(exc.value) == message
+    else:
+        assert parse_instance(text).arcs
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_dense_text_takes_the_row_reader(seed):
+    inst = gen_random(500, 500, 0.5, seed)
+    text = serialize_instance(inst, ["dense"])
+    assert row_read(text) == inst
+    assert_same_outcome(text)
+
+
+def test_one_long_row_takes_the_row_reader():
+    text = _one_row(range(1, 401), m=400)
+    assert row_read(text) == Instance(1, 400, {(1, j) for j in range(1, 401)})
+    assert_same_outcome(text)
+
+
+def test_a_row_past_the_first_window_takes_the_row_reader():
+    # The first window spans about twice the mean row, 200 of these lines,
+    # so row 1 is found only once it has doubled.
+    text = "p cdock 4 400\n" + "".join(f"a 1 {j}\n" for j in range(1, 401)) + "a 2 1\na 3 1\na 4 1\n"
+    assert row_read(text) == parse_instance_lines(text)
+    assert_same_outcome(text)
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [gen_d2(2000, 2000, 40, 1), gen_random(250, 250, 0.02, 1), gen_random(200, 200, 0.3, 1)],
+    ids=["d2", "cli_batch_sized", "rows_of_60"],
+)
+def test_short_rows_take_the_one_pass_read(inst):
+    text = serialize_instance(inst)
+    assert row_read(text) is None and not row_refused(text)
+    assert one_pass(text) == inst
 
 
 # -- the size cap -------------------------------------------------------------
