@@ -3,8 +3,12 @@
 All randomness comes from ``random.Random(seed)`` (the stdlib Mersenne
 Twister), so a (parameters, seed) pair reproduces the same instance on
 any platform; a negative seed is refused, since ``Random(-s)`` draws what
-``Random(s)`` does.  Arcs are drawn in a fixed traversal order into the
-sorted successor table an ``Instance`` holds, so ``arcs`` is built on first read.
+``Random(s)`` does.  ``gen_random`` reads ``random()``; ``gen_d2`` reads
+``getrandbits`` itself, in the order the stdlib's ``sample`` reads it, so
+its instances are those ``sample`` drew but no longer depend on how the
+stdlib implements ``sample``.  Arcs are drawn in a fixed traversal order
+into the sorted successor table an ``Instance`` holds, so ``arcs`` is built
+on first read.
 """
 
 from __future__ import annotations
@@ -77,6 +81,14 @@ def gen_d2(a_count: int, b_count: int, pendant_count: int, seed: int) -> Instanc
     from the first b_count - pendant_count B-operations; the remaining
     B-operations are excluded from sampling and stay pendant.  Sampling
     may leave further B-operations uncovered.
+
+    The pair is what ``sorted(Random(seed).sample(pool, 2))`` drew, read
+    from ``getrandbits`` in ``sample``'s order, so instances no longer
+    depend on how the stdlib implements ``sample``.  An index below a bound
+    redraws ``getrandbits(bound.bit_length())`` while the value reaches the
+    bound.  A pool of at most 21 draws x below its size and y below one
+    less, y = x meaning the last index, which ``sample`` moved into x's
+    place; a larger pool redraws y below its size while it equals x.
     """
     _require_ints(a_count=a_count, b_count=b_count, pendant_count=pendant_count, seed=seed)
     if a_count < 1 or b_count < 1:
@@ -86,10 +98,34 @@ def gen_d2(a_count: int, b_count: int, pendant_count: int, seed: int) -> Instanc
         raise ValueError(
             f"need at least 2 non-pendant B-operations, got b={b_count}, pendants={pendant_count}"
         )
-    sample = _rng(seed).sample
-    pool = range(1, b_count - pendant_count + 1)
-    succ = ((), *[tuple(sorted(sample(pool, 2))) for _ in range(a_count)])
-    return Instance._from_succ(a_count, b_count, succ)
+    getrandbits = _rng(seed).getrandbits
+    size = b_count - pendant_count
+    last = size - 1
+    k = size.bit_length()
+    rows: list[tuple[int, int]] = []
+    append = rows.append
+    if size <= 21:
+        k_last = last.bit_length()
+        for _ in range(a_count):
+            x = getrandbits(k)
+            while x >= size:
+                x = getrandbits(k)
+            y = getrandbits(k_last)
+            while y >= last:
+                y = getrandbits(k_last)
+            if y == x:
+                y = last
+            append((x + 1, y + 1) if x < y else (y + 1, x + 1))
+    else:
+        for _ in range(a_count):
+            x = getrandbits(k)
+            while x >= size:
+                x = getrandbits(k)
+            y = getrandbits(k)
+            while y >= size or y == x:
+                y = getrandbits(k)
+            append((x + 1, y + 1) if x < y else (y + 1, x + 1))
+    return Instance._from_succ(a_count, b_count, ((), *rows))
 
 
 def gen_tight(params: TightParams) -> Instance:

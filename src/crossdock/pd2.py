@@ -28,10 +28,22 @@ number of machine-1 operations the block runs before its first machine-2
 operation (the block's offset).  The machine-2 operations
 precedence-forced past the block's last machine-1 completion (the
 overhang) number 1 or 2 for labels >= 2, which is what makes the stitched
-schedule tight.  Both are read off the run's release times.  That lemma
-speaks of pd2 runs only, so ``blocks`` accepts only a trace equal to its
-instance's run.  A trace that ``solve_pd2`` returns holds the kept run's
-own tuple of triples, so ``blocks`` checks it with one tuple compare.
+schedule tight.  Both are read off the run's release times.
+
+The labels are core numbers.  On this class each A-operation is an edge
+between its two successors, so an instance is a multigraph on the
+B-operations, with pendants as isolated vertices.  A pick removes a vertex
+of least current degree with its edges: smallest-last elimination (Matula
+and Beck, "Smallest-last ordering and clustering and graph coloring
+algorithms", JACM 1983).  Under it, the largest removal degree up to a
+vertex's removal is that vertex's core number, the number the linear
+peeling of Batagelj and Zaversnik ("An O(m) algorithm for cores
+decomposition of networks", 2003) computes.  A block opens exactly when
+that maximum rises, so the label of B_j's block is B_j's core number, and
+the last label is the degeneracy.  The block lemma speaks of pd2 runs
+only, so ``blocks`` accepts only a trace equal to its instance's run.  A
+trace that ``solve_pd2`` returns holds the kept run's own tuple of
+triples, so ``blocks`` checks it with one tuple compare.
 """
 
 from __future__ import annotations

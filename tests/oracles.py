@@ -36,11 +36,20 @@ given release times, and ``blocks_by_walk`` measures pd2's blocks by
 walking the successors of each block's A-operations.  Both are how the
 library computed these before pd2's pick loop wrote its schedule and
 ``blocks`` read its measures off the run's release times.
+
+``core_numbers`` peels the multigraph on the B-operations whose edges are
+a two-successor instance's A-operations, one k-core after another: the
+check, sharing no code with pd2, that its block labels are core numbers.
+
+``gen_d2_by_sample`` is ``gen_d2`` as it drew through ``Random.sample``,
+the reference its own ``getrandbits`` draws must equal instance for
+instance.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 import re
 from math import factorial
 from typing import Iterable, Iterator
@@ -326,6 +335,53 @@ def blocks_by_walk(
         offset = min(ready.get(b_ops[0], 0), n_a)
         result.append(Block(label, tuple(a_ops), tuple(b_ops), offset, overhang))
     return tuple(result)
+
+
+def core_numbers(inst: Instance) -> list[int]:
+    """The core number of each B-operation (entry 0 unused), by peeling.
+
+    Each A-operation is an edge between its two successors, so two
+    A-operations with the same successors are two parallel edges, and a
+    B-operation without predecessors is an isolated vertex.  The k-core
+    is what is left after removing, again and again, every vertex of
+    degree below k; the vertices removed on the way to the k-core, and
+    present in the (k-1)-core, have core number k - 1.
+    """
+    ends: dict[int, list[int]] = {}
+    for i, j in inst.arcs:
+        ends.setdefault(i, []).append(j)
+    nbrs: list[list[int]] = [[] for _ in range(inst.m + 1)]
+    for u, v in ends.values():
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    deg = [len(vs) for vs in nbrs]
+    core = [0] * (inst.m + 1)
+    alive = set(range(1, inst.m + 1))
+    k = 0
+    while alive:
+        k += 1
+        stack = [v for v in alive if deg[v] < k]
+        while stack:
+            v = stack.pop()
+            if v not in alive:
+                continue
+            alive.remove(v)
+            core[v] = k - 1
+            for u in nbrs[v]:
+                if u in alive:
+                    deg[u] -= 1
+                    if deg[u] < k:
+                        stack.append(u)
+    return core
+
+
+def gen_d2_by_sample(a_count: int, b_count: int, pendant_count: int, seed: int) -> Instance:
+    """``gen_d2``'s instance for valid parameters, each A-operation's two
+    successors drawn by ``Random.sample`` from the non-pendant pool."""
+    sample = random.Random(seed).sample
+    pool = range(1, b_count - pendant_count + 1)
+    pairs = [sample(pool, 2) for _ in range(a_count)]
+    return Instance(a_count, b_count, [(i, j) for i, pair in enumerate(pairs, start=1) for j in pair])
 
 
 def optimal_makespan_statespace(inst: Instance) -> int:

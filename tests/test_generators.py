@@ -2,6 +2,7 @@ import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 import crossdock.generators as generators
 from crossdock import (
@@ -14,6 +15,7 @@ from crossdock import (
     serialize_instance,
     TightParams,
 )
+from oracles import gen_d2_by_sample
 
 
 def test_gen_random_p_zero():
@@ -109,6 +111,41 @@ def test_gen_d2_rejects_bad_params():
         gen_d2(2, MAX_OPS + 1, 0, 1)
 
 
+ORACLE_SEEDS = (0, 1, 2**40, 2**70 + 3)
+
+
+@pytest.mark.parametrize("pendants", [0, 3])
+def test_gen_d2_draws_as_sample_on_every_small_pool(pendants):
+    # pools of 2 to 79 cross sample's switch from its list to its set
+    # branch between 21 and 22
+    for size in range(2, 80):
+        for seed in ORACLE_SEEDS:
+            args = (30, size + pendants, pendants, seed)
+            assert gen_d2(*args) == gen_d2_by_sample(*args), args
+
+
+@pytest.mark.parametrize("k", range(2, 21))
+def test_gen_d2_draws_as_sample_around_powers_of_two(k):
+    # a pool just above a power of two rejects almost half its draws
+    for size in (2**k - 1, 2**k, 2**k + 1):
+        for pendants in (0, 5):
+            for seed in ORACLE_SEEDS:
+                args = (40, size + pendants, pendants, seed)
+                assert gen_d2(*args) == gen_d2_by_sample(*args), args
+
+
+@st.composite
+def gen_d2_args(draw):
+    b = draw(st.integers(2, 300))
+    pendants = draw(st.integers(0, b - 2))
+    return draw(st.integers(1, 80)), b, pendants, draw(st.integers(0, 2**80))
+
+
+@given(gen_d2_args())
+def test_gen_d2_draws_as_sample(args):
+    assert gen_d2(*args) == gen_d2_by_sample(*args)
+
+
 def test_tight_params_validation():
     with pytest.raises(ValueError):
         TightParams(k=2, l=3, s=3)  # k < l
@@ -172,8 +209,10 @@ def _golden_cases():
     """(generator, parameters, seed) triples with the comments each is
     serialized with.  Edge cases: p = 0 and p = 1 (as floats and ints), a
     Fraction p, n = m = 1, m > 256, d2 pools of 2 and of more than 21
-    (``Random.sample`` draws from a set above that), pendants, huge seeds,
-    and ``gen_tight`` with comments."""
+    (``Random.sample`` moves the pool's last entry into its first pick's
+    place up to 21, and above that redraws the second pick while it
+    repeats the first), pendants, huge seeds, and ``gen_tight`` with
+    comments."""
     for n, m in ((1, 1), (1, 7), (7, 1), (4, 5), (9, 12), (3, 300), (2, 600)):
         for p in (0.0, 1.0, 0, 1, 0.5, 0.1, 0.9, Fraction(1, 3)):
             for seed in (0, 1, 7, 2**40, 2**70 + 3):

@@ -22,7 +22,7 @@ from crossdock import (
     trace_to_json,
 )
 from crossdock.instance import _build_profile
-from oracles import lemma1_closed_form
+from oracles import core_numbers, lemma1_closed_form
 
 
 def m2_sequence(trace):
@@ -137,6 +137,12 @@ def test_blocks_ex1(ex1):
     assert set(bl3.a_ops) == {1, 2, 3} and set(bl3.b_ops) == {2, 3}
     assert bl3.offset_len == 3
     assert bl3.overhang_len == 2
+
+
+def test_core_numbers_ex1(ex1):
+    # B2 and B3 share three edges (A1-A3), a 3-core; A4-A6 make the path
+    # B4-B5-B6-B3, which peels at degree 1; B1 and B7 are isolated.
+    assert core_numbers(ex1) == [0, 0, 3, 3, 1, 1, 1, 0]
 
 
 def test_blocks_single_block():

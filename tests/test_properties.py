@@ -33,7 +33,7 @@ from crossdock import (
     solve_pd2,
 )
 from conftest import one_pass
-from oracles import blocks_by_walk, lemma1_closed_form, list_schedule
+from oracles import blocks_by_walk, core_numbers, lemma1_closed_form, list_schedule
 
 
 @st.composite
@@ -135,6 +135,17 @@ def test_blocks_match_the_successor_walk(inst):
     walked = blocks_by_walk(inst, trace.events)
     assert solved == walked
     assert blocks(inst, pickle.loads(pickle.dumps(trace))) == walked
+
+
+@given(st.one_of(d2_instances(max_a=60, max_b=40), hand_built_d2(max_n=40, max_m=40)))
+def test_block_labels_are_core_numbers(inst):
+    # pd2 removes a least-degree B-operation with its edges, smallest-last
+    # elimination, so the label of B_j's block is B_j's core number.
+    _, trace = solve_pd2(inst)
+    core = core_numbers(inst)
+    labels = {j: blk.label for blk in blocks(inst, trace) for j in blk.b_ops}
+    assert sorted(labels) == list(range(1, inst.m + 1))
+    assert all(labels[j] == core[j] for j in labels)
 
 
 def _control(ch):
