@@ -99,6 +99,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         raise CliError(f"pd2 requires every A out-degree 2: {exc}") from exc
     except ValueError as exc:
         raise CliError(str(exc)) from exc
+    # The file is written first, so a failed write exits with nothing on stdout.
+    if args.out:
+        Path(args.out).write_text(schedule_to_json(sched))
     print(f"makespan {makespan(sched)}")
     if args.alg == "greedy":
         rep = bounds_report(inst)
@@ -106,8 +109,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         print(f"lower_bound {rep.lower_bound}")
         print(f"greedy_upper {rep.greedy_upper}")
         print(f"ratio_bound {_fraction(rep.ratio_bound)}")
-    if args.out:
-        Path(args.out).write_text(schedule_to_json(sched))
     if args.gantt:
         sys.stdout.write(render_gantt(inst, sched))
     return 0

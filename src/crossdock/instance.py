@@ -168,7 +168,8 @@ _DATA_IRREGULAR = re.compile(r"[^\t\x20-\x2a\x2c\x2e-\x5e\x60-\x7e]")
 # even at rows of 30 to 40 arcs; at 60 to 130 it takes 10 to 30 % less time.
 _LONG_ROW = 64
 
-_COMMAS = bytes.maketrans(b" \n", b",,")
+# "a 1 2\n" to " ,1,2 ": after a placeholder 0, an arc block is an array's body.
+_ARRAY_BODY = bytes.maketrans(b"a \n", b" , ")
 _JSON_ARRAY = json.JSONDecoder().raw_decode  # one C-level scan of a str
 
 
@@ -180,11 +181,15 @@ def _arc_block(text: str, start: int, n: int, m: int) -> Instance | None:
     arcs in (i, j) order.  The layout is checked over the whole block at
     once.  A block of at least ``_LONG_ROW`` lines per A-operation is then
     read one row at a time by ``_long_rows``.  The numbers of any other are
-    read as one JSON array, and ``_succ_table`` checks the arcs' order,
+    read as one JSON array, which one ``translate`` makes: each tag becomes
+    a space, each space a comma and each newline a space, so "a 1 2\n"
+    reads " ,1,2 ", and the block follows a placeholder 0, which only makes
+    the text a valid array.  ``_succ_table`` then checks the arcs' order,
     range and uniqueness in the one pass that cuts their rows.  Either way
-    "a 01 1" (JSON has no leading zeros), arcs out of order, a repeated arc
-    or an index out of range give None.  Returning None is never an error:
-    the line parser then reads the block itself, and accepts or rejects it.
+    "a 01 1" (JSON has no leading zeros), "a  2" (nor empty numbers), arcs
+    out of order, a repeated arc or an index out of range give None.
+    Returning None is never an error: the line parser then reads the block
+    itself, and accepts or rejects it.
     """
     body = text[start:]
     if not body.isascii():
@@ -204,11 +209,11 @@ def _arc_block(text: str, start: int, n: int, m: int) -> Instance | None:
     if lines >= _LONG_ROW * n:
         return _long_rows(block, n, m)
     try:  # an empty number, a leading zero or one past int()'s limit raise
-        nums = _JSON_ARRAY((b"[%b]" % block.replace(b"a ", b"").translate(_COMMAS)[:-1]).decode())[0]
+        nums = _JSON_ARRAY((b"[0%b]" % block.translate(_ARRAY_BODY)).decode())[0]
     except ValueError:
         return None
     del block
-    heads, tails = nums[0::2], tuple(nums[1::2])
+    heads, tails = nums[1::2], tuple(nums[2::2])  # nums[0] is the placeholder 0
     del nums
     succ = _succ_table(n, m, heads, tails)
     return None if succ is None else Instance._from_succ(n, m, succ)

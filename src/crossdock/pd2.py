@@ -50,8 +50,9 @@ from __future__ import annotations
 
 import heapq
 import json
+from bisect import bisect_left
 from dataclasses import asdict, dataclass
-from itertools import zip_longest
+from itertools import filterfalse, zip_longest
 
 from .greedy import lower_bound
 from .instance import DegreeProfile, Instance, degree_profile
@@ -76,7 +77,9 @@ class Pd2Trace:
 
     ``events`` must be a tuple that hashes, so that a trace hashes and
     compares equal to the run it records; anything else, such as a list
-    step or a list batch, raises ``TypeError``.
+    step or a list batch, raises ``TypeError``.  Only the trace
+    ``solve_pd2`` returns, around the triples its own run built, skips
+    these checks.
     """
 
     events: tuple[Step, ...]
@@ -88,6 +91,14 @@ class Pd2Trace:
             hash(self.events)
         except TypeError as exc:
             raise TypeError(f"Pd2Trace events must be hashable: {exc}") from None
+
+    @classmethod
+    def _of_run(cls, steps: tuple[Step, ...]) -> Pd2Trace:
+        """The trace of a pd2 run, whose triples ``_run`` built, so
+        ``__post_init__``'s checks are skipped."""
+        trace = cls.__new__(cls)
+        trace.__dict__["events"] = steps
+        return trace
 
 
 @dataclass(frozen=True)
@@ -121,7 +132,11 @@ def _run(prof: DegreeProfile, n: int) -> tuple[list[Step], list[int], list[int],
     that falls on each decrement and rises past empty levels.  Degrees
     only fall, so a B-operation may hold stale entries at levels above its
     degree; a stale entry is one of an operation already picked (see the
-    loop), and is skipped when popped.
+    loop), and is skipped when popped.  The loop ends at its last pick,
+    when no B-operation is pending, and the stale entries still in the
+    levels are dropped with them, unpopped.  Until then every pending
+    B-operation has an entry at its current degree, at least ``low``, so
+    ``low`` never passes the last level.
 
     The same loop lays out the schedule, and it is
     ``complete_m2_erd(inst, pi)`` for ``pi`` the batches joined in order.
@@ -150,9 +165,10 @@ def _run(prof: DegreeProfile, n: int) -> tuple[list[Step], list[int], list[int],
     for j in range(1, len(deg)):
         levels[deg[j]].append(j)  # ascending, so each level is a heap
     heappop, heappush = heapq.heappop, heapq.heappush
-    low, top = 0, len(levels)
+    low = 0
+    left = len(deg) - 1  # B-operations not yet picked
     pos = t = 0  # machine-1 and machine-2 completions so far
-    while low < top:
+    while left:
         level = levels[low]
         if not level:
             low += 1
@@ -164,10 +180,11 @@ def _run(prof: DegreeProfile, n: int) -> tuple[list[Step], list[int], list[int],
         if done_b[j]:
             continue
         done_b[j] = True
+        left -= 1
         if low == 0:
             steps.append((j, 0, ()))
         else:
-            batch = tuple([a for a in pred[j] if not done_a[a]])
+            batch = tuple(filterfalse(done_a.__getitem__, pred[j]))
             steps.append((j, low, batch))
             for a in batch:
                 done_a[a] = True
@@ -212,7 +229,7 @@ def _kept_run(inst: Instance) -> tuple[tuple[Step, ...], Schedule, list[int]]:
 def solve_pd2(inst: Instance) -> tuple[Schedule, Pd2Trace]:
     """Run the degree-driven exact algorithm; returns schedule and trace."""
     steps, sched, _ = _kept_run(inst)
-    return sched, Pd2Trace(steps)
+    return sched, Pd2Trace._of_run(steps)
 
 
 def lemma1_bound(inst: Instance) -> int:
@@ -271,8 +288,10 @@ def blocks(inst: Instance, trace: Pd2Trace) -> tuple[Block, ...]:
         n_a = len(a_ops)
         end = start + n_a
         # precedence-forced past the block's machine-1 tail; operations
-        # merely queued behind machine 2 do not count
-        overhang = sum(1 for j in b_ops if r[j] >= end) if n_a else 0
+        # merely queued behind machine 2 do not count.  Picks come in
+        # release-time order (see _run), so those released at end or later
+        # are the block's last.
+        overhang = len(b_ops) - bisect_left(b_ops, end, key=r.__getitem__) if n_a else 0
         # machine-2 starts never decrease, so the block's first pick starts first
         offset = min(max(0, r[b_ops[0]] - start), n_a)
         result.append(

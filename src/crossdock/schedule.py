@@ -134,11 +134,12 @@ def check_feasible(inst: Instance, sched: Schedule) -> FeasibilityReport:
                         f"machine-{machine} overlap: {label}{first} and {label}{k} both at {s}"
                     )
     # succ rows are sorted, so arcs come out in (i, j) order.  The instance's
-    # own table is read, so a check builds no profile.
-    for i, row in enumerate(inst._succ[1:], start=1):
-        done = start_a[i - 1] + 1
+    # own table is read, so a check builds no profile.  The starts are ints
+    # here, so B_j starting before A_i ends means b_at[j] <= s.
+    b_at = (None, *start_b)  # 1-indexed like the table: b_at[j] is B_j's start
+    for i, s, row in zip(range(1, inst.n + 1), start_a, inst._succ[1:]):
         for j in row:
-            if start_b[j - 1] < done:
+            if b_at[j] <= s:
                 violations.append(f"precedence violation on arc ({i},{j})")
     return FeasibilityReport(ok=not violations, violations=tuple(violations))
 

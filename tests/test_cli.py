@@ -103,6 +103,19 @@ def test_solve_writes_schedule_and_gantt(ex1_file, tmp_path, capsys):
     assert "M1 |" in out and "M2 |" in out
 
 
+@pytest.mark.parametrize("alg", ["greedy", "pd2"])
+def test_solve_with_an_unwritable_out_prints_nothing(alg, ex1_file, tmp_path, capsys):
+    # The schedule file is written before the makespan and bounds are
+    # printed, so a failed write leaves stdout empty.
+    out = tmp_path / "missing" / "dir" / "x.json"
+    code = main(["solve", "--alg", alg, "--in", str(ex1_file), "--out", str(out), "--gantt"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: [Errno 2]")
+    assert not out.parent.exists()
+
+
 def test_bound_tight(tf_file, capsys):
     assert main(["bound", "--in", str(tf_file)]) == 0
     out = capsys.readouterr().out

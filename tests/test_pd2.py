@@ -1,6 +1,11 @@
+import copy
+import dataclasses
 import hashlib
+import heapq
 import json
+import pickle
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -69,6 +74,30 @@ def test_run_raises_when_an_a_operation_never_runs():
     prof = _build_profile(Instance(2, 2, frozenset({(1, 1), (1, 2)})))
     with pytest.raises(AssertionError, match="pd2 ran 1 of 2 A-operations"):
         pd2._run(prof, 2)
+
+
+@pytest.mark.parametrize("a,b,pendants", [(2000, 2000, 40), (2000, 200, 0)], ids=["sparse", "deep_core"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_run_stops_at_its_last_pick(a, b, pendants, seed, monkeypatch):
+    # Each B-operation enters the heaps once up front and once per push, and
+    # is popped live once, when it is picked.  A loop that drained every heap
+    # would pop all m + pushes entries; one that ends at its last pick leaves
+    # stale entries unpopped.
+    counts = {"pop": 0, "push": 0}
+
+    def heappop(heap):
+        counts["pop"] += 1
+        return heapq.heappop(heap)
+
+    def heappush(heap, item):
+        counts["push"] += 1
+        heapq.heappush(heap, item)
+
+    monkeypatch.setattr(pd2, "heapq", SimpleNamespace(heappop=heappop, heappush=heappush))
+    inst = gen_d2(a, b, pendants, seed)
+    sched, _ = solve_pd2(inst)
+    assert makespan(sched) == lower_bound(inst)
+    assert inst.m <= counts["pop"] < inst.m + counts["push"]
 
 
 def test_lemma1_bound_values(ex1):
@@ -218,8 +247,16 @@ def test_trace_refuses_events_that_are_not_a_tuple(ex1):
     j, d, batch = trace.events[-1]
     with pytest.raises(TypeError, match="must be hashable: unhashable type: 'list'"):
         Pd2Trace((*trace.events[:-1], (j, d, list(batch))))
-    # a solved trace, and one built by hand around a tuple, still hash
-    assert hash(trace) == hash(Pd2Trace(tuple(trace.events)))
+    # a solved trace, built without these checks, is the same value as one
+    # built by hand around its events, and blocks accepts both
+    checked = Pd2Trace(tuple(trace.events))
+    assert trace == checked and hash(trace) == hash(checked) and repr(trace) == repr(checked)
+    assert dataclasses.asdict(trace) == dataclasses.asdict(checked)
+    assert pickle.dumps(trace) == pickle.dumps(checked)
+    assert pickle.loads(pickle.dumps(trace)) == trace
+    assert copy.copy(trace) == copy.deepcopy(trace) == checked
+    assert trace_to_json(trace) == trace_to_json(checked)
+    assert blocks(ex1, trace) == blocks(ex1, checked)
 
 
 def test_blocks_rejects_non_d2(cex):
