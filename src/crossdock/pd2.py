@@ -17,12 +17,17 @@ adjacency: one done-flag per operation marks what has run.
 
 pd2 is deterministic, so an instance has one run, and the instance keeps
 it as it keeps its profile: ``solve_pd2`` and ``blocks`` run pd2 at most
-once per ``Instance`` object.
+once per ``Instance`` object.  It keeps the run as the pick loop writes it,
+flat lists and no object per pick: the pick order, each pick's degree, the
+machine-1 order, the schedule and the release times.
 
 The trace is the one record of a run: one pick per B-operation, in
-machine-2 order, each the triple ``(b_index, picked_degree, a_batch)`` the
-pick loop builds, with the batch it ran on machine 1 (a zero pick is
-``(j, 0, ())``).  It decomposes into blocks: a block opens whenever the
+machine-2 order, each the triple ``(b_index, picked_degree, a_batch)``,
+with the batch it ran on machine 1 (a zero pick is ``(j, 0, ())``).  The
+trace ``solve_pd2`` returns builds these triples from the kept lists the
+first time its ``events`` are read, as ``Instance.arcs`` is built on first
+read; solving, ``blocks`` and the CLI read none.  The trace decomposes
+into blocks: a block opens whenever the
 picked degree exceeds the current block's label, and the label equals the
 number of machine-1 operations the block runs before its first machine-2
 operation (the block's offset).  The machine-2 operations
@@ -42,8 +47,9 @@ decomposition of networks", 2003) computes.  A block opens exactly when
 that maximum rises, so the label of B_j's block is B_j's core number, and
 the last label is the degeneracy.  The block lemma speaks of pd2 runs
 only, so ``blocks`` accepts only a trace equal to its instance's run.  A
-trace that ``solve_pd2`` returns holds the kept run's own tuple of
-triples, so ``blocks`` checks it with one tuple compare.
+trace that ``solve_pd2`` returned for the instance, whose events were never
+set, is that run and needs no check; any other trace is compared with the
+run's triples.  ``blocks`` then cuts the blocks from the kept lists.
 """
 
 from __future__ import annotations
@@ -52,6 +58,7 @@ import heapq
 import json
 from bisect import bisect_left
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from itertools import filterfalse, zip_longest
 
 from .greedy import lower_bound
@@ -77,9 +84,11 @@ class Pd2Trace:
 
     ``events`` must be a tuple that hashes, so that a trace hashes and
     compares equal to the run it records; anything else, such as a list
-    step or a list batch, raises ``TypeError``.  Only the trace
-    ``solve_pd2`` returns, around the triples its own run built, skips
-    these checks.
+    step or a list batch, raises ``TypeError``.  The trace ``solve_pd2``
+    returns skips these checks: it holds the instance's kept run, and its
+    ``events`` are that run's triples, built on first read and then the
+    run's own tuple.  Pickles and copies carry ``events`` only, so they
+    equal, byte for byte, a trace built around the same triples.
     """
 
     events: tuple[Step, ...]
@@ -93,12 +102,23 @@ class Pd2Trace:
             raise TypeError(f"Pd2Trace events must be hashable: {exc}") from None
 
     @classmethod
-    def _of_run(cls, steps: tuple[Step, ...]) -> Pd2Trace:
-        """The trace of a pd2 run, whose triples ``_run`` built, so
-        ``__post_init__``'s checks are skipped."""
+    def _of_run(cls, run: _Run) -> Pd2Trace:
+        """The trace of ``run``, whose events are built on first read."""
         trace = cls.__new__(cls)
-        trace.__dict__["events"] = steps
+        trace.__dict__["_run"] = run
         return trace
+
+    def __getattr__(self, name: str) -> tuple[Step, ...]:
+        # Called only for what the instance dict lacks: the events of a
+        # trace _of_run made, until they are first read.
+        run = self.__dict__.get("_run")
+        if name != "events" or run is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        events = self.__dict__["events"] = run.events
+        return events
+
+    def __getstate__(self) -> dict[str, tuple[Step, ...]]:
+        return {"events": self.events}
 
 
 @dataclass(frozen=True)
@@ -120,14 +140,16 @@ def _require_d2(inst: Instance) -> DegreeProfile:
     return prof
 
 
-def _run(prof: DegreeProfile, n: int) -> tuple[list[Step], list[int], list[int], list[int]]:
+def _run(prof: DegreeProfile, n: int) -> tuple[list[int], ...]:
     """The pd2 run on ``prof`` (with ``n`` A-operations) and its schedule.
 
-    Returns ``(steps, start_a, start_b, r)``.  ``steps`` holds one
-    (b_index, picked_degree, batch) per pick, in machine-2 order.  Each
-    step takes the pending B-operation of least (current degree, index);
-    its batch is the entries of the sorted ``prof.pred[j]`` whose
-    done-flag is still clear, empty at degree 0.  A bucket queue realizes
+    Returns ``(order, degree, pi, start_a, start_b, r)``, flat lists and
+    no tuple per pick.  ``order`` holds the B-operations in pick order,
+    which is machine-2 order, and ``degree`` each pick's degree.  Each pick
+    takes the pending B-operation of least (current degree, index), and its
+    batch is the entries of the sorted ``prof.pred[j]`` whose done-flag is
+    still clear: as many as its degree, none at degree 0.  ``pi`` is the
+    batches laid end to end, the machine-1 order.  A bucket queue realizes
     the order: one index heap per degree level, and a ``low`` pointer
     that falls on each decrement and rises past empty levels.  Degrees
     only fall, so a B-operation may hold stale entries at levels above its
@@ -139,19 +161,20 @@ def _run(prof: DegreeProfile, n: int) -> tuple[list[Step], list[int], list[int],
     ``low`` never passes the last level.
 
     The same loop lays out the schedule, and it is
-    ``complete_m2_erd(inst, pi)`` for ``pi`` the batches joined in order.
-    The batches run back to back on machine 1, and ``r[u]`` (``r[0]``
-    unused) is overwritten with the completion of each predecessor of B_u
-    as it runs, so it ends as B_u's release time under ``pi``.  Each pick
-    starts on machine 2 at the later of its release and the previous
-    completion, so it remains to see that pick order is the ERD order,
-    release time then index.  Pendants, released at 0, come first in index
-    order.  A degree pick's release is the end of its own batch, which
-    rises from pick to pick.  A zero pick released in the batch of the
-    degree pick j had degree at least j's when j was picked, and its
-    pending predecessors all lie in j's batch, so they are exactly that
-    batch: it has j's release time and, the degrees being equal, a larger
-    index than j.  The zero picks after j follow in index order.
+    ``complete_m2_erd(inst, pi)``.  The batches run back to back on
+    machine 1, and ``r[u]`` (``r[0]`` unused) is overwritten with the
+    completion of each predecessor of B_u as it runs, so it ends as B_u's
+    release time under ``pi``.  Each pick starts on machine 2 at the later
+    of its release and the previous completion, so it remains to see that
+    pick order is the ERD order, release time then index.  Pendants,
+    released at 0, come first in index order.  A degree pick's release is
+    the end of its own batch, which rises from pick to pick; so the batch
+    of the pick of B_j at degree d is ``pi[r[j] - d:r[j]]``.  A zero pick
+    released in the batch of the degree pick j had degree at least j's
+    when j was picked, and its pending predecessors all lie in j's batch,
+    so they are exactly that batch: it has j's release time and, the
+    degrees being equal, a larger index than j.  The zero picks after j
+    follow in index order.
     """
     succ, pred = prof.succ, prof.pred
     deg = [0, *prof.in_deg]
@@ -160,11 +183,14 @@ def _run(prof: DegreeProfile, n: int) -> tuple[list[Step], list[int], list[int],
     r = [0] * len(deg)
     start_a = [0] * n
     start_b = [0] * (len(deg) - 1)
-    steps: list[Step] = []
+    order: list[int] = []
+    degree: list[int] = []
+    pi: list[int] = []
     levels: list[list[int]] = [[] for _ in range(max(deg) + 1)]
     for j in range(1, len(deg)):
         levels[deg[j]].append(j)  # ascending, so each level is a heap
     heappop, heappush = heapq.heappop, heapq.heappush
+    add_pick, add_degree, add_a = order.append, degree.append, pi.append
     low = 0
     left = len(deg) - 1  # B-operations not yet picked
     pos = t = 0  # machine-1 and machine-2 completions so far
@@ -181,13 +207,14 @@ def _run(prof: DegreeProfile, n: int) -> tuple[list[Step], list[int], list[int],
             continue
         done_b[j] = True
         left -= 1
-        if low == 0:
-            steps.append((j, 0, ()))
-        else:
-            batch = tuple(filterfalse(done_a.__getitem__, pred[j]))
-            steps.append((j, low, batch))
-            for a in batch:
+        add_pick(j)
+        add_degree(low)
+        if low:
+            # Lazily filtered: each A-operation's flag is set as it runs,
+            # and the predecessors of j are distinct.
+            for a in filterfalse(done_a.__getitem__, pred[j]):
                 done_a[a] = True
+                add_a(a)
                 start_a[a - 1] = pos
                 pos += 1
                 for u in succ[a]:
@@ -208,11 +235,36 @@ def _run(prof: DegreeProfile, n: int) -> tuple[list[Step], list[int], list[int],
     # ran: each has a successor, whose pick runs its pending predecessors.
     if pos != n:
         raise AssertionError(f"pd2 ran {pos} of {n} A-operations")
-    return steps, start_a, start_b, r
+    return order, degree, pi, start_a, start_b, r
 
 
-def _kept_run(inst: Instance) -> tuple[tuple[Step, ...], Schedule, list[int]]:
-    """The steps, schedule and release times of pd2's run on ``inst``.
+class _Run:
+    """pd2's run on one instance, as ``_run`` writes it, and its schedule.
+
+    ``order``, ``degree`` and ``r`` are ``_run``'s lists, ``pi`` its
+    machine-1 order as a tuple, so that a slice of it is a batch.  The
+    triples of ``events`` are built from them on first read.
+    """
+
+    def __init__(
+        self, order: list[int], degree: list[int], pi: tuple[int, ...], schedule: Schedule, r: list[int]
+    ) -> None:
+        self.order, self.degree, self.pi, self.schedule, self.r = order, degree, pi, schedule, r
+
+    @cached_property
+    def events(self) -> tuple[Step, ...]:
+        """``(j, d, pi[r[j] - d:r[j]])`` per pick, so ``(j, 0, ())`` at degree 0."""
+        pi, r = self.pi, self.r
+        steps = []
+        step = steps.append
+        for j, d in zip(self.order, self.degree):
+            end = r[j]
+            step((j, d, pi[end - d:end]))
+        return tuple(steps)
+
+
+def _kept_run(inst: Instance) -> _Run:
+    """pd2's run on ``inst``.
 
     The first call on an instance object runs pd2 and keeps the result in
     its ``__dict__``, beside the cached profile; later calls return it.
@@ -220,16 +272,16 @@ def _kept_run(inst: Instance) -> tuple[tuple[Step, ...], Schedule, list[int]]:
     """
     kept = inst.__dict__.get("_pd2_run")
     if kept is None:
-        steps, start_a, start_b, r = _run(_require_d2(inst), inst.n)
-        kept = tuple(steps), Schedule(start_a=tuple(start_a), start_b=tuple(start_b)), r
+        order, degree, pi, start_a, start_b, r = _run(_require_d2(inst), inst.n)
+        kept = _Run(order, degree, tuple(pi), Schedule(start_a=tuple(start_a), start_b=tuple(start_b)), r)
         inst.__dict__["_pd2_run"] = kept
     return kept
 
 
 def solve_pd2(inst: Instance) -> tuple[Schedule, Pd2Trace]:
     """Run the degree-driven exact algorithm; returns schedule and trace."""
-    steps, sched, _ = _kept_run(inst)
-    return sched, Pd2Trace._of_run(steps)
+    run = _kept_run(inst)
+    return run.schedule, Pd2Trace._of_run(run)
 
 
 def lemma1_bound(inst: Instance) -> int:
@@ -257,53 +309,61 @@ def blocks(inst: Instance, trace: Pd2Trace) -> tuple[Block, ...]:
 
     The block lemma holds for pd2 runs only, and pd2 is deterministic, so
     the trace must equal the run ``solve_pd2(inst)`` returns, which the
-    instance keeps.  One tuple compare checks that, in C and on item
-    identity for the trace ``solve_pd2`` returned, which holds the kept
-    tuple itself; on a mismatch the first event that differs, or is missing
+    instance keeps.  A trace ``solve_pd2`` returned for this instance,
+    whose events were never set, is that run and needs no check.  Any
+    other trace is compared with the run's events, in C and on item
+    identity once the solved trace's events are read, which are the run's
+    own tuple; on a mismatch the first event that differs, or is missing
     or extra, raises ``ValueError``, whatever that event holds.
 
-    A block whose machine-1 run starts at ``start`` sees B_j ready at
-    ``max(0, r[j] - start)`` on its own clock, where ``r[j]`` is B_j's
-    release time in the run; no walk over the successors is needed.
+    The blocks are cut from the run's flat lists: a block opens at each
+    pick whose degree exceeds every degree before it, and that degree is
+    its label.  The first pick runs the block's first ``label`` machine-1
+    operations and is released as they end, so the offset is the label;
+    the overhang is the picks released, by the run's release times ``r``,
+    no earlier than the block's machine-1 run ends.  No walk over the
+    successors is needed.
     """
-    steps, _, r = _kept_run(inst)
-    if trace.events != steps:
-        for k, (got, want) in enumerate(zip_longest(trace.events, steps)):
-            if got != want:
-                step = got if k < len(trace.events) else want  # want when got is missing
-                b = f" (B{step[0]})" if _is_step(step) else ""
-                raise ValueError(f"trace is not the pd2 run of this instance at event {k}{b}")
-    groups: list[tuple[int, list[int], list[int]]] = []  # (label, a_ops, b_ops)
+    run = _kept_run(inst)
+    known = trace.__dict__
+    if known.get("_run") is not run or "events" in known:
+        events, steps = trace.events, run.events
+        if events != steps:
+            for k, (got, want) in enumerate(zip_longest(events, steps)):
+                if got != want:
+                    step = got if k < len(events) else want  # want when got is missing
+                    b = f" (B{step[0]})" if _is_step(step) else ""
+                    raise ValueError(f"trace is not the pd2 run of this instance at event {k}{b}")
+    order, degree, pi, r = run.order, run.degree, run.pi, run.r
+    opens = []  # the picks whose degree exceeds every degree before them
     label = -1
-    for j, d, batch in steps:
+    for k, d in enumerate(degree):
         if d > label:
-            label, a_ops, b_ops = d, [], []
-            groups.append((label, a_ops, b_ops))
-        a_ops.extend(batch)
-        b_ops.append(j)
-
+            label = d
+            opens.append(k)
+    # A block's first pick has degree label, and its batch, which ends at
+    # its release, opens the block's machine-1 run; label 0's block holds
+    # the pendants alone and runs nothing.
+    starts = [r[order[k]] - degree[k] for k in opens]
     result = []
-    start = 0
-    for label, a_ops, b_ops in groups:
-        n_a = len(a_ops)
-        end = start + n_a
+    for first, last, start, end in zip(opens, [*opens[1:], len(order)], starts, [*starts[1:], len(pi)]):
+        b_ops = tuple(order[first:last])
         # precedence-forced past the block's machine-1 tail; operations
         # merely queued behind machine 2 do not count.  Picks come in
         # release-time order (see _run), so those released at end or later
         # are the block's last.
-        overhang = len(b_ops) - bisect_left(b_ops, end, key=r.__getitem__) if n_a else 0
-        # machine-2 starts never decrease, so the block's first pick starts first
-        offset = min(max(0, r[b_ops[0]] - start), n_a)
+        overhang = len(b_ops) - bisect_left(b_ops, end, key=r.__getitem__) if end > start else 0
         result.append(
             Block(
-                label=label,
-                a_ops=tuple(a_ops),
-                b_ops=tuple(b_ops),
-                offset_len=offset,
+                label=degree[first],
+                a_ops=pi[start:end],
+                b_ops=b_ops,
+                # machine-2 starts never decrease, so the first pick, ready
+                # once its batch is done, starts first, label operations in
+                offset_len=degree[first],
                 overhang_len=overhang,
             )
         )
-        start = end
     return tuple(result)
 
 

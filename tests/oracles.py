@@ -37,6 +37,12 @@ walking the successors of each block's A-operations.  Both are how the
 library computed these before pd2's pick loop wrote its schedule and
 ``blocks`` read its measures off the run's release times.
 
+``pd2_steps_by_scan`` builds pd2's run eagerly, one ``(b_index,
+picked_degree, batch)`` triple per pick as the pick loop built them before
+the instance kept flat pick lists; it finds each pick by scanning every
+pending B-operation for the least (current degree, index), with no bucket
+queue.
+
 ``core_numbers`` peels the multigraph on the B-operations whose edges are
 a two-successor instance's A-operations, one k-core after another: the
 check, sharing no code with pd2, that its block labels are core numbers.
@@ -335,6 +341,35 @@ def blocks_by_walk(
         offset = min(ready.get(b_ops[0], 0), n_a)
         result.append(Block(label, tuple(a_ops), tuple(b_ops), offset, overhang))
     return tuple(result)
+
+
+def pd2_steps_by_scan(inst: Instance) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """pd2's pick triples on a two-successor instance, by linear scans.
+
+    Each pick takes the pending B-operation of least (current degree,
+    index), where the degree counts the predecessors not yet run; its batch
+    is those predecessors in index order, and they run before the next pick.
+    """
+    succ = inst._succ
+    pred: list[list[int]] = [[] for _ in range(inst.m + 1)]
+    for i, row in enumerate(succ):
+        for j in row:
+            pred[j].append(i)
+    deg = [len(p) for p in pred]
+    pending = set(range(1, inst.m + 1))
+    ran: set[int] = set()
+    steps = []
+    while pending:
+        j = min(pending, key=lambda u: (deg[u], u))
+        pending.remove(j)
+        batch = tuple(a for a in pred[j] if a not in ran)
+        assert len(batch) == deg[j]
+        steps.append((j, deg[j], batch))
+        for a in batch:
+            ran.add(a)
+            for u in succ[a]:
+                deg[u] -= 1
+    return tuple(steps)
 
 
 def core_numbers(inst: Instance) -> list[int]:

@@ -2,10 +2,12 @@
 checks every trace against that run.
 
 The first ``solve_pd2`` or ``blocks`` call on an instance object runs pd2
-and keeps the steps, schedule and release times on the instance.  A solved
-trace holds the kept tuple of steps itself, and ``blocks`` compares any
-trace with that tuple; only a trace that differs is walked event by event,
-to name the first event that differs, and no trace starts a second run.
+and keeps its flat pick lists, schedule and release times on the instance.
+A solved trace holds that kept run and reads its triples from it;
+``blocks`` takes a solved trace whose events were never set as the run and
+compares any other trace with the run's triples; only a trace that differs
+is walked event by event, to name the first event that differs, and no
+trace starts a second run.
 These tests pin that: an instance runs pd2 once whatever traces it is
 given, a copy of the instance carries no run, and every trace that is not
 the run is refused as before.  ``test_properties.py`` checks that the

@@ -1,10 +1,13 @@
-"""``Instance.arcs`` is built on first read.
+"""``Instance.arcs`` and a solved trace's ``events`` are built on first read.
 
 An instance is its successor table: ``==``, ``hash`` and ``repr`` read
 ``(n, m, _succ)``, and the arc set is a view built from the table only when
-something reads it.  These tests pin that: the library and CLI pipelines
-never build it, and a solved trace holds the instance's kept run itself;
-every generator and both parser paths give a canonical table, so table
+something reads it.  Likewise pd2's kept run is flat pick lists, and the
+trace ``solve_pd2`` returns builds its pick triples from them only when
+something reads ``events``.  These tests pin that: the library and CLI
+pipelines build neither view, and a solved trace's events, once read, are
+the kept run's own tuple and the eager run's triples; every generator and
+both parser paths give a canonical table, so table
 equality is arc-set equality; and a parsed instance behaves exactly as its
 constructed twin under ``==``, ``hash``, ``repr``, ``asdict``, pickle,
 ``copy`` and ``deepcopy``.
@@ -41,6 +44,7 @@ from crossdock import (
     solve_pd2,
 )
 from conftest import one_pass
+from oracles import blocks_by_walk, pd2_steps_by_scan
 
 
 # Canonical text takes the one-pass read, CRLF text the line parser.
@@ -58,7 +62,48 @@ def test_pd2_pipeline_builds_neither_view(layout):
     assert blocks(inst, trace)
     assert check_feasible(inst, sched).ok
     assert "arcs" not in vars(inst)
-    assert trace.events is pd2._kept_run(inst)[0]
+    assert trace.events is pd2._kept_run(inst).events
+
+
+def _events_unbuilt(inst, trace):
+    return "events" not in vars(trace) and "events" not in vars(pd2._kept_run(inst))
+
+
+@LAYOUTS
+def test_d2_pipeline_leaves_the_trace_events_unbuilt(layout):
+    # The d2_sparse workload's pipeline reads no trace event.
+    inst = parse_instance(layout(serialize_instance(gen_d2(300, 300, 6, 1))))
+    assert classify(inst).is_d2
+    sched, trace = solve_pd2(inst)
+    assert lemma1_bound(inst) == max(inst.n + 2, inst.m)
+    blks = blocks(inst, trace)
+    assert check_feasible(inst, sched).ok
+    assert _events_unbuilt(inst, trace)
+    # Read, the events are the eager run's triples and the kept run's tuple.
+    steps = pd2_steps_by_scan(inst)
+    assert trace.events == steps
+    assert trace.events is pd2._kept_run(inst).events
+    assert blks == blocks_by_walk(inst, steps) == blocks(inst, trace)
+
+
+def test_cli_pd2_solve_leaves_the_trace_events_unbuilt(tmp_path, monkeypatch, capsys):
+    instances, traces = [], []
+
+    def solve(inst):
+        sched, trace = solve_pd2(inst)
+        instances.append(inst)
+        traces.append(trace)
+        return sched, trace
+
+    monkeypatch.setattr(cli, "solve_pd2", solve)
+    path, out = tmp_path / "d2.cd", tmp_path / "d2.json"
+    path.write_text(serialize_instance(gen_d2(80, 70, 3, 2)))
+    assert cli.main(["solve", "--alg", "pd2", "--in", str(path), "--out", str(out), "--gantt"]) == 0
+    capsys.readouterr()
+    (inst,), (trace,) = instances, traces
+    assert _events_unbuilt(inst, trace)
+    assert trace.events == pd2_steps_by_scan(inst)
+    assert trace.events is pd2._kept_run(inst).events
 
 
 @LAYOUTS
@@ -154,7 +199,7 @@ def test_cli_solve_and_verify_build_neither_view(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert len(instances) == 4 and len(traces) == 1
     assert not any("arcs" in vars(inst) for inst in instances)
-    assert traces[0].events is pd2._kept_run(instances[0])[0]
+    assert traces[0].events is pd2._kept_run(instances[0]).events
     # verify reads the instance's successor table, not a profile.
     assert not any("profile" in vars(inst) for inst in instances[1::2])
 

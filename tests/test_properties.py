@@ -33,7 +33,7 @@ from crossdock import (
     solve_pd2,
 )
 from conftest import one_pass
-from oracles import blocks_by_walk, core_numbers, lemma1_closed_form, list_schedule
+from oracles import blocks_by_walk, core_numbers, lemma1_closed_form, list_schedule, pd2_steps_by_scan
 
 
 @st.composite
@@ -115,7 +115,18 @@ def test_pd2_schedule_is_its_batches_laid_out_by_release_times(inst):
     pi = tuple(a for _, _, batch in steps for a in batch)
     r = release_times(inst, pi)
     assert sched == list_schedule(inst, pi, r, [j for j, _, _ in steps])
-    assert tuple(pd2._kept_run(inst)[2]) == (0, *r)
+    assert tuple(pd2._kept_run(inst).r) == (0, *r)
+
+
+@given(st.one_of(d2_instances(max_a=60, max_b=60), hand_built_d2(max_n=40, max_m=40)))
+def test_pd2_events_are_the_scan_run(inst):
+    # The triples built from the kept run's flat lists are the run a plain
+    # scan for the least (degree, index) makes, blocks first or events first.
+    _, trace = solve_pd2(inst)
+    blks = blocks(inst, trace)
+    steps = pd2_steps_by_scan(inst)
+    assert trace.events == steps
+    assert blks == blocks(inst, trace) == blocks_by_walk(inst, steps)
 
 
 @given(st.one_of(d2_instances(max_a=60, max_b=60), hand_built_d2(max_n=40, max_m=40)))
