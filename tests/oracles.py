@@ -2,9 +2,11 @@
 
 ``enumerate_exact`` is the n! search ``solve_exact`` used before the
 subset DP.  It completes every machine-1 order by the ERD rule and keeps
-the lexicographically first optimal one, optionally pruning orders that
-only swap A-operations with identical successor sets.  It shares no logic
-with the DP, so the two cross-check each other at n <= 7.
+the lexicographically first optimal one.  It shares no logic with the DP,
+so the two cross-check each other at n <= 7.
+
+``all_instances`` yields every instance up to a given n and m, the census
+the paper's claims are checked on exhaustively.
 
 ``subset_dp_exact`` is the same subset DP as ``solve_exact`` written as
 plain Python loops over one list of 2^n entries, as the library ran it
@@ -57,7 +59,6 @@ from __future__ import annotations
 import itertools
 import random
 import re
-from math import factorial
 from typing import Iterable, Iterator
 
 from crossdock import (
@@ -75,68 +76,22 @@ from crossdock import (
 )
 
 
-def _successor_groups(inst: Instance) -> list[list[int]]:
-    """A-indices grouped by identical successor sets, each group ascending."""
-    prof = degree_profile(inst)
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i in range(1, inst.n + 1):
-        groups.setdefault(prof.succ[i], []).append(i)
-    return [sorted(g) for g in groups.values()]
-
-
-def search_space_size(inst: Instance) -> int:
-    """Permutations after the identical-successor-set pruning: n!/prod(mult!)."""
-    size = factorial(inst.n)
-    for g in _successor_groups(inst):
-        size //= factorial(len(g))
-    return size
-
-
-def _canonical_permutations(groups: list[list[int]]) -> Iterator[tuple[int, ...]]:
-    """All orders keeping each group ascending, in lexicographic order."""
-    taken = [0] * len(groups)
-    n = sum(len(g) for g in groups)
-    prefix: list[int] = []
-
-    def rec() -> Iterator[tuple[int, ...]]:
-        if len(prefix) == n:
-            yield tuple(prefix)
-            return
-        choices = sorted(
-            (groups[gi][taken[gi]], gi)
-            for gi in range(len(groups))
-            if taken[gi] < len(groups[gi])
-        )
-        for nxt, gi in choices:
-            taken[gi] += 1
-            prefix.append(nxt)
-            yield from rec()
-            prefix.pop()
-            taken[gi] -= 1
-
-    return rec()
-
-
-def enumerate_exact(inst: Instance, prune: bool = True) -> ExactResult:
+def enumerate_exact(inst: Instance) -> ExactResult:
     """Minimal makespan over every machine-1 order, ERD-completed.
 
-    ``permutations_examined`` counts the orders visited: n! without
-    pruning, ``search_space_size(inst)`` with it.
+    The orders come in lexicographic order and only a strictly smaller
+    makespan replaces the best, so the first optimal order is kept.
+    ``permutations_examined`` is n!.
     """
     prof = degree_profile(inst)
     succ0 = [tuple(j - 1 for j in prof.succ[i]) for i in range(1, inst.n + 1)]
     in_deg = list(prof.in_deg)
     n = inst.n
 
-    if prune:
-        perms = _canonical_permutations(_successor_groups(inst))
-    else:
-        perms = itertools.permutations(range(1, n + 1))
-
     best_mk: int | None = None
     best_pi: tuple[int, ...] | None = None
     examined = 0
-    for pi in perms:
+    for pi in itertools.permutations(range(1, n + 1)):
         examined += 1
         r = in_deg.copy()
         for pos, a in enumerate(pi):
@@ -158,6 +113,20 @@ def enumerate_exact(inst: Instance, prune: bool = True) -> ExactResult:
     sched = complete_m2_erd(inst, best_pi)
     assert makespan(sched) == best_mk
     return ExactResult(schedule=sched, optimal_makespan=best_mk, permutations_examined=examined)
+
+
+def all_instances(max_n: int, max_m: int) -> Iterator[Instance]:
+    """Every instance with 1 <= n <= max_n and 1 <= m <= max_m, the sum
+    over n and m of 2^(n*m).
+
+    n runs outermost, then m.  For each, a mask counts up from 0 over the
+    arc sets: bit (i-1)*m + j-1 holds the arc (i, j).
+    """
+    for n in range(1, max_n + 1):
+        for m in range(1, max_m + 1):
+            cells = [(i, j) for i in range(1, n + 1) for j in range(1, m + 1)]
+            for mask in range(1 << n * m):
+                yield Instance(n, m, [arc for k, arc in enumerate(cells) if mask >> k & 1])
 
 
 def subset_dp_exact(inst: Instance) -> ExactResult:

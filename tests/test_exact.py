@@ -3,6 +3,7 @@ import random
 import pytest
 
 from crossdock import (
+    ExactResult,
     Instance,
     check_feasible,
     gen_random,
@@ -11,7 +12,7 @@ from crossdock import (
     solve_exact,
     TightParams,
 )
-from oracles import enumerate_exact, optimal_makespan_statespace, search_space_size
+from oracles import enumerate_exact, optimal_makespan_statespace
 
 
 def test_solve_exact_ex1(ex1):
@@ -20,7 +21,10 @@ def test_solve_exact_ex1(ex1):
     assert makespan(result.schedule) == 8
     assert check_feasible(ex1, result.schedule).ok
     assert result.permutations_examined == 2 ** ex1.n  # subset states
-    assert enumerate_exact(ex1).permutations_examined == search_space_size(ex1)
+    # The n! enumeration finds the DP's schedule after all 6! = 720 orders.
+    assert enumerate_exact(ex1) == ExactResult(
+        schedule=result.schedule, optimal_makespan=8, permutations_examined=720
+    )
 
 
 def test_solve_exact_tight():
@@ -35,30 +39,6 @@ def test_solve_exact_size_limit():
     inst = Instance(n=21, m=1, arcs=frozenset())
     with pytest.raises(ValueError, match="^instance too large: n=21 > limit 20$"):
         solve_exact(inst)
-
-
-def test_search_space_size_ex1(ex1):
-    assert search_space_size(ex1) == 120  # 6!/3!: A1..A3 share a successor set
-
-
-def test_search_space_size_distinct():
-    inst = Instance(n=3, m=3, arcs=frozenset({(1, 1), (2, 2), (3, 3)}))
-    assert search_space_size(inst) == 6
-
-
-def test_search_space_size_no_arcs():
-    assert search_space_size(Instance(n=4, m=1, arcs=frozenset())) == 1
-
-
-def test_pruning_preserves_optimum():
-    for seed in range(40):
-        rng = random.Random(seed)
-        n, m = rng.randint(1, 6), rng.randint(1, 6)
-        inst = gen_random(n, m, rng.random(), seed)
-        pruned = enumerate_exact(inst)
-        unpruned = enumerate_exact(inst, prune=False)
-        assert pruned.optimal_makespan == unpruned.optimal_makespan
-        assert pruned.permutations_examined <= unpruned.permutations_examined
 
 
 def test_statespace_agrees_with_permutation_search():
