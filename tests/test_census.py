@@ -10,12 +10,16 @@ and every block label must be the core number of its B-operations.
 The counts are pinned, so a change to a solver or a bound that moves any of
 them fails here even where every inequality still holds.  The state-space
 search, which assumes nothing about the problem, checks the optimum on the
-same census in CI; it takes too long for tier-1.
+same census in CI; it takes too long for tier-1, which runs it up to 3 x 3.
+The smaller censuses below also check ``all_instances`` itself and compare
+the n! enumeration with ``solve_exact`` schedule for schedule.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 from crossdock import (
+    Instance,
     blocks,
     bounds_report,
     check_feasible,
@@ -26,7 +30,14 @@ from crossdock import (
     solve_greedy,
     solve_pd2,
 )
-from oracles import all_instances, blocks_by_walk, core_numbers, lemma1_closed_form
+from oracles import (
+    all_instances,
+    blocks_by_walk,
+    core_numbers,
+    enumerate_exact,
+    lemma1_closed_form,
+    optimal_makespan_statespace,
+)
 
 PINNED = {
     "instances": 74_954,
@@ -79,3 +90,43 @@ def test_census_up_to_4_by_4():
     counts["largest ratio_bound"] = ratio_bound
     counts["largest pd2 block label"] = label
     assert counts == PINNED
+
+
+def test_all_instances_sizes_and_distinct():
+    insts = list(all_instances(3, 4))
+    sizes = Counter((inst.n, inst.m) for inst in insts)
+    assert list(sizes) == [(n, m) for n in range(1, 4) for m in range(1, 5)]
+    assert all(count == 2 ** (n * m) for (n, m), count in sizes.items())
+    assert len({(inst.n, inst.m, inst.arcs) for inst in insts}) == len(insts)
+
+
+def test_all_instances_bit_layout():
+    # Bit (i-1)*m + j-1 of the mask holds the arc (i, j).
+    assert [inst.arcs for inst in all_instances(1, 2)] == [
+        frozenset(),
+        frozenset({(1, 1)}),
+        frozenset(),
+        frozenset({(1, 1)}),
+        frozenset({(1, 2)}),
+        frozenset({(1, 1), (1, 2)}),
+    ]
+    two_by_two = [inst for inst in all_instances(2, 2) if (inst.n, inst.m) == (2, 2)]
+    assert [two_by_two[mask].arcs for mask in (1, 2, 4, 8)] == [
+        frozenset({(1, 1)}),
+        frozenset({(1, 2)}),
+        frozenset({(2, 1)}),
+        frozenset({(2, 2)}),
+    ]
+    assert two_by_two[-1] == Instance(2, 2, [(1, 1), (1, 2), (2, 1), (2, 2)])
+
+
+def test_enumeration_matches_dp_up_to_3_by_4():
+    for inst in all_instances(3, 4):
+        dp, enum = solve_exact(inst), enumerate_exact(inst)
+        assert enum.optimal_makespan == dp.optimal_makespan, inst
+        assert enum.schedule == dp.schedule, inst
+
+
+def test_statespace_matches_dp_up_to_3_by_3():
+    for inst in all_instances(3, 3):
+        assert optimal_makespan_statespace(inst) == solve_exact(inst).optimal_makespan, inst
