@@ -20,7 +20,7 @@ and the optimum is G({}).  The 2^n states cap n at ``EXACT_MAX_N``.
 
 Each step runs over all 2^n states at once, as one C-level operation on
 a big int.  State S owns bits S*W .. S*W + W - 1 of one int, a field of
-W = 8, 16, 32 or 64 bits, the narrowest with m + n < 2^(W-1).  The count
+W = 8, 16 or 32 bits, the narrowest with m + n < 2^(W-1).  The count
 of B-operations per predecessor mask is filled into an ``array`` of that
 width and read with ``int.from_bytes``; the zeta transform is then n steps
 of ``c += (c & LACK_b) << (2^b * W)``, LACK_b setting the fields of the
@@ -66,8 +66,9 @@ from .schedule import Schedule, complete_m2_erd, makespan
 # masks; n = 16 takes about 4 ms (CPython 3.11 on a 2-vCPU Xeon host).
 EXACT_MAX_N = 20
 
-# Array type codes by field width in bits, narrowest first.
-_WIDTHS = tuple((code, 8 * array(code).itemsize) for code in "BHIQ")
+# Array type codes by field width in bits, narrowest first.  m + n is at
+# most MAX_OPS + EXACT_MAX_N < 2^31, so 32 bits always suffice.
+_WIDTHS = tuple((code, 8 * array(code).itemsize) for code in "BHI")
 # Maps the top byte of a field to "1" when its top bit is set, else "0".
 _TOP_BIT = b"0" * 128 + b"1" * 128
 

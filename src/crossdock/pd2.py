@@ -15,16 +15,16 @@ machine-1 order of the batches completed in pick order, with no second
 walk over the arcs.  The bookkeeping keeps no copy of the shared
 adjacency: one done-flag per operation marks what has run.
 
-pd2 is deterministic, so an instance has one run, and the instance keeps
-it as it keeps its profile: ``solve_pd2`` and ``blocks`` run pd2 at most
-once per ``Instance`` object.  It keeps the run as the pick loop writes it,
-flat lists and no object per pick: the pick order, each pick's degree, the
-machine-1 order, the schedule and the release times.
+pd2 is deterministic, so an instance has one run.  ``solve_pd2`` keeps
+it on the trace it returns, as the pick loop writes it, flat lists and no
+object per pick: the pick order, each pick's degree, the machine-1 order,
+the schedule and the release times.  The run lives as long as that trace;
+the instance keeps only its profile.
 
 The trace is the one record of a run: one pick per B-operation, in
 machine-2 order, each the triple ``(b_index, picked_degree, a_batch)``,
 with the batch it ran on machine 1 (a zero pick is ``(j, 0, ())``).  The
-trace ``solve_pd2`` returns builds these triples from the kept lists the
+trace ``solve_pd2`` returns builds these triples from the run's lists the
 first time its ``events`` are read, as ``Instance.arcs`` is built on first
 read; solving, ``blocks`` and the CLI read none.  The trace decomposes
 into blocks: a block opens whenever the
@@ -47,9 +47,10 @@ decomposition of networks", 2003) computes.  A block opens exactly when
 that maximum rises, so the label of B_j's block is B_j's core number, and
 the last label is the degeneracy.  The block lemma speaks of pd2 runs
 only, so ``blocks`` accepts only a trace equal to its instance's run.  A
-trace that ``solve_pd2`` returned for the instance, whose events were never
-set, is that run and needs no check; any other trace is compared with the
-run's triples.  ``blocks`` then cuts the blocks from the kept lists.
+trace that ``solve_pd2`` returned for the same instance object, whose
+events were never set, is that run and needs no check; for any other trace
+``blocks`` runs pd2 again and compares the trace with the run's triples.
+``blocks`` then cuts the blocks from the run's lists.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ class Pd2Trace:
     ``events`` must be a tuple that hashes, so that a trace hashes and
     compares equal to the run it records; anything else, such as a list
     step or a list batch, raises ``TypeError``.  The trace ``solve_pd2``
-    returns skips these checks: it holds the instance's kept run, and its
+    returns skips these checks: it holds the run itself, and its
     ``events`` are that run's triples, built on first read and then the
     run's own tuple.  Pickles and copies carry ``events`` only, so they
     equal, byte for byte, a trace built around the same triples.
@@ -239,17 +240,18 @@ def _run(prof: DegreeProfile, n: int) -> tuple[list[int], ...]:
 
 
 class _Run:
-    """pd2's run on one instance, as ``_run`` writes it, and its schedule.
+    """pd2's run on ``inst``, as ``_run`` writes it, and its schedule.
 
-    ``order``, ``degree`` and ``r`` are ``_run``'s lists, ``pi`` its
-    machine-1 order as a tuple, so that a slice of it is a batch.  The
-    triples of ``events`` are built from them on first read.
+    ``inst`` is the instance object it ran on; ``order``, ``degree`` and
+    ``r`` are ``_run``'s lists, ``pi`` its machine-1 order as a tuple, so
+    that a slice of it is a batch.  The triples of ``events`` are built from
+    them on first read.  Raises ``NotD2Error`` off the class.
     """
 
-    def __init__(
-        self, order: list[int], degree: list[int], pi: tuple[int, ...], schedule: Schedule, r: list[int]
-    ) -> None:
-        self.order, self.degree, self.pi, self.schedule, self.r = order, degree, pi, schedule, r
+    def __init__(self, inst: Instance) -> None:
+        order, degree, pi, start_a, start_b, r = _run(_require_d2(inst), inst.n)
+        self.inst, self.order, self.degree, self.pi, self.r = inst, order, degree, tuple(pi), r
+        self.schedule = Schedule(start_a=tuple(start_a), start_b=tuple(start_b))
 
     @cached_property
     def events(self) -> tuple[Step, ...]:
@@ -263,24 +265,9 @@ class _Run:
         return tuple(steps)
 
 
-def _kept_run(inst: Instance) -> _Run:
-    """pd2's run on ``inst``.
-
-    The first call on an instance object runs pd2 and keeps the result in
-    its ``__dict__``, beside the cached profile; later calls return it.
-    Like the profile it is not a field, and pickles and copies leave it out.
-    """
-    kept = inst.__dict__.get("_pd2_run")
-    if kept is None:
-        order, degree, pi, start_a, start_b, r = _run(_require_d2(inst), inst.n)
-        kept = _Run(order, degree, tuple(pi), Schedule(start_a=tuple(start_a), start_b=tuple(start_b)), r)
-        inst.__dict__["_pd2_run"] = kept
-    return kept
-
-
 def solve_pd2(inst: Instance) -> tuple[Schedule, Pd2Trace]:
     """Run the degree-driven exact algorithm; returns schedule and trace."""
-    run = _kept_run(inst)
+    run = _Run(inst)
     return run.schedule, Pd2Trace._of_run(run)
 
 
@@ -308,10 +295,11 @@ def blocks(inst: Instance, trace: Pd2Trace) -> tuple[Block, ...]:
     """Cut the trace into blocks and measure each laid out in isolation.
 
     The block lemma holds for pd2 runs only, and pd2 is deterministic, so
-    the trace must equal the run ``solve_pd2(inst)`` returns, which the
-    instance keeps.  A trace ``solve_pd2`` returned for this instance,
-    whose events were never set, is that run and needs no check.  Any
-    other trace is compared with the run's events, in C and on item
+    the trace must equal the run ``solve_pd2(inst)`` returns.  A trace
+    ``solve_pd2`` returned for this instance object holds that run, and
+    ``blocks`` reads it there; for any other trace it runs pd2 on ``inst``
+    again.  A trace holding the run, whose events were never set, needs no
+    check.  Any other trace is compared with the run's events, in C and on item
     identity once the solved trace's events are read, which are the run's
     own tuple; on a mismatch the first event that differs, or is missing
     or extra, raises ``ValueError``, whatever that event holds.
@@ -324,9 +312,10 @@ def blocks(inst: Instance, trace: Pd2Trace) -> tuple[Block, ...]:
     no earlier than the block's machine-1 run ends.  No walk over the
     successors is needed.
     """
-    run = _kept_run(inst)
     known = trace.__dict__
-    if known.get("_run") is not run or "events" in known:
+    held = known.get("_run")
+    run = held if held is not None and held.inst is inst else _Run(inst)
+    if run is not held or "events" in known:
         events, steps = trace.events, run.events
         if events != steps:
             for k, (got, want) in enumerate(zip_longest(events, steps)):

@@ -1,23 +1,25 @@
-"""The kept run: each ``Instance`` runs pd2 at most once, and ``blocks``
-checks every trace against that run.
+"""The held run: the trace ``solve_pd2`` returns holds its pd2 run, and
+``blocks`` checks every trace against a run.
 
-The first ``solve_pd2`` or ``blocks`` call on an instance object runs pd2
-and keeps its flat pick lists, schedule and release times on the instance.
-A solved trace holds that kept run and reads its triples from it;
-``blocks`` takes a solved trace whose events were never set as the run and
-compares any other trace with the run's triples; only a trace that differs
-is walked event by event, to name the first event that differs, and no
-trace starts a second run.
-These tests pin that: an instance runs pd2 once whatever traces it is
-given, a copy of the instance carries no run, and every trace that is not
-the run is refused as before.  ``test_properties.py`` checks that the
-solved trace and an unpickled copy give the same blocks, and the blocks of
-the successor-walk oracle.
+Each ``solve_pd2`` call runs pd2 once and keeps its flat pick lists,
+schedule and release times on the trace it returns, never on the instance.
+A solved trace reads its triples from that run; ``blocks`` takes the run
+from a trace solved for the same instance object, and runs pd2 afresh for
+any other trace.  It takes a solved trace whose events were never set as
+the run and compares any other trace with the run's triples; only a trace
+that differs is walked event by event, to name the first event that
+differs.  These tests pin that: ``solve_pd2`` plus ``blocks`` on its own
+trace run pd2 once, each ``blocks`` call on any other trace runs it once
+more, the run dies with its trace, and every trace that is not the run is
+refused as before.  ``test_properties.py`` checks that the solved trace and
+an unpickled copy give the same blocks, and the blocks of the
+successor-walk oracle.
 """
 
 import copy
 import dataclasses
 import pickle
+import weakref
 
 import pytest
 
@@ -52,8 +54,9 @@ def test_solved_trace_skips_the_replay(ex1, replays):
     assert len(replays) == 1
     blocks(ex1, trace)
     assert len(replays) == 1
+    # a trace built by hand holds no run, so blocks runs pd2 to check it
     blocks(ex1, Pd2Trace(trace.events))
-    assert len(replays) == 1
+    assert len(replays) == 2
 
 
 def test_trace_of_another_instance_is_refused():
@@ -87,8 +90,10 @@ def test_copied_trace_goes_through_the_replay(ex1, replays, trip):
     _, trace = solve_pd2(ex1)
     again = trip(trace)
     assert again == trace
+    # a copy carries the events only, not the run
+    assert "_run" not in vars(again)
     assert blocks(ex1, again) == blocks(ex1, trace)
-    assert len(replays) == 1
+    assert len(replays) == 2
 
 
 def test_swapped_events_go_through_the_replay(ex1, replays):
@@ -103,20 +108,35 @@ def test_swapped_events_go_through_the_replay(ex1, replays):
     # an equal tuple that is not the one solve_pd2 built is compared too
     object.__setattr__(trace, "events", tuple(list(events)))
     assert trace.events == events and trace.events is not events
+    # the trace still holds its run, so only the hand-built trace runs pd2
     assert blocks(ex1, trace) == blocks(ex1, Pd2Trace(events))
-    assert len(replays) == 1
+    assert len(replays) == 2
 
 
-def test_an_instance_runs_pd2_once(ex1, replays):
+def test_each_solve_and_each_other_trace_runs_pd2_once(ex1, replays):
     _, trace = solve_pd2(ex1)
     _, again = solve_pd2(ex1)
     assert again == trace
+    assert len(replays) == 2
     solved = blocks(ex1, trace)
+    assert blocks(ex1, again) == solved
+    assert len(replays) == 2
     assert blocks(ex1, Pd2Trace(trace.events)) == solved
     assert blocks(ex1, pickle.loads(pickle.dumps(trace))) == solved
-    assert len(replays) == 1
-    # a copy of the instance carries no run, so it runs pd2 again
+    assert len(replays) == 4
+    # the trace's run was made on ex1, so blocks on a copy of ex1 runs pd2
     twin = copy.copy(ex1)
-    assert "_pd2_run" not in vars(twin)
+    assert set(vars(twin)) <= {"n", "m", "_succ"}
     assert blocks(twin, trace) == solved
-    assert len(replays) == 2
+    assert len(replays) == 5
+
+
+def test_the_run_dies_with_its_trace(ex1):
+    _, trace = solve_pd2(ex1)
+    blocks(ex1, trace)
+    run = weakref.ref(vars(trace)["_run"])
+    assert run().inst is ex1
+    del trace
+    assert run() is None
+    # the instance, still alive, kept nothing of the run
+    assert set(vars(ex1)) <= {"n", "m", "_succ", "profile"}

@@ -6,8 +6,9 @@ the certified bounds, the pd2 optimum and the tight-family formula.  The
 bit-parallel kernel must return the very ``ExactResult`` of the list DP it
 replaced (``subset_dp_exact``) on seeded and drawn instances with n <= 14,
 and on either side of every field-width switch (m + n = 127 and 32767)
-and at m = 10^6.  At n = 17..20, past the default limit, the kernel meets
-the tight-family formula and the pd2 optimum.
+and at m = 10^6; the widest field holds every allowed m + n, and no wider
+one is kept.  At n = 17..20, past the default limit, the kernel meets the
+tight-family formula and the pd2 optimum.
 """
 
 import random
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from crossdock import (
+    MAX_OPS,
     Instance,
     TightParams,
     bounds_report,
@@ -29,6 +31,7 @@ from crossdock import (
     solve_greedy,
     solve_pd2,
 )
+from crossdock.exact import EXACT_MAX_N, _WIDTHS
 from oracles import enumerate_exact, optimal_makespan_statespace, subset_dp_exact
 
 
@@ -144,6 +147,15 @@ def test_kernel_matches_list_dp_across_field_widths(total):
         inst = from_pred_masks(n, [draw() for _ in range(total - n)])
         assert inst.m + inst.n == total
         assert solve_exact(inst) == subset_dp_exact(inst), (total, seed)
+
+
+def test_widest_field_is_the_narrowest_that_holds_every_allowed_instance():
+    # m <= MAX_OPS and n <= EXACT_MAX_N, so m + n fits the widest field, and
+    # a wider one would never be chosen.
+    total = MAX_OPS + EXACT_MAX_N
+    *_, (_, below), (_, widest) = _WIDTHS
+    assert total < 1 << (widest - 1)
+    assert total >= 1 << (below - 1)
 
 
 def test_kernel_matches_list_dp_at_a_million_b_operations():

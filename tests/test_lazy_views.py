@@ -2,11 +2,12 @@
 
 An instance is its successor table: ``==``, ``hash`` and ``repr`` read
 ``(n, m, _succ)``, and the arc set is a view built from the table only when
-something reads it.  Likewise pd2's kept run is flat pick lists, and the
-trace ``solve_pd2`` returns builds its pick triples from them only when
-something reads ``events``.  These tests pin that: the library and CLI
-pipelines build neither view, and a solved trace's events, once read, are
-the kept run's own tuple and the eager run's triples; every generator and
+something reads it.  Likewise the pd2 run a solved trace holds is flat
+pick lists, and the trace ``solve_pd2`` returns builds its pick triples
+from them only when something reads ``events``.  These tests pin that: the
+library and CLI pipelines build neither view and leave no run on the
+instance, and a solved trace's events, once read, are its run's own tuple
+and the eager run's triples; every generator and
 both parser paths give a canonical table, so table
 equality is arc-set equality; and a parsed instance behaves exactly as its
 constructed twin under ``==``, ``hash``, ``repr``, ``asdict``, pickle,
@@ -22,7 +23,6 @@ from hypothesis import given, strategies as st
 
 import crossdock.cli as cli
 import crossdock.instance as instance_module
-import crossdock.pd2 as pd2
 from crossdock import (
     Instance,
     Schedule,
@@ -62,11 +62,13 @@ def test_pd2_pipeline_builds_neither_view(layout):
     assert blocks(inst, trace)
     assert check_feasible(inst, sched).ok
     assert "arcs" not in vars(inst)
-    assert trace.events is pd2._kept_run(inst).events
+    # the run lives on the trace; the instance keeps its profile alone
+    assert set(vars(inst)) <= {"n", "m", "_succ", "profile"}
+    assert trace.events is vars(trace)["_run"].events
 
 
-def _events_unbuilt(inst, trace):
-    return "events" not in vars(trace) and "events" not in vars(pd2._kept_run(inst))
+def _events_unbuilt(trace):
+    return "events" not in vars(trace) and "events" not in vars(vars(trace)["_run"])
 
 
 @LAYOUTS
@@ -78,11 +80,11 @@ def test_d2_pipeline_leaves_the_trace_events_unbuilt(layout):
     assert lemma1_bound(inst) == max(inst.n + 2, inst.m)
     blks = blocks(inst, trace)
     assert check_feasible(inst, sched).ok
-    assert _events_unbuilt(inst, trace)
-    # Read, the events are the eager run's triples and the kept run's tuple.
+    assert _events_unbuilt(trace)
+    # Read, the events are the eager run's triples and the held run's tuple.
     steps = pd2_steps_by_scan(inst)
     assert trace.events == steps
-    assert trace.events is pd2._kept_run(inst).events
+    assert trace.events is vars(trace)["_run"].events
     assert blks == blocks_by_walk(inst, steps) == blocks(inst, trace)
 
 
@@ -101,9 +103,9 @@ def test_cli_pd2_solve_leaves_the_trace_events_unbuilt(tmp_path, monkeypatch, ca
     assert cli.main(["solve", "--alg", "pd2", "--in", str(path), "--out", str(out), "--gantt"]) == 0
     capsys.readouterr()
     (inst,), (trace,) = instances, traces
-    assert _events_unbuilt(inst, trace)
+    assert _events_unbuilt(trace)
     assert trace.events == pd2_steps_by_scan(inst)
-    assert trace.events is pd2._kept_run(inst).events
+    assert trace.events is vars(trace)["_run"].events
 
 
 @LAYOUTS
@@ -199,7 +201,8 @@ def test_cli_solve_and_verify_build_neither_view(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert len(instances) == 4 and len(traces) == 1
     assert not any("arcs" in vars(inst) for inst in instances)
-    assert traces[0].events is pd2._kept_run(instances[0]).events
+    assert vars(traces[0])["_run"].inst is instances[0]
+    assert traces[0].events is vars(traces[0])["_run"].events
     # verify reads the instance's successor table, not a profile.
     assert not any("profile" in vars(inst) for inst in instances[1::2])
 

@@ -11,7 +11,6 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
-import crossdock.pd2 as pd2
 from crossdock import (
     Instance,
     InstanceError,
@@ -100,7 +99,7 @@ def test_block_lemma(inst):
 
 @given(d2_instances(max_a=60, max_b=60))
 def test_solved_trace_gives_the_replayed_blocks(inst):
-    # solve_pd2's trace holds the kept run's own steps, and an unpickled
+    # solve_pd2's trace holds its run's own steps, and an unpickled
     # copy, whose steps are equal but new objects, is compared by value
     _, trace = solve_pd2(inst)
     assert blocks(inst, trace) == blocks(inst, pickle.loads(pickle.dumps(trace)))
@@ -115,12 +114,12 @@ def test_pd2_schedule_is_its_batches_laid_out_by_release_times(inst):
     pi = tuple(a for _, _, batch in steps for a in batch)
     r = release_times(inst, pi)
     assert sched == list_schedule(inst, pi, r, [j for j, _, _ in steps])
-    assert tuple(pd2._kept_run(inst).r) == (0, *r)
+    assert tuple(vars(trace)["_run"].r) == (0, *r)
 
 
 @given(st.one_of(d2_instances(max_a=60, max_b=60), hand_built_d2(max_n=40, max_m=40)))
 def test_pd2_events_are_the_scan_run(inst):
-    # The triples built from the kept run's flat lists are the run a plain
+    # The triples built from the run's flat lists are the run a plain
     # scan for the least (degree, index) makes, blocks first or events first.
     _, trace = solve_pd2(inst)
     blks = blocks(inst, trace)
