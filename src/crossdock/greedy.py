@@ -10,6 +10,12 @@ bounds the greedy makespan by max{q+m, n}, where q is the shortest order
 prefix whose out-degree sum exceeds the arc total minus m, and divides by a
 proven lower bound on the optimum.
 
+S is summed with one C call per row: ``itemgetter(0, 0, *succ[i])`` picks
+the row's in-degrees out of ``(0, *in_deg)``, which is indexed from 1 like
+``succ``, and ``sum`` adds the tuple it returns.  The two leading zeros add
+nothing to S; they make a row of 0 or 1 successors give a tuple too, where
+``itemgetter`` would refuse no index and give a bare int for one.
+
 The lower bound deserves a note.  The published form max{m+dminA, n+dminB}
 can exceed the optimum (n=1, m=3, a single arc gives 4 versus an optimum
 of 3), so certificates here use max{n+dminA, m+dminB}: the last machine-1
@@ -25,6 +31,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .instance import Instance, degree_profile
 from .schedule import Permutation, Schedule, complete_m2_erd
@@ -48,10 +55,10 @@ def greedy_order(inst: Instance) -> Permutation:
     """
     prof = degree_profile(inst)
     out_deg, succ = prof.out_deg, prof.succ
-    in_deg_at = (0, *prof.in_deg).__getitem__  # indexed from 1, like succ
+    in_deg = (0, *prof.in_deg)  # indexed from 1, like succ
 
     def key(i: int) -> tuple[int, int, int]:
-        return (-out_deg[i - 1], sum(map(in_deg_at, succ[i])), i)
+        return (-out_deg[i - 1], sum(itemgetter(0, 0, *succ[i])(in_deg)), i)
 
     return tuple(sorted(range(1, inst.n + 1), key=key))
 

@@ -52,6 +52,12 @@ check, sharing no code with pd2, that its block labels are core numbers.
 ``gen_d2_by_sample`` is ``gen_d2`` as it drew through ``Random.sample``,
 the reference its own ``getrandbits`` draws must equal instance for
 instance.
+
+``old_adjacency``, ``old_greedy_order``, ``old_release_times`` and
+``old_complete_m2_erd`` are the adjacency build, the greedy order and the
+ERD completion as they were before the instance shared one adjacency
+profile: dict-based adjacency read from ``arcs``, a ``Fraction`` ratio key,
+a position dict and a sort by release time.
 """
 
 from __future__ import annotations
@@ -59,6 +65,7 @@ from __future__ import annotations
 import itertools
 import random
 import re
+from fractions import Fraction
 from typing import Iterable, Iterator
 
 from crossdock import (
@@ -498,3 +505,62 @@ def serialize_by_arcs(inst: Instance, comments: Iterable[str] = ()) -> str:
     lines.append(f"p cdock {inst.n} {inst.m}")
     lines.extend(f"a {i} {j}" for i, row in enumerate(inst._succ) for j in row)
     return "\n".join(lines) + "\n"
+
+
+def old_adjacency(inst: Instance) -> tuple:
+    """Out-degrees, in-degrees and the sorted successor and predecessor
+    rows, as dicts indexed from 1, read from ``arcs``."""
+    succ = {i: [] for i in range(1, inst.n + 1)}
+    pred = {j: [] for j in range(1, inst.m + 1)}
+    for i, j in inst.arcs:
+        succ[i].append(j)
+        pred[j].append(i)
+    return (
+        tuple(len(succ[i]) for i in range(1, inst.n + 1)),
+        tuple(len(pred[j]) for j in range(1, inst.m + 1)),
+        {i: tuple(sorted(v)) for i, v in succ.items()},
+        {j: tuple(sorted(v)) for j, v in pred.items()},
+    )
+
+
+def old_greedy_order(inst: Instance) -> Permutation:
+    """``greedy_order`` with the ratio d/S as a ``Fraction``."""
+    out_deg, in_deg, succ, _pred = old_adjacency(inst)
+
+    def key(i):
+        d = out_deg[i - 1]
+        if d == 0:
+            ratio = Fraction(0)
+        else:
+            ratio = Fraction(d, sum(in_deg[j - 1] for j in succ[i]))
+        return (-d, -ratio, i)
+
+    return tuple(sorted(range(1, inst.n + 1), key=key))
+
+
+def old_release_times(inst: Instance, pi: Permutation) -> tuple[int, ...]:
+    """``release_times`` through a position dict and a walk over ``arcs``."""
+    _out_deg, in_deg, _succ, _pred = old_adjacency(inst)
+    pos = {a: idx for idx, a in enumerate(pi)}
+    r = list(in_deg)
+    for i, j in inst.arcs:
+        done = pos[i] + 1
+        if done > r[j - 1]:
+            r[j - 1] = done
+    return tuple(r)
+
+
+def old_complete_m2_erd(inst: Instance, pi: Permutation) -> Schedule:
+    """``complete_m2_erd`` by a sort of the B-operations by release time."""
+    r = old_release_times(inst, pi)
+    start_a = [0] * inst.n
+    for idx, a in enumerate(pi):
+        start_a[a - 1] = idx
+    order = sorted(range(1, inst.m + 1), key=lambda j: (r[j - 1], j))
+    start_b = [0] * inst.m
+    t = 0
+    for j in order:
+        t = max(t, r[j - 1])
+        start_b[j - 1] = t
+        t += 1
+    return Schedule(start_a=tuple(start_a), start_b=tuple(start_b))

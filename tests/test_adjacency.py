@@ -1,10 +1,12 @@
 """One adjacency build per instance, and the rewritten layers against the old code.
 
-The reference functions below are the implementations that ``greedy_order``,
+The reference functions are the implementations that ``greedy_order``,
 ``release_times``, ``complete_m2_erd``, ``check_feasible`` and
 ``degree_profile`` had before the adjacency was shared: a ``Fraction`` ratio
 key, a position dict, a sort by release time, a walk over ``sorted(arcs)``
-and dict-based adjacency.  ``old_solve_pd2`` is ``solve_pd2`` before it
+and dict-based adjacency.  Those of the adjacency, the greedy order, the
+release times and the ERD completion live in ``oracles``, since CI runs
+them at north-star size too.  ``old_solve_pd2`` is ``solve_pd2`` before it
 shared the machine-2 list scheduler: private predecessor sets and its own
 layout loop.  ``old_blocks`` is ``blocks`` before it read zero and degree
 picks one way: a split of zero from degree picks, a position dict and a
@@ -15,10 +17,9 @@ except that ``blocks`` now rejects every trace but the pd2 run's, which
 
 import heapq
 from dataclasses import FrozenInstanceError
-from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import crossdock.instance as instance_module
 from crossdock import (
@@ -43,63 +44,10 @@ from crossdock import (
     solve_greedy,
     solve_pd2,
 )
+from oracles import old_adjacency, old_complete_m2_erd, old_greedy_order, old_release_times
 
 
 # -- reference implementations ------------------------------------------------
-
-
-def old_adjacency(inst):
-    succ = {i: [] for i in range(1, inst.n + 1)}
-    pred = {j: [] for j in range(1, inst.m + 1)}
-    for i, j in inst.arcs:
-        succ[i].append(j)
-        pred[j].append(i)
-    return (
-        tuple(len(succ[i]) for i in range(1, inst.n + 1)),
-        tuple(len(pred[j]) for j in range(1, inst.m + 1)),
-        {i: tuple(sorted(v)) for i, v in succ.items()},
-        {j: tuple(sorted(v)) for j, v in pred.items()},
-    )
-
-
-def old_greedy_order(inst):
-    out_deg, in_deg, succ, _pred = old_adjacency(inst)
-
-    def key(i):
-        d = out_deg[i - 1]
-        if d == 0:
-            ratio = Fraction(0)
-        else:
-            ratio = Fraction(d, sum(in_deg[j - 1] for j in succ[i]))
-        return (-d, -ratio, i)
-
-    return tuple(sorted(range(1, inst.n + 1), key=key))
-
-
-def old_release_times(inst, pi):
-    _out_deg, in_deg, _succ, _pred = old_adjacency(inst)
-    pos = {a: idx for idx, a in enumerate(pi)}
-    r = list(in_deg)
-    for i, j in inst.arcs:
-        done = pos[i] + 1
-        if done > r[j - 1]:
-            r[j - 1] = done
-    return tuple(r)
-
-
-def old_complete_m2_erd(inst, pi):
-    r = old_release_times(inst, pi)
-    start_a = [0] * inst.n
-    for idx, a in enumerate(pi):
-        start_a[a - 1] = idx
-    order = sorted(range(1, inst.m + 1), key=lambda j: (r[j - 1], j))
-    start_b = [0] * inst.m
-    t = 0
-    for j in order:
-        t = max(t, r[j - 1])
-        start_b[j - 1] = t
-        t += 1
-    return Schedule(start_a=tuple(start_a), start_b=tuple(start_b))
 
 
 def old_precedence_violations(inst, sched):
@@ -194,7 +142,19 @@ def test_profile_matches_dict_adjacency(inst):
     assert prof.pred[1:] == tuple(pred[j] for j in range(1, inst.m + 1))
 
 
+# greedy_order sums a row's in-degrees with itemgetter(0, 0, *row): rows of
+# 0, 1 and 2 successors, and of 64 or more, side by side.
 @given(instances)
+@example(Instance(n=1, m=1, arcs=()))
+@example(Instance(n=3, m=2, arcs=[(1, 2), (2, 1), (3, 2)]))
+@example(Instance(n=4, m=3, arcs=[(1, 1), (1, 2), (2, 2), (2, 3), (4, 1), (4, 3)]))
+@example(
+    Instance(
+        n=5,
+        m=80,
+        arcs=[*((1, j) for j in range(1, 65)), *((2, j) for j in range(17, 81)), (3, 5), (3, 80), (5, 40)],
+    )
+)
 def test_greedy_order_matches_fraction_key(inst):
     assert greedy_order(inst) == old_greedy_order(inst)
 
@@ -359,6 +319,7 @@ def test_profile_is_cached_and_read_only(ex1):
     prof = degree_profile(ex1)
     assert degree_profile(ex1) is prof is ex1.profile
     assert prof.succ is ex1._succ  # a constructed instance's own table, not a copy
+    assert "pred" in vars(prof)  # a two-successor instance's profile comes with pred
     assert all(type(row) is tuple for row in prof.succ + prof.pred)
     with pytest.raises(FrozenInstanceError):
         prof.succ = ()
@@ -371,6 +332,28 @@ def test_profile_is_cached_and_read_only(ex1):
     with pytest.raises(FrozenInstanceError):
         del ex1.profile
     assert degree_profile(ex1) is prof
+
+    # Off the two-successor class pred is built on its first read, once.
+    inst = Instance(n=4, m=5, arcs=[(1, 1), (1, 2), (1, 4), (2, 4), (4, 2), (4, 5)])
+    prof = degree_profile(inst)
+    twin = instance_module._build_profile(inst)
+    assert "pred" not in vars(prof) and "pred" not in vars(twin)
+    before = (prof == twin, hash(prof), repr(twin))  # repr builds twin's pred only
+    assert "pred" not in vars(prof)
+    pred = prof.pred
+    assert pred == ((), (1,), (1, 4), (), (1, 2), (4,))
+    assert prof.pred is pred and vars(prof)["pred"] is pred
+    assert all(type(row) is tuple for row in pred)
+    with pytest.raises(FrozenInstanceError):
+        prof.pred = pred
+    with pytest.raises(FrozenInstanceError):
+        del prof.pred
+    assert before == (prof == twin, hash(prof), repr(prof)) == (True, hash(twin), repr(twin))
+    assert repr(prof) == (
+        "DegreeProfile(out_deg=(3, 1, 0, 2), in_deg=(1, 2, 0, 2, 1), "
+        "succ=((), (1, 2, 4), (4,), (), (2, 5)), pred=((), (1,), (1, 4), (), (1, 2), (4,)))"
+    )
+    assert degree_profile(inst) is prof
 
 
 def test_profile_is_not_a_field(ex1):
@@ -389,6 +372,7 @@ def greedy_pipeline(text):
     sched = solve_greedy(inst)
     bounds_report(inst)
     assert check_feasible(inst, sched).ok
+    return inst
 
 
 def pd2_pipeline(text):
@@ -398,6 +382,7 @@ def pd2_pipeline(text):
     lemma1_bound(inst)
     blocks(inst, trace)
     assert check_feasible(inst, sched).ok
+    return inst
 
 
 @pytest.mark.parametrize(
@@ -409,15 +394,27 @@ def pd2_pipeline(text):
     ids=["greedy", "pd2"],
 )
 def test_one_adjacency_build_per_instance(monkeypatch, pipeline, make):
+    """One profile per instance; its pred is built once on the pd2 path,
+    its only reader, and never on the greedy path."""
     texts = [serialize_instance(make(seed)) for seed in range(3)]
-    built = []
-    real_build = instance_module._build_profile
+    built, pred_built = [], []
+    real_build, real_pred = instance_module._build_profile, instance_module._pred_table
 
     def counting_build(inst):
         built.append(inst)
         return real_build(inst)
 
+    def counting_pred(succ, m):
+        pred_built.append(succ)
+        return real_pred(succ, m)
+
     monkeypatch.setattr(instance_module, "_build_profile", counting_build)
+    monkeypatch.setattr(instance_module, "_pred_table", counting_pred)
     for k, text in enumerate(texts, start=1):
-        pipeline(text)
+        inst = pipeline(text)
         assert len(built) == k
+        if pipeline is greedy_pipeline:
+            assert "pred" not in vars(inst.profile) and not pred_built
+        else:
+            assert "pred" in vars(inst.profile)
+            assert len(pred_built) == k and pred_built[-1] is inst._succ

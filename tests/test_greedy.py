@@ -191,3 +191,30 @@ def test_tightness_on_family():
             sched = complete_m2_erd(tf, pi)
             assert check_feasible(tf, sched).ok
             assert makespan(sched) == rep.lower_bound
+
+
+# A 7 x 8 instance found by a seeded hill-climb over n, m <= 8 (single-arc
+# flips, solve_exact as the oracle): greedy reaches 4/3 of the optimum, past
+# the census's worst of 6/5 up to 4 x 4, and both ends of the bound chain
+# are tight.  A7 has no successor, so greedy's key sums an empty row.
+ARCS_7_BY_8 = (
+    (1, 1), (1, 3), (1, 6),
+    (2, 1), (2, 4), (2, 5), (2, 6), (2, 7),
+    (3, 1), (3, 3), (3, 6), (3, 8),
+    (4, 1), (4, 3), (4, 6), (4, 8),
+    (5, 2), (5, 7), (5, 8),
+    (6, 4), (6, 5), (6, 6),
+)
+
+
+def test_greedy_four_thirds_of_optimum_at_7_by_8():
+    inst = Instance(n=7, m=8, arcs=ARCS_7_BY_8)
+    assert inst.profile.out_deg == (3, 5, 4, 4, 3, 3, 0)
+    assert greedy_order(inst) == (2, 3, 4, 5, 6, 1, 7)
+    sched = solve_greedy(inst)
+    assert check_feasible(inst, sched).ok
+    rep = bounds_report(inst)
+    opt = solve_exact(inst).optimal_makespan
+    assert (makespan(sched), rep.greedy_upper) == (12, 12)
+    assert (opt, rep.lower_bound, lower_bound(inst)) == (9, 9, 9)
+    assert Fraction(makespan(sched), opt) == rep.ratio_bound == Fraction(4, 3)
