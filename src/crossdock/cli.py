@@ -2,6 +2,13 @@
 
 Exit codes: 0 success, 1 semantic failure (infeasible schedule),
 2 usage or precondition error.
+
+``gen --out`` and ``solve --out`` write their file in place, as UTF-8: an
+existing file is overwritten from its start and then cut to the new length,
+never truncated to zero first.  A truncate-to-zero makes ext4 (by default),
+XFS and btrfs flush the file when it is closed.  A symlink is written
+through, and an existing file keeps its inode, mode and hard links, as with
+``open(path, "w")``.
 """
 
 from __future__ import annotations
@@ -10,6 +17,8 @@ import argparse
 import csv
 import functools
 import io
+import os
+import stat
 import sys
 import time
 from fractions import Fraction
@@ -52,6 +61,30 @@ def _read_text(path: str | Path) -> str:
         return f.read()
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, in place.  The file is opened
+    without ``O_TRUNC`` and, if regular, cut at the end of the new bytes;
+    a failed write cuts it to zero, so no tail of the old file is left
+    behind part of the new text.  A device such as ``/dev/null`` cannot be
+    cut, and is only written."""
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        try:
+            rest = memoryview(data)
+            while rest:  # os.write may write less than it is given
+                rest = rest[os.write(fd, rest):]
+        except BaseException:
+            if regular:
+                os.ftruncate(fd, 0)
+            raise
+        if regular:
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 def _read_instance(path: str) -> Instance:
     try:
         return parse_instance(_read_text(path))
@@ -82,7 +115,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         f"is_d2={str(cls.is_d2).lower()} has_pendant_b={str(cls.has_pendant_b).lower()}"
     )
     if args.out:
-        Path(args.out).write_text(text)
+        _write_text(args.out, text)
         print(args.out)
         print(summary)
     else:
@@ -101,7 +134,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         raise CliError(str(exc)) from exc
     # The file is written first, so a failed write exits with nothing on stdout.
     if args.out:
-        Path(args.out).write_text(schedule_to_json(sched))
+        _write_text(args.out, schedule_to_json(sched))
     print(f"makespan {makespan(sched)}")
     if args.alg == "greedy":
         rep = bounds_report(inst)

@@ -1,5 +1,8 @@
+import errno
 import hashlib
 import json
+import os
+import stat
 
 import pytest
 from hypothesis import given, strategies as st
@@ -114,6 +117,165 @@ def test_solve_with_an_unwritable_out_prints_nothing(alg, ex1_file, tmp_path, ca
     assert captured.out == ""
     assert captured.err.startswith("error: [Errno 2]")
     assert not out.parent.exists()
+
+
+# --out over an existing file: the CLI writes in place and then cuts the file
+# to the new length, so what is left must be exactly a fresh write's bytes.
+
+JUNK_MB = bytes(range(256)) * 4096  # 1 MiB, longer than any file below
+
+
+def _solve_out(alg: str, in_file, out) -> int:
+    return main(["solve", "--alg", alg, "--in", str(in_file), "--out", str(out)])
+
+
+def _fresh_schedule(alg: str, in_file, tmp_path) -> bytes:
+    fresh = tmp_path / f"fresh-{alg}.json"
+    assert not fresh.exists()
+    assert _solve_out(alg, in_file, fresh) == 0
+    return fresh.read_bytes()
+
+
+OLD_FILES = {
+    "longer": lambda size: JUNK_MB,
+    "shorter": lambda size: b"{" * (size // 2),
+    "same-length": lambda size: b"x" * size,
+}
+
+
+@pytest.mark.parametrize("old", list(OLD_FILES))
+@pytest.mark.parametrize("alg", list(_SOLVERS))
+def test_solve_out_over_an_existing_file_gives_a_fresh_writes_bytes(alg, old, ex1_file, tmp_path, capsys):
+    fresh = _fresh_schedule(alg, ex1_file, tmp_path)
+    out = tmp_path / "old.json"
+    out.write_bytes(OLD_FILES[old](len(fresh)))
+    assert _solve_out(alg, ex1_file, out) == 0
+    assert out.read_bytes() == fresh
+    assert main(["verify", "--in", str(ex1_file), "--schedule", str(out)]) == 0
+    assert capsys.readouterr().out.endswith("feasible, makespan 8\n")
+
+
+def test_gen_out_over_a_longer_file_gives_a_fresh_writes_bytes(tmp_path, capsys):
+    argv = ["gen", "d2", "--a", "30", "--b", "20", "--pendants", "2", "--seed", "5", "--out"]
+    fresh, out = tmp_path / "fresh.cd", tmp_path / "old.cd"
+    out.write_bytes(JUNK_MB)
+    assert main([*argv, str(fresh)]) == 0
+    assert main([*argv, str(out)]) == 0
+    assert out.read_bytes() == fresh.read_bytes()
+    assert parse_instance(out.read_text()) == gen_d2(30, 20, 2, 5)
+
+
+def test_solve_out_writes_through_a_symlink(ex1_file, tmp_path, capsys):
+    fresh = _fresh_schedule("pd2", ex1_file, tmp_path)
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_bytes(JUNK_MB)
+    link.symlink_to(target)
+    assert _solve_out("pd2", ex1_file, link) == 0
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert target.read_bytes() == fresh
+
+
+def test_solve_out_keeps_the_files_mode_inode_and_hard_links(ex1_file, tmp_path, capsys):
+    fresh = _fresh_schedule("pd2", ex1_file, tmp_path)
+    out, other = tmp_path / "old.json", tmp_path / "other-name.json"
+    out.write_bytes(JUNK_MB)
+    out.chmod(0o600)
+    os.link(out, other)
+    inode = out.stat().st_ino
+    assert _solve_out("pd2", ex1_file, out) == 0
+    st = out.stat()
+    assert stat.S_IMODE(st.st_mode) == 0o600
+    assert st.st_ino == inode and st.st_nlink == 2
+    assert other.read_bytes() == out.read_bytes() == fresh
+
+
+def test_solve_out_creates_a_missing_file_as_open_would(ex1_file, tmp_path, capsys):
+    fresh = _fresh_schedule("pd2", ex1_file, tmp_path)
+    out, like = tmp_path / "new.json", tmp_path / "like.json"
+    with open(like, "w"):
+        pass
+    assert _solve_out("pd2", ex1_file, out) == 0
+    assert out.read_bytes() == fresh
+    assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(like.stat().st_mode)
+
+
+@pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
+@pytest.mark.parametrize("command", ["solve", "gen"])
+def test_out_to_the_null_device(command, ex1_file, capsys):
+    if command == "solve":
+        assert _solve_out("pd2", ex1_file, os.devnull) == 0
+        assert capsys.readouterr().out == "makespan 8\n"
+    else:
+        assert main(["gen", "tight", "--k", "3", "--l", "2", "--s", "3", "--out", os.devnull]) == 0
+        assert capsys.readouterr().out.startswith(f"{os.devnull}\nn=8 m=9")
+
+
+@pytest.mark.parametrize("command", ["solve", "gen"])
+def test_out_to_a_directory_exits_2_with_nothing_on_stdout(command, ex1_file, tmp_path, capsys):
+    if command == "solve":
+        code = _solve_out("greedy", ex1_file, tmp_path)
+    else:
+        code = main(["gen", "tight", "--k", "3", "--l", "2", "--s", "3", "--out", str(tmp_path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: [Errno 21]")
+
+
+def test_a_failed_write_leaves_the_file_empty(ex1_file, tmp_path, monkeypatch, capsys):
+    # The first write goes through in part, the second fails: what is left
+    # must not be new bytes followed by the old file's tail.
+    out = tmp_path / "old.json"
+    out.write_bytes(JUNK_MB)
+    real_write, calls = os.write, []
+
+    def failing_write(fd, data):
+        calls.append(len(data))
+        if len(calls) > 1:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return real_write(fd, data[:10])
+
+    monkeypatch.setattr(cli.os, "write", failing_write)
+    assert _solve_out("greedy", ex1_file, out) == 2
+    monkeypatch.undo()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: [Errno 28]")
+    assert len(calls) == 2
+    assert out.read_bytes() == b""
+
+
+def test_short_writes_are_continued(ex1_file, tmp_path, monkeypatch, capsys):
+    fresh = _fresh_schedule("greedy", ex1_file, tmp_path)
+    out = tmp_path / "old.json"
+    out.write_bytes(JUNK_MB)
+    real_write = os.write
+    monkeypatch.setattr(cli.os, "write", lambda fd, data: real_write(fd, data[:7]))
+    assert _solve_out("greedy", ex1_file, out) == 0
+    monkeypatch.undo()
+    assert out.read_bytes() == fresh
+
+
+def test_out_is_opened_without_o_trunc(ex1_file, tmp_path, monkeypatch, capsys):
+    # O_TRUNC on an existing file is a truncate-to-zero, which ext4 (by
+    # default), XFS and btrfs answer by flushing the file when it is closed;
+    # the CLI cuts the file to its new length after writing instead.
+    real_open, flags = os.open, []
+
+    def open_spy(path, flag, *args, **kwargs):
+        flags.append(flag)
+        return real_open(path, flag, *args, **kwargs)
+
+    monkeypatch.setattr(cli.os, "open", open_spy)
+    out = tmp_path / "old.json"
+    out.write_bytes(JUNK_MB)
+    assert _solve_out("pd2", ex1_file, out) == 0
+    assert main(["gen", "tight", "--k", "3", "--l", "2", "--s", "3", "--out", str(out)]) == 0
+    monkeypatch.undo()
+    assert len(flags) == 2
+    for flag in flags:
+        assert flag & os.O_CREAT and flag & os.O_ACCMODE == os.O_WRONLY
+        assert not flag & os.O_TRUNC
 
 
 def test_bound_tight(tf_file, capsys):
