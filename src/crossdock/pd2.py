@@ -15,25 +15,21 @@ machine-1 order of the batches completed in pick order, with no second
 walk over the arcs.  The bookkeeping keeps no copy of the shared
 adjacency: one done-flag per operation marks what has run.
 
-pd2 is deterministic, so an instance has one run.  ``solve_pd2`` keeps
-it on the trace it returns, as the pick loop writes it, flat lists and no
-object per pick: the pick order, each pick's degree, the machine-1 order,
-the schedule and the release times.  The run lives as long as that trace;
-the instance keeps only its profile.
-
-The trace is the one record of a run: one pick per B-operation, in
-machine-2 order, each the triple ``(b_index, picked_degree, a_batch)``,
-with the batch it ran on machine 1 (a zero pick is ``(j, 0, ())``).  The
-trace ``solve_pd2`` returns builds these triples from the run's lists the
-first time its ``events`` are read, as ``Instance.arcs`` is built on first
-read; solving, ``blocks`` and the CLI read none.  The trace decomposes
-into blocks: a block opens whenever the
-picked degree exceeds the current block's label, and the label equals the
-number of machine-1 operations the block runs before its first machine-2
-operation (the block's offset).  The machine-2 operations
-precedence-forced past the block's last machine-1 completion (the
-overhang) number 1 or 2 for labels >= 2, which is what makes the stitched
-schedule tight.  Both are read off the run's release times.
+The trace is the run itself, three flat tuples and no object per pick:
+``order``, the picks in machine-2 order; ``degree``, each pick's degree;
+and ``pi``, the machine-1 order, which is the batches laid end to end; the
+instance keeps only its profile.  Pick k is released as the first
+``c_k = sum(degree[:k + 1])`` machine-1 operations end (see ``_run``), so
+its batch is ``pi[c_k - degree[k]:c_k]``: the three tuples fix the rest.
+``events`` builds from them one ``(b_index, picked_degree, a_batch)``
+triple per pick (a zero pick is ``(j, 0, ())``) when read; solving,
+``blocks`` and the CLI read none.  The trace decomposes into blocks: a
+block opens whenever the picked degree exceeds the current block's label,
+and the label equals the number of machine-1 operations the block runs
+before its first machine-2 operation (the block's offset).  The machine-2
+operations precedence-forced past the block's last machine-1 completion
+(the overhang) number 1 or 2 for labels >= 2, which is what makes the
+stitched schedule tight.  Both are read off the release times ``c``.
 
 The labels are core numbers.  On this class each A-operation is an edge
 between its two successors, so an instance is a multigraph on the
@@ -46,21 +42,18 @@ peeling of Batagelj and Zaversnik ("An O(m) algorithm for cores
 decomposition of networks", 2003) computes.  A block opens exactly when
 that maximum rises, so the label of B_j's block is B_j's core number, and
 the last label is the degeneracy.  The block lemma speaks of pd2 runs
-only, so ``blocks`` accepts only a trace equal to its instance's run.  A
-trace that ``solve_pd2`` returned for the same instance object, whose
-events were never set, is that run and needs no check; for any other trace
-``blocks`` runs pd2 again and compares the trace with the run's triples.
-``blocks`` then cuts the blocks from the run's lists.
+only, so ``blocks`` accepts only a trace equal to its instance's run.  pd2
+is deterministic, so an instance has one run: a trace that ``solve_pd2``
+returned for the same instance object is that run and needs no check; for
+any other trace ``blocks`` runs pd2 again and compares the two.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
-from bisect import bisect_left
 from dataclasses import asdict, dataclass
-from functools import cached_property
-from itertools import filterfalse, zip_longest
+from itertools import accumulate, filterfalse, zip_longest
 
 from .greedy import lower_bound
 from .instance import DegreeProfile, Instance, degree_profile
@@ -76,50 +69,42 @@ class NotD2Error(ValueError):
         super().__init__(f"A{a_index} has out-degree {out_deg}, expected 2")
 
 
-Step = tuple[int, int, tuple[int, ...]]
-
-
 @dataclass(frozen=True)
 class Pd2Trace:
-    """A pd2 run: ``(b_index, picked_degree, a_batch)`` per pick, in machine-2 order.
+    """A pd2 run: the picks in machine-2 order, their degrees, the machine-1 order.
 
-    ``events`` must be a tuple that hashes, so that a trace hashes and
-    compares equal to the run it records; anything else, such as a list
-    step or a list batch, raises ``TypeError``.  The trace ``solve_pd2``
-    returns skips these checks: it holds the run itself, and its
-    ``events`` are that run's triples, built on first read and then the
-    run's own tuple.  Pickles and copies carry ``events`` only, so they
-    equal, byte for byte, a trace built around the same triples.
+    Each field must be a tuple of ints (else ``TypeError``); the degrees,
+    one per pick, must be non-negative and sum to ``len(pi)`` (else
+    ``ValueError``).  The trace ``solve_pd2`` returns also records the
+    instance object it solved; pickles and copies drop that record, so they
+    equal, byte for byte, a trace built by hand around the same tuples.
     """
 
-    events: tuple[Step, ...]
+    order: tuple[int, ...]
+    degree: tuple[int, ...]
+    pi: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if type(self.events) is not tuple:
-            raise TypeError(f"Pd2Trace events must be a tuple, got {type(self.events).__name__}")
-        try:
-            hash(self.events)
-        except TypeError as exc:
-            raise TypeError(f"Pd2Trace events must be hashable: {exc}") from None
+        for name, value in (("order", self.order), ("degree", self.degree), ("pi", self.pi)):
+            kinds = set(map(type, value)) if type(value) is tuple else {type(value)}
+            if not kinds <= {int}:
+                got = min(kind.__name__ for kind in kinds - {int})
+                raise TypeError(f"Pd2Trace {name} must be a tuple of ints, got {got}")
+        if len(self.order) != len(self.degree):
+            raise ValueError(f"Pd2Trace has {len(self.order)} picks but {len(self.degree)} degrees")
+        if min(self.degree, default=0) < 0:
+            raise ValueError(f"Pd2Trace degree {min(self.degree)} is negative")
+        if sum(self.degree) != len(self.pi):
+            raise ValueError(f"Pd2Trace degrees sum to {sum(self.degree)}, but pi holds {len(self.pi)}")
 
-    @classmethod
-    def _of_run(cls, run: _Run) -> Pd2Trace:
-        """The trace of ``run``, whose events are built on first read."""
-        trace = cls.__new__(cls)
-        trace.__dict__["_run"] = run
-        return trace
+    def __getstate__(self) -> dict[str, tuple[int, ...]]:
+        return {"order": self.order, "degree": self.degree, "pi": self.pi}
 
-    def __getattr__(self, name: str) -> tuple[Step, ...]:
-        # Called only for what the instance dict lacks: the events of a
-        # trace _of_run made, until they are first read.
-        run = self.__dict__.get("_run")
-        if name != "events" or run is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        events = self.__dict__["events"] = run.events
-        return events
-
-    def __getstate__(self) -> dict[str, tuple[Step, ...]]:
-        return {"events": self.events}
+    @property
+    def events(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+        """``(j, d, pi[c - d:c])`` per pick, c the running degree sum; ``(j, 0, ())`` at 0."""
+        degree, pi = self.degree, self.pi
+        return tuple([(j, d, pi[c - d:c]) for j, d, c in zip(self.order, degree, accumulate(degree))])
 
 
 @dataclass(frozen=True)
@@ -144,7 +129,7 @@ def _require_d2(inst: Instance) -> DegreeProfile:
 def _run(prof: DegreeProfile, n: int) -> tuple[list[int], ...]:
     """The pd2 run on ``prof`` (with ``n`` A-operations) and its schedule.
 
-    Returns ``(order, degree, pi, start_a, start_b, r)``, flat lists and
+    Returns ``(order, degree, pi, start_a, start_b)``, flat lists and
     no tuple per pick.  ``order`` holds the B-operations in pick order,
     which is machine-2 order, and ``degree`` each pick's degree.  Each pick
     takes the pending B-operation of least (current degree, index), and its
@@ -175,7 +160,9 @@ def _run(prof: DegreeProfile, n: int) -> tuple[list[int], ...]:
     when j was picked, and its pending predecessors all lie in j's batch,
     so they are exactly that batch: it has j's release time and, the
     degrees being equal, a larger index than j.  The zero picks after j
-    follow in index order.
+    follow in index order.  So every pick is released as the batches up to
+    its own end: at the running sum of the picked degrees, zero picks
+    included, which is the identity ``Pd2Trace`` rests on.
     """
     succ, pred = prof.succ, prof.pred
     deg = [0, *prof.in_deg]
@@ -236,39 +223,16 @@ def _run(prof: DegreeProfile, n: int) -> tuple[list[int], ...]:
     # ran: each has a successor, whose pick runs its pending predecessors.
     if pos != n:
         raise AssertionError(f"pd2 ran {pos} of {n} A-operations")
-    return order, degree, pi, start_a, start_b, r
-
-
-class _Run:
-    """pd2's run on ``inst``, as ``_run`` writes it, and its schedule.
-
-    ``inst`` is the instance object it ran on; ``order``, ``degree`` and
-    ``r`` are ``_run``'s lists, ``pi`` its machine-1 order as a tuple, so
-    that a slice of it is a batch.  The triples of ``events`` are built from
-    them on first read.  Raises ``NotD2Error`` off the class.
-    """
-
-    def __init__(self, inst: Instance) -> None:
-        order, degree, pi, start_a, start_b, r = _run(_require_d2(inst), inst.n)
-        self.inst, self.order, self.degree, self.pi, self.r = inst, order, degree, tuple(pi), r
-        self.schedule = Schedule(start_a=tuple(start_a), start_b=tuple(start_b))
-
-    @cached_property
-    def events(self) -> tuple[Step, ...]:
-        """``(j, d, pi[r[j] - d:r[j]])`` per pick, so ``(j, 0, ())`` at degree 0."""
-        pi, r = self.pi, self.r
-        steps = []
-        step = steps.append
-        for j, d in zip(self.order, self.degree):
-            end = r[j]
-            step((j, d, pi[end - d:end]))
-        return tuple(steps)
+    return order, degree, pi, start_a, start_b
 
 
 def solve_pd2(inst: Instance) -> tuple[Schedule, Pd2Trace]:
     """Run the degree-driven exact algorithm; returns schedule and trace."""
-    run = _Run(inst)
-    return run.schedule, Pd2Trace._of_run(run)
+    order, degree, pi, start_a, start_b = _run(_require_d2(inst), inst.n)
+    trace = Pd2Trace.__new__(Pd2Trace)
+    # _run's lists meet __post_init__'s checks; _inst lets blocks skip its re-run
+    trace.__dict__.update(order=tuple(order), degree=tuple(degree), pi=tuple(pi), _inst=inst)
+    return Schedule(start_a=tuple(start_a), start_b=tuple(start_b)), trace
 
 
 def lemma1_bound(inst: Instance) -> int:
@@ -296,57 +260,53 @@ def blocks(inst: Instance, trace: Pd2Trace) -> tuple[Block, ...]:
 
     The block lemma holds for pd2 runs only, and pd2 is deterministic, so
     the trace must equal the run ``solve_pd2(inst)`` returns.  A trace
-    ``solve_pd2`` returned for this instance object holds that run, and
-    ``blocks`` reads it there; for any other trace it runs pd2 on ``inst``
-    again.  A trace holding the run, whose events were never set, needs no
-    check.  Any other trace is compared with the run's events, in C and on item
-    identity once the solved trace's events are read, which are the run's
-    own tuple; on a mismatch the first event that differs, or is missing
-    or extra, raises ``ValueError``, whatever that event holds.
+    ``solve_pd2`` returned for this instance object is that run and needs
+    no check.  For any other trace ``blocks`` runs pd2 on ``inst`` again
+    and compares the three tuples, in C; on a mismatch the first event that
+    differs, or is missing or extra, raises ``ValueError``.
 
-    The blocks are cut from the run's flat lists: a block opens at each
-    pick whose degree exceeds every degree before it, and that degree is
-    its label.  The first pick runs the block's first ``label`` machine-1
+    The blocks are cut from the three tuples: a block opens at each pick
+    whose degree exceeds every degree before it, and that degree is its
+    label.  The first pick runs the block's first ``label`` machine-1
     operations and is released as they end, so the offset is the label;
-    the overhang is the picks released, by the run's release times ``r``,
-    no earlier than the block's machine-1 run ends.  No walk over the
+    the overhang is the picks released, at their running degree sums, no
+    earlier than the block's machine-1 run ends.  No walk over the
     successors is needed.
     """
-    known = trace.__dict__
-    held = known.get("_run")
-    run = held if held is not None and held.inst is inst else _Run(inst)
-    if run is not held or "events" in known:
-        events, steps = trace.events, run.events
-        if events != steps:
-            for k, (got, want) in enumerate(zip_longest(events, steps)):
-                if got != want:
-                    step = got if k < len(events) else want  # want when got is missing
-                    b = f" (B{step[0]})" if _is_step(step) else ""
-                    raise ValueError(f"trace is not the pd2 run of this instance at event {k}{b}")
-    order, degree, pi, r = run.order, run.degree, run.pi, run.r
+    if trace.__dict__.get("_inst") is not inst:
+        run = solve_pd2(inst)[1]
+        if trace != run:
+            pairs = enumerate(zip_longest(trace.events, run.events))
+            # the first event that differs names its B-operation, want's if got is missing
+            k, step = next((k, got or want) for k, (got, want) in pairs if got != want)
+            raise ValueError(f"trace is not the pd2 run of this instance at event {k} (B{step[0]})")
+    order, degree, pi = trace.order, trace.degree, trace.pi
     opens = []  # the picks whose degree exceeds every degree before them
     label = -1
     for k, d in enumerate(degree):
         if d > label:
             label = d
             opens.append(k)
-    # A block's first pick has degree label, and its batch, which ends at
-    # its release, opens the block's machine-1 run; label 0's block holds
-    # the pendants alone and runs nothing.
-    starts = [r[order[k]] - degree[k] for k in opens]
     result = []
-    for first, last, start, end in zip(opens, [*opens[1:], len(order)], starts, [*starts[1:], len(pi)]):
-        b_ops = tuple(order[first:last])
+    end = 0
+    for first, last in zip(opens, [*opens[1:], len(order)]):
+        # A block's first pick has degree label, and its batch, which ends at
+        # its release, opens the block's machine-1 run; label 0's block holds
+        # the pendants alone and runs nothing.
+        start, end = end, end + sum(degree[first:last])
         # precedence-forced past the block's machine-1 tail; operations
-        # merely queued behind machine 2 do not count.  Picks come in
-        # release-time order (see _run), so those released at end or later
-        # are the block's last.
-        overhang = len(b_ops) - bisect_left(b_ops, end, key=r.__getitem__) if end > start else 0
+        # merely queued behind machine 2 do not count.  A pick is released
+        # as the batches up to its own end (see _run), so those released at
+        # end are the block's last degree pick and the zero picks after it.
+        tail = last - 1
+        while end > start and not degree[tail]:
+            tail -= 1
+        overhang = last - tail if end > start else 0
         result.append(
             Block(
                 label=degree[first],
                 a_ops=pi[start:end],
-                b_ops=b_ops,
+                b_ops=order[first:last],
                 # machine-2 starts never decrease, so the first pick, ready
                 # once its batch is done, starts first, label operations in
                 offset_len=degree[first],
@@ -356,23 +316,13 @@ def blocks(inst: Instance, trace: Pd2Trace) -> tuple[Block, ...]:
     return tuple(result)
 
 
-def _is_step(event: object) -> bool:
-    """Whether ``event`` is a (b_index, picked_degree, a_batch) triple."""
-    return type(event) is tuple and len(event) == 3 and type(event[2]) is tuple
-
-
 def trace_to_json(trace: Pd2Trace) -> str:
-    """The trace as JSON; an event that is not a step raises ``ValueError``."""
-    events = []
-    for k, event in enumerate(trace.events):
-        if not _is_step(event):
-            raise ValueError(f"trace event {k} is not a (b_index, degree, batch) triple: {event!r}")
-        j, d, batch = event
-        # a run's zero picks have empty batches; a hand-built one keeps its batch
-        if d or batch:
-            events.append({"type": "deg", "b": j, "degree": d, "a_batch": list(batch)})
-        else:
-            events.append({"type": "zero", "b": j})
+    """The trace as JSON: a ``deg`` event with its batch per degree pick, a ``zero`` event per zero pick."""
+    pi = trace.pi
+    events = [
+        {"type": "deg", "b": j, "degree": d, "a_batch": list(pi[c - d:c])} if d else {"type": "zero", "b": j}
+        for j, d, c in zip(trace.order, trace.degree, accumulate(trace.degree))
+    ]
     return json.dumps({"events": events}, indent=2) + "\n"
 
 

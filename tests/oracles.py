@@ -43,7 +43,8 @@ library computed these before pd2's pick loop wrote its schedule and
 picked_degree, batch)`` triple per pick as the pick loop built them before
 the instance kept flat pick lists; it finds each pick by scanning every
 pending B-operation for the least (current degree, index), with no bucket
-queue.
+queue.  ``steps_to_trace`` builds the ``Pd2Trace`` whose events are given
+triples, as a ``Pd2Trace`` was built by hand when it held them.
 
 ``core_numbers`` peels the multigraph on the B-operations whose edges are
 a two-successor instance's A-operations, one k-core after another: the
@@ -74,6 +75,7 @@ from crossdock import (
     FeasibilityReport,
     Instance,
     InstanceError,
+    Pd2Trace,
     Permutation,
     Schedule,
     complete_m2_erd,
@@ -346,6 +348,19 @@ def pd2_steps_by_scan(inst: Instance) -> tuple[tuple[int, int, tuple[int, ...]],
             for u in succ[a]:
                 deg[u] -= 1
     return tuple(steps)
+
+
+def steps_to_trace(steps: Iterable[tuple[int, int, tuple[int, ...]]]) -> Pd2Trace:
+    """The trace of the picks ``steps``, ``(b_index, picked_degree, batch)``
+    each: their B-operations, their degrees and their batches laid end to
+    end.  Its events are ``steps`` when each batch holds as many as its
+    degree."""
+    steps = tuple(steps)
+    return Pd2Trace(
+        order=tuple(j for j, _, _ in steps),
+        degree=tuple(d for _, d, _ in steps),
+        pi=tuple(a for _, _, batch in steps for a in batch),
+    )
 
 
 def core_numbers(inst: Instance) -> list[int]:

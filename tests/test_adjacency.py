@@ -16,7 +16,7 @@ except that ``blocks`` now rejects every trace but the pd2 run's, which
 """
 
 import heapq
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -26,7 +26,6 @@ from crossdock import (
     Block,
     Instance,
     NotD2Error,
-    Pd2Trace,
     Schedule,
     blocks,
     bounds_report,
@@ -44,7 +43,7 @@ from crossdock import (
     solve_greedy,
     solve_pd2,
 )
-from oracles import old_adjacency, old_complete_m2_erd, old_greedy_order, old_release_times
+from oracles import old_adjacency, old_complete_m2_erd, old_greedy_order, old_release_times, steps_to_trace
 
 
 # -- reference implementations ------------------------------------------------
@@ -127,7 +126,7 @@ def old_solve_pd2(inst):
         t = max(t, ready)
         start_b[j - 1] = t
         t += 1
-    return Schedule(start_a=tuple(start_a), start_b=tuple(start_b)), Pd2Trace(events=tuple(events))
+    return Schedule(start_a=tuple(start_a), start_b=tuple(start_b)), steps_to_trace(events)
 
 
 # -- differential tests --------------------------------------------------------
@@ -254,7 +253,7 @@ def validated_traces(draw):
         rng.shuffle(batch)
         done.update(batch)
         events.append((j, len(batch), tuple(batch)))
-    return inst, Pd2Trace(events=tuple(events))
+    return inst, steps_to_trace(events)
 
 
 @st.composite
@@ -265,7 +264,8 @@ def solved_d2_traces(draw):
 
 @st.composite
 def tampered_traces(draw):
-    """A validated or solved trace with one event dropped, repeated or altered."""
+    """A validated or solved trace with one event dropped, repeated or
+    altered, or with a unit of degree moved to one pick from another."""
     inst, trace = draw(st.one_of(validated_traces(), solved_d2_traces()))
     events = list(trace.events)
     k = draw(st.integers(0, len(events) - 1))
@@ -276,11 +276,18 @@ def tampered_traces(draw):
     elif how == "repeat":
         events.append(events[k])
     elif how == "degree":
-        events[k] = (j, d + 1, batch)
+        # the degrees cut pi into the batches, so their sum is kept
+        donors = [i for i, e in enumerate(trace.degree) if e and i != k]
+        if donors:
+            degree = list(trace.degree)
+            degree[draw(st.sampled_from(donors))] -= 1
+            degree[k] += 1
+            return inst, replace(trace, degree=tuple(degree))
+        del events[k]
     else:
         a = draw(st.integers(1, inst.n + 1))
         events[k] = (j, len(batch) + 1, (*batch, a))
-    return inst, Pd2Trace(events=tuple(events))
+    return inst, steps_to_trace(events)
 
 
 @given(st.one_of(solved_d2_traces(), validated_traces(), tampered_traces()))

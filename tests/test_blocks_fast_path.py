@@ -1,19 +1,18 @@
-"""The held run: the trace ``solve_pd2`` returns holds its pd2 run, and
-``blocks`` checks every trace against a run.
+"""The solved trace: the trace ``solve_pd2`` returns is its pd2 run, and
+``blocks`` checks every other trace against a run.
 
-Each ``solve_pd2`` call runs pd2 once and keeps its flat pick lists,
-schedule and release times on the trace it returns, never on the instance.
-A solved trace reads its triples from that run; ``blocks`` takes the run
-from a trace solved for the same instance object, and runs pd2 afresh for
-any other trace.  It takes a solved trace whose events were never set as
-the run and compares any other trace with the run's triples; only a trace
-that differs is walked event by event, to name the first event that
-differs.  These tests pin that: ``solve_pd2`` plus ``blocks`` on its own
-trace run pd2 once, each ``blocks`` call on any other trace runs it once
-more, the run dies with its trace, and every trace that is not the run is
-refused as before.  ``test_properties.py`` checks that the solved trace and
-an unpickled copy give the same blocks, and the blocks of the
-successor-walk oracle.
+Each ``solve_pd2`` call runs pd2 once and returns its run as the trace's
+three tuples, recording on the trace, never on the instance, the instance
+object it solved.  ``blocks`` takes a trace solved for the same instance
+object as the run, and runs pd2 afresh for any other trace, which it
+compares with the run's tuples; only a trace that differs is walked event
+by event, to name the first event that differs.  These tests pin that:
+``solve_pd2`` plus ``blocks`` on its own trace run pd2 once, each
+``blocks`` call on any other trace runs it once more, a copy carries no
+record of the instance, the run dies with its trace, and every trace that
+is not the run is refused as before.  ``test_properties.py`` checks that
+the solved trace and an unpickled copy give the same blocks, and the
+blocks of the successor-walk oracle.
 """
 
 import copy
@@ -54,8 +53,8 @@ def test_solved_trace_skips_the_replay(ex1, replays):
     assert len(replays) == 1
     blocks(ex1, trace)
     assert len(replays) == 1
-    # a trace built by hand holds no run, so blocks runs pd2 to check it
-    blocks(ex1, Pd2Trace(trace.events))
+    # a trace built by hand records no instance, so blocks runs pd2 to check it
+    blocks(ex1, Pd2Trace(trace.order, trace.degree, trace.pi))
     assert len(replays) == 2
 
 
@@ -77,7 +76,8 @@ def test_equal_but_distinct_instance_goes_through_the_replay(ex1, replays):
 
 def test_replaced_trace_goes_through_the_replay(ex1):
     _, trace = solve_pd2(ex1)
-    short = dataclasses.replace(trace, events=trace.events[:-1])
+    # the last pick, B3, is a zero pick, so pi stays whole
+    short = dataclasses.replace(trace, order=trace.order[:-1], degree=trace.degree[:-1])
     with pytest.raises(ValueError, match=f"{NOT_THE_RUN} 6 \\(B3\\)"):
         blocks(ex1, short)
 
@@ -90,27 +90,27 @@ def test_copied_trace_goes_through_the_replay(ex1, replays, trip):
     _, trace = solve_pd2(ex1)
     again = trip(trace)
     assert again == trace
-    # a copy carries the events only, not the run
-    assert "_run" not in vars(again)
+    # a copy carries the three tuples only, not the instance solved
+    assert set(vars(trace)) == {"order", "degree", "pi", "_inst"}
+    assert set(vars(again)) == {"order", "degree", "pi"}
     assert blocks(ex1, again) == blocks(ex1, trace)
     assert len(replays) == 2
 
 
 def test_swapped_events_go_through_the_replay(ex1, replays):
     _, trace = solve_pd2(ex1)
-    events = trace.events
-    object.__setattr__(trace, "events", events[:-1])
-    with pytest.raises(ValueError, match=f"{NOT_THE_RUN} 6 \\(B3\\)"):
-        blocks(ex1, trace)
-    object.__setattr__(trace, "events", (*events, (1, 0, ())))
+    order = trace.order
+    swapped = dataclasses.replace(trace, order=(*order[:3], order[4], order[3], *order[5:]))
+    with pytest.raises(ValueError, match=f"{NOT_THE_RUN} 3 \\(B6\\)"):
+        blocks(ex1, swapped)
+    extended = dataclasses.replace(trace, order=(*order, 1), degree=(*trace.degree, 0))
     with pytest.raises(ValueError, match=f"{NOT_THE_RUN} 7 \\(B1\\)"):
-        blocks(ex1, trace)
-    # an equal tuple that is not the one solve_pd2 built is compared too
-    object.__setattr__(trace, "events", tuple(list(events)))
-    assert trace.events == events and trace.events is not events
-    # the trace still holds its run, so only the hand-built trace runs pd2
-    assert blocks(ex1, trace) == blocks(ex1, Pd2Trace(events))
-    assert len(replays) == 2
+        blocks(ex1, extended)
+    # equal tuples that are not the ones solve_pd2 built are compared too
+    equal = dataclasses.replace(trace, order=tuple(list(order)), pi=tuple(list(trace.pi)))
+    assert equal == trace and equal.order is not order
+    assert blocks(ex1, equal) == blocks(ex1, trace)
+    assert len(replays) == 4
 
 
 def test_each_solve_and_each_other_trace_runs_pd2_once(ex1, replays):
@@ -121,7 +121,7 @@ def test_each_solve_and_each_other_trace_runs_pd2_once(ex1, replays):
     solved = blocks(ex1, trace)
     assert blocks(ex1, again) == solved
     assert len(replays) == 2
-    assert blocks(ex1, Pd2Trace(trace.events)) == solved
+    assert blocks(ex1, Pd2Trace(trace.order, trace.degree, trace.pi)) == solved
     assert blocks(ex1, pickle.loads(pickle.dumps(trace))) == solved
     assert len(replays) == 4
     # the trace's run was made on ex1, so blocks on a copy of ex1 runs pd2
@@ -134,8 +134,8 @@ def test_each_solve_and_each_other_trace_runs_pd2_once(ex1, replays):
 def test_the_run_dies_with_its_trace(ex1):
     _, trace = solve_pd2(ex1)
     blocks(ex1, trace)
-    run = weakref.ref(vars(trace)["_run"])
-    assert run().inst is ex1
+    assert vars(trace)["_inst"] is ex1
+    run = weakref.ref(trace)
     del trace
     assert run() is None
     # the instance, still alive, kept nothing of the run

@@ -1,17 +1,16 @@
-"""``Instance.arcs`` and a solved trace's ``events`` are built on first read.
+"""``Instance.arcs`` and a trace's ``events`` are built only when read.
 
 An instance is its successor table: ``==``, ``hash`` and ``repr`` read
 ``(n, m, _succ)``, and the arc set is a view built from the table only when
-something reads it.  Likewise the pd2 run a solved trace holds is flat
-pick lists, and the trace ``solve_pd2`` returns builds its pick triples
-from them only when something reads ``events``.  These tests pin that: the
-library and CLI pipelines build neither view and leave no run on the
-instance, and a solved trace's events, once read, are its run's own tuple
-and the eager run's triples; every generator and
-both parser paths give a canonical table, so table
-equality is arc-set equality; and a parsed instance behaves exactly as its
-constructed twin under ``==``, ``hash``, ``repr``, ``asdict``, pickle,
-``copy`` and ``deepcopy``.
+something reads it.  Likewise a pd2 trace is its run's three flat tuples,
+and it builds its pick triples from them only when something reads
+``events``, keeping none.  These tests pin that: the library and CLI
+pipelines build neither view and leave no run on the instance, and a
+solved trace holds its three tuples and the instance it solved alone, its
+events the eager run's triples; every generator and both parser paths give
+a canonical table, so table equality is arc-set equality; and a parsed
+instance behaves exactly as its constructed twin under ``==``, ``hash``,
+``repr``, ``asdict``, pickle, ``copy`` and ``deepcopy``.
 """
 
 import copy
@@ -62,13 +61,14 @@ def test_pd2_pipeline_builds_neither_view(layout):
     assert blocks(inst, trace)
     assert check_feasible(inst, sched).ok
     assert "arcs" not in vars(inst)
-    # the run lives on the trace; the instance keeps its profile alone
+    # the run is the trace; the instance keeps its profile alone
     assert set(vars(inst)) <= {"n", "m", "_succ", "profile"}
-    assert trace.events is vars(trace)["_run"].events
+    assert vars(trace)["_inst"] is inst
 
 
 def _events_unbuilt(trace):
-    return "events" not in vars(trace) and "events" not in vars(vars(trace)["_run"])
+    """Whether ``trace`` holds its three tuples and the instance solved, no triples."""
+    return set(vars(trace)) == {"order", "degree", "pi", "_inst"}
 
 
 @LAYOUTS
@@ -81,10 +81,10 @@ def test_d2_pipeline_leaves_the_trace_events_unbuilt(layout):
     blks = blocks(inst, trace)
     assert check_feasible(inst, sched).ok
     assert _events_unbuilt(trace)
-    # Read, the events are the eager run's triples and the held run's tuple.
+    # Read, the events are the eager run's triples, and the trace keeps none.
     steps = pd2_steps_by_scan(inst)
     assert trace.events == steps
-    assert trace.events is vars(trace)["_run"].events
+    assert _events_unbuilt(trace)
     assert blks == blocks_by_walk(inst, steps) == blocks(inst, trace)
 
 
@@ -104,8 +104,8 @@ def test_cli_pd2_solve_leaves_the_trace_events_unbuilt(tmp_path, monkeypatch, ca
     capsys.readouterr()
     (inst,), (trace,) = instances, traces
     assert _events_unbuilt(trace)
+    assert vars(trace)["_inst"] is inst
     assert trace.events == pd2_steps_by_scan(inst)
-    assert trace.events is vars(trace)["_run"].events
 
 
 @LAYOUTS
@@ -201,8 +201,8 @@ def test_cli_solve_and_verify_build_neither_view(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert len(instances) == 4 and len(traces) == 1
     assert not any("arcs" in vars(inst) for inst in instances)
-    assert vars(traces[0])["_run"].inst is instances[0]
-    assert traces[0].events is vars(traces[0])["_run"].events
+    assert vars(traces[0])["_inst"] is instances[0]
+    assert _events_unbuilt(traces[0])
     # verify reads the instance's successor table, not a profile.
     assert not any("profile" in vars(inst) for inst in instances[1::2])
 

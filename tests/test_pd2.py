@@ -2,7 +2,6 @@ import copy
 import dataclasses
 import hashlib
 import heapq
-import json
 import pickle
 import random
 from types import SimpleNamespace
@@ -27,7 +26,7 @@ from crossdock import (
     trace_to_json,
 )
 from crossdock.instance import _build_profile
-from oracles import core_numbers, lemma1_closed_form
+from oracles import core_numbers, lemma1_closed_form, steps_to_trace
 
 
 def m2_sequence(trace):
@@ -202,54 +201,38 @@ def test_blocks_rejects_traces_that_skip_predecessors():
     # of its two predecessors (label-1 block): neither is the pd2 run.
     for events in [((1, 0, ()), (2, 0, ())), ((1, 1, (2,)), (2, 0, ()))]:
         with pytest.raises(ValueError, match="event 0 \\(B1\\)"):
-            blocks(inst, Pd2Trace(events=events))
+            blocks(inst, steps_to_trace(events))
 
 
 def test_blocks_rejects_swapped_events(ex1):
     events = list(solve_pd2(ex1)[1].events)
     events[3], events[4] = events[4], events[3]
     with pytest.raises(ValueError, match="event 3 \\(B6\\)"):
-        blocks(ex1, Pd2Trace(events=tuple(events)))
+        blocks(ex1, steps_to_trace(events))
 
 
 def test_blocks_rejects_truncated_and_extended_traces(ex1):
     events = solve_pd2(ex1)[1].events
     with pytest.raises(ValueError, match="event 6 \\(B3\\)"):
-        blocks(ex1, Pd2Trace(events=events[:-1]))
+        blocks(ex1, steps_to_trace(events[:-1]))
     with pytest.raises(ValueError, match="event 7 \\(B1\\)"):
-        blocks(ex1, Pd2Trace(events=(*events, (1, 0, ()))))
-
-
-@pytest.mark.parametrize(
-    "events,k",
-    [(lambda ev: (*ev, ()), 7), (lambda ev: (5,), 0), (lambda ev: (None, *ev[1:]), 0), (lambda ev: ((1, 0),), 0)],
-    ids=["empty_extra", "int", "none_first", "pair"],
-)
-def test_events_that_are_not_steps_raise_value_error(ex1, events, k):
-    # Each event hashes, so the trace is built; blocks and trace_to_json then
-    # name the event, with no B-operation, since it holds none.
-    trace = Pd2Trace(events(solve_pd2(ex1)[1].events))
-    with pytest.raises(ValueError, match=f"at event {k}$"):
-        blocks(ex1, trace)
-    with pytest.raises(ValueError, match=f"trace event {k} is not a \\(b_index, degree, batch\\) triple"):
-        trace_to_json(trace)
+        blocks(ex1, steps_to_trace((*events, (1, 0, ()))))
 
 
 def test_trace_refuses_events_that_are_not_a_tuple(ex1):
     _, trace = solve_pd2(ex1)
-    with pytest.raises(TypeError, match="must be a tuple, got list"):
-        Pd2Trace(list(trace.events))
-    with pytest.raises(TypeError, match="got NoneType"):
-        Pd2Trace(None)
-    # a tuple whose steps or batches are lists cannot be hashed
-    with pytest.raises(TypeError, match="must be hashable: unhashable type: 'list'"):
-        Pd2Trace(tuple(list(e) for e in trace.events))
-    j, d, batch = trace.events[-1]
-    with pytest.raises(TypeError, match="must be hashable: unhashable type: 'list'"):
-        Pd2Trace((*trace.events[:-1], (j, d, list(batch))))
+    order, degree, pi = trace.order, trace.degree, trace.pi
+    with pytest.raises(TypeError, match="order must be a tuple of ints, got list"):
+        Pd2Trace(list(order), degree, pi)
+    with pytest.raises(TypeError, match="pi must be a tuple of ints, got NoneType"):
+        Pd2Trace(order, degree, None)
+    # an element that is not an int, bool included, is refused as well
+    for bad in (True, 1.0, "1"):
+        with pytest.raises(TypeError, match=f"degree must be a tuple of ints, got {type(bad).__name__}"):
+            Pd2Trace(order, (*degree[:-1], bad), pi)
     # a solved trace, built without these checks, is the same value as one
-    # built by hand around its events, and blocks accepts both
-    checked = Pd2Trace(tuple(trace.events))
+    # built by hand around its tuples, and blocks accepts both
+    checked = Pd2Trace(order, degree, pi)
     assert trace == checked and hash(trace) == hash(checked) and repr(trace) == repr(checked)
     assert dataclasses.asdict(trace) == dataclasses.asdict(checked)
     assert pickle.dumps(trace) == pickle.dumps(checked)
@@ -259,8 +242,45 @@ def test_trace_refuses_events_that_are_not_a_tuple(ex1):
     assert blocks(ex1, trace) == blocks(ex1, checked)
 
 
+def test_trace_refuses_degrees_that_do_not_cut_pi(ex1):
+    _, trace = solve_pd2(ex1)
+    order, degree, pi = trace.order, trace.degree, trace.pi
+    with pytest.raises(ValueError, match="degree -1 is negative"):
+        Pd2Trace(order, (-1, 1, *degree[2:]), pi)
+    with pytest.raises(ValueError, match="has 7 picks but 6 degrees"):
+        Pd2Trace(order, degree[:-1], pi)
+    with pytest.raises(ValueError, match="degrees sum to 6, but pi holds 5"):
+        Pd2Trace(order, degree, pi[:-1])
+    with pytest.raises(ValueError, match="degrees sum to 7, but pi holds 6"):
+        Pd2Trace(order, (*degree[:-1], 1), pi)
+
+
+@pytest.mark.parametrize(
+    "field,value,k",
+    [
+        # pi alone: A5 and A1 swap between B6's batch and B2's
+        ("pi", (4, 6, 1, 5, 2, 3), 4),
+        # pi alone: A1 and A2 swap inside B2's batch
+        ("pi", (4, 6, 5, 2, 1, 3), 5),
+        # degree alone: B5's one moves to B4, the sum kept
+        ("degree", (0, 0, 2, 0, 1, 3, 0), 2),
+        # degree alone: one of B2's three moves to the last pick, B3
+        ("degree", (0, 0, 1, 1, 1, 2, 1), 5),
+    ],
+    ids=["pi_across_batches", "pi_inside_a_batch", "degree_forward", "degree_to_a_zero_pick"],
+)
+def test_blocks_rejects_one_tampered_field(ex1, field, value, k):
+    _, trace = solve_pd2(ex1)
+    tampered = dataclasses.replace(trace, **{field: value})
+    # k is the first event whose triple differs
+    assert tampered.events[:k] == trace.events[:k] and tampered.events[k] != trace.events[k]
+    b = trace.order[k]
+    with pytest.raises(ValueError, match=f"^trace is not the pd2 run of this instance at event {k} \\(B{b}\\)$"):
+        blocks(ex1, tampered)
+
+
 def test_blocks_rejects_non_d2(cex):
-    trace = Pd2Trace(events=tuple((j, 0, ()) for j in range(1, cex.m + 1)))
+    trace = Pd2Trace(order=tuple(range(1, cex.m + 1)), degree=(0,) * cex.m, pi=())
     with pytest.raises(NotD2Error):
         blocks(cex, trace)
 
@@ -294,13 +314,6 @@ def test_trace_and_blocks_json(ex1):
     assert '"type": "zero"' in tj and '"type": "deg"' in tj
     bj = blocks_to_json(blocks(ex1, trace))
     assert '"label": 3' in bj and '"overhang_len": 2' in bj
-
-
-def test_trace_json_keeps_a_batch_at_degree_zero():
-    text = trace_to_json(Pd2Trace(events=((2, 0, (1,)), (1, 0, ()))))
-    assert json.loads(text) == {
-        "events": [{"type": "deg", "b": 2, "degree": 0, "a_batch": [1]}, {"type": "zero", "b": 1}]
-    }
 
 
 def _json_block(label, a_ops, b_ops, offset_len, overhang_len):
@@ -344,8 +357,8 @@ PD2_GOLDEN_DIGEST = "8ac0a7e759a7a39bf98ed689e34aee9520012180d6c473d22aa87157fe1
 
 
 def test_pd2_output_golden_digest():
-    # The first pass reads the trace's events before blocks runs, the
-    # second runs blocks while they are still unbuilt.
+    # The first pass writes the trace's JSON before blocks runs, the second
+    # runs blocks first; neither leaves anything on the trace but its run.
     for blocks_first in (False, True):
         digest = hashlib.sha256()
         for a in range(1, 60, 3):
@@ -356,7 +369,7 @@ def test_pd2_output_golden_digest():
                         sched, trace = solve_pd2(inst)
                         if blocks_first:
                             blks = blocks(inst, trace)
-                            assert "events" not in vars(trace)
+                            assert set(vars(trace)) == {"order", "degree", "pi", "_inst"}
                             text = trace_to_json(trace) + blocks_to_json(blks)
                         else:
                             text = trace_to_json(trace) + blocks_to_json(blocks(inst, trace))

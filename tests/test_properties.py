@@ -5,8 +5,10 @@ The exact subset DP is the optimum these are checked against; the seeded
 loops in ``test_exact_dp.py`` cover the same claims at n = 10-14.
 """
 
+import dataclasses
 import json
 import pickle
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, strategies as st
@@ -114,7 +116,10 @@ def test_pd2_schedule_is_its_batches_laid_out_by_release_times(inst):
     pi = tuple(a for _, _, batch in steps for a in batch)
     r = release_times(inst, pi)
     assert sched == list_schedule(inst, pi, r, [j for j, _, _ in steps])
-    assert tuple(vars(trace)["_run"].r) == (0, *r)
+    assert trace.pi == pi
+    # Pick k is released at the running sum of the picked degrees, the
+    # identity the trace's three tuples rest on.
+    assert [r[j - 1] for j in trace.order] == list(accumulate(trace.degree))
 
 
 @given(st.one_of(d2_instances(max_a=60, max_b=60), hand_built_d2(max_n=40, max_m=40)))
@@ -126,6 +131,29 @@ def test_pd2_events_are_the_scan_run(inst):
     steps = pd2_steps_by_scan(inst)
     assert trace.events == steps
     assert blks == blocks(inst, trace) == blocks_by_walk(inst, steps)
+
+
+@given(d2_instances(max_a=40, max_b=40), st.data())
+def test_blocks_names_the_first_event_a_tampered_field_changes(inst, data):
+    # Two entries of pi swapped, or one unit of degree moved between two
+    # picks, each field alone: blocks names the first event that differs.
+    _, trace = solve_pd2(inst)
+    if len(trace.pi) > 1 and data.draw(st.booleans(), label="pi"):
+        pi = list(trace.pi)
+        i, j = data.draw(st.lists(st.sampled_from(range(len(pi))), min_size=2, max_size=2, unique=True))
+        pi[i], pi[j] = pi[j], pi[i]
+        tampered = dataclasses.replace(trace, pi=tuple(pi))
+    else:
+        degree = list(trace.degree)
+        donor = data.draw(st.sampled_from([k for k, d in enumerate(degree) if d]))
+        k = data.draw(st.sampled_from([k for k in range(len(degree)) if k != donor]))
+        degree[donor] -= 1
+        degree[k] += 1
+        tampered = dataclasses.replace(trace, degree=tuple(degree))
+    k = next(k for k, (got, want) in enumerate(zip(tampered.events, trace.events)) if got != want)
+    message = f"^trace is not the pd2 run of this instance at event {k} \\(B{trace.order[k]}\\)$"
+    with pytest.raises(ValueError, match=message):
+        blocks(inst, tampered)
 
 
 @given(st.one_of(d2_instances(max_a=60, max_b=60), hand_built_d2(max_n=40, max_m=40)))
