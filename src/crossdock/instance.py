@@ -103,37 +103,21 @@ class Instance:
         return _build_profile(self)
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class DegreeProfile:
     """Adjacency views: out-degrees of the A side, in-degrees of the B side.
 
     ``out_deg[i-1]`` is the number of B-operations depending on A_i;
     ``in_deg[j-1]`` is the number of A-operations B_j waits for.
-    ``succ[i]`` and ``pred[j]`` are the sorted neighbour tuples of A_i and
-    B_j, indexed from 1; ``succ[0]`` and ``pred[0]`` are empty placeholders.
-    Every field is a tuple, so a profile cannot be changed once built.
-
-    ``pred`` is not a field: it is derived from ``succ``, built on first
-    read and then cached, and stays out of ``==`` and ``hash``.  Only pd2
-    reads it in the library, so a profile built for greedy, the bounds or
-    the checks never holds it; see ``_build_profile``.  ``repr`` shows it,
-    and so builds it.
+    ``succ[i]`` is the sorted tuple of A_i's successors, indexed from 1;
+    ``succ[0]`` is an empty placeholder.  Every field is a tuple, so a
+    profile cannot be changed once built.  No predecessor table is kept:
+    pd2, the one reader of predecessor rows, builds its own per run.
     """
 
     out_deg: tuple[int, ...]
     in_deg: tuple[int, ...]
     succ: tuple[tuple[int, ...], ...]
-
-    @cached_property
-    def pred(self) -> tuple[tuple[int, ...], ...]:
-        """The predecessor table, built from ``succ`` on first read."""
-        return _pred_table(self.succ, len(self.in_deg))
-
-    def __repr__(self) -> str:
-        return (
-            f"DegreeProfile(out_deg={self.out_deg!r}, in_deg={self.in_deg!r}, "
-            f"succ={self.succ!r}, pred={self.pred!r})"
-        )
 
 
 @dataclass(frozen=True)
@@ -147,46 +131,20 @@ def degree_profile(inst: Instance) -> DegreeProfile:
 
     Every solver, bound and check reads this one copy, so repeated calls
     cost nothing after the first.  The profile is immutable (tuples all the
-    way down), which is what makes sharing it safe.  Its ``pred`` is built
-    with it only on a two-successor instance, the one class pd2, its only
-    reader, accepts; greedy, the bounds and the checks never read it.
+    way down), which is what makes sharing it safe.
     """
     return inst.profile
 
 
 def _build_profile(inst: Instance) -> DegreeProfile:
-    """The profile of ``inst``, with ``pred`` built at once only where pd2
-    can read it.
-
-    On a two-successor instance pd2 will read ``pred``, so it is built here
-    and ``in_deg`` is taken from its row lengths.  On any other instance
-    ``in_deg`` is counted in one pass over ``succ``, in about 60 % of the
-    time building ``pred`` takes, and ``pred`` is left to be built on first
-    read.  Counting on the two-successor class would cost more, since pd2
-    then builds ``pred`` as well.
-    """
+    """The profile of ``inst``: the row lengths of its successor table, and
+    the in-degrees counted in one pass over that table, which it shares."""
     succ = inst._succ
-    out_deg = tuple(map(len, succ[1:]))
-    if out_deg.count(2) == len(out_deg):
-        pred = _pred_table(succ, inst.m)
-        prof = DegreeProfile(out_deg=out_deg, in_deg=tuple(map(len, pred[1:])), succ=succ)
-        prof.__dict__["pred"] = pred  # the value the cached property would build
-        return prof
     in_deg = [0] * (inst.m + 1)
     for row in succ:
         for j in row:
             in_deg[j] += 1
-    return DegreeProfile(out_deg=out_deg, in_deg=tuple(in_deg[1:]), succ=succ)
-
-
-def _pred_table(succ: tuple[tuple[int, ...], ...], m: int) -> tuple[tuple[int, ...], ...]:
-    """The predecessor table of successor table ``succ`` over m B-operations."""
-    pred: list[list[int]] = [[] for _ in range(m + 1)]
-    # Walking A-operations in index order fills every pred list already sorted.
-    for i in range(1, len(succ)):
-        for j in succ[i]:
-            pred[j].append(i)
-    return tuple(map(tuple, pred))
+    return DegreeProfile(out_deg=tuple(map(len, succ[1:])), in_deg=tuple(in_deg[1:]), succ=succ)
 
 
 def classify(inst: Instance) -> Classification:

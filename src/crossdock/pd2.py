@@ -13,14 +13,16 @@ completion of its latest predecessor, and each pick starts on machine 2 at
 the later of its release and the previous completion.  That is the
 machine-1 order of the batches completed in pick order, with no second
 walk over the arcs.  The bookkeeping keeps no copy of the shared
-adjacency: one done-flag per operation marks what has run.
+adjacency: one done-flag per operation marks what has run.  pd2 is the one
+reader of predecessor rows, so ``_run`` builds them from the successor
+table for its run alone.
 
 The trace is the run itself, three flat tuples and no object per pick:
 ``order``, the picks in machine-2 order; ``degree``, each pick's degree;
-and ``pi``, the machine-1 order, which is the batches laid end to end; the
-instance keeps only its profile.  Pick k is released as the first
-``c_k = sum(degree[:k + 1])`` machine-1 operations end (see ``_run``), so
-its batch is ``pi[c_k - degree[k]:c_k]``: the three tuples fix the rest.
+and ``pi``, the machine-1 order, which is the batches laid end to end.
+Pick k is released as the first ``c_k = sum(degree[:k + 1])`` machine-1
+operations end (see ``_run``), so its batch is ``pi[c_k - degree[k]:c_k]``:
+the three tuples fix the rest.
 ``events`` builds from them one ``(b_index, picked_degree, a_batch)``
 triple per pick (a zero pick is ``(j, 0, ())``) when read; solving,
 ``blocks`` and the CLI read none.  The trace decomposes into blocks: a
@@ -56,7 +58,7 @@ from dataclasses import asdict, dataclass
 from itertools import accumulate, filterfalse, zip_longest
 
 from .greedy import lower_bound
-from .instance import DegreeProfile, Instance, degree_profile
+from .instance import DegreeProfile, Instance, classify
 from .schedule import Schedule
 
 
@@ -117,13 +119,11 @@ class Block:
 
 
 def _require_d2(inst: Instance) -> DegreeProfile:
-    prof = degree_profile(inst)
-    out_deg = prof.out_deg
-    if out_deg.count(2) != len(out_deg):
-        for i, d in enumerate(out_deg, start=1):
-            if d != 2:
-                raise NotD2Error(i, d)
-    return prof
+    if not classify(inst).is_d2:
+        # the first A-operation off the class names the refusal
+        i, d = next((i, d) for i, d in enumerate(inst.profile.out_deg, start=1) if d != 2)
+        raise NotD2Error(i, d)
+    return inst.profile  # the one classify read
 
 
 def _run(prof: DegreeProfile, n: int) -> tuple[list[int], ...]:
@@ -132,19 +132,21 @@ def _run(prof: DegreeProfile, n: int) -> tuple[list[int], ...]:
     Returns ``(order, degree, pi, start_a, start_b)``, flat lists and
     no tuple per pick.  ``order`` holds the B-operations in pick order,
     which is machine-2 order, and ``degree`` each pick's degree.  Each pick
-    takes the pending B-operation of least (current degree, index), and its
-    batch is the entries of the sorted ``prof.pred[j]`` whose done-flag is
-    still clear: as many as its degree, none at degree 0.  ``pi`` is the
-    batches laid end to end, the machine-1 order.  A bucket queue realizes
-    the order: one index heap per degree level, and a ``low`` pointer
-    that falls on each decrement and rises past empty levels.  Degrees
-    only fall, so a B-operation may hold stale entries at levels above its
-    degree; a stale entry is one of an operation already picked (see the
-    loop), and is skipped when popped.  The loop ends at its last pick,
-    when no B-operation is pending, and the stale entries still in the
-    levels are dropped with them, unpopped.  Until then every pending
-    B-operation has an entry at its current degree, at least ``low``, so
-    ``low`` never passes the last level.
+    takes the pending B-operation B_j of least (current degree, index), and
+    its batch is the entries of ``pred[j]`` whose done-flag is still clear:
+    as many as its degree, none at degree 0.  ``pred`` is built here, one
+    list per B-operation filled from ``prof.succ`` in A-index order, so each
+    is sorted; the profile keeps no predecessor table, and these lists are
+    dropped when the run returns.  ``pi`` is the batches laid end to end,
+    the machine-1 order.  A bucket queue realizes the order: one index heap
+    per degree level, and a ``low`` pointer that falls on each decrement
+    and rises past empty levels.  Degrees only fall, so a B-operation may
+    hold stale entries at levels above its degree; a stale entry is one of
+    an operation already picked (see the loop), and is skipped when popped.
+    The loop ends at its last pick, when no B-operation is pending, and the
+    stale entries still in the levels are dropped with them, unpopped.
+    Until then every pending B-operation has an entry at its current
+    degree, at least ``low``, so ``low`` never passes the last level.
 
     The same loop lays out the schedule, and it is
     ``complete_m2_erd(inst, pi)``.  The batches run back to back on
@@ -164,8 +166,12 @@ def _run(prof: DegreeProfile, n: int) -> tuple[list[int], ...]:
     its own end: at the running sum of the picked degrees, zero picks
     included, which is the identity ``Pd2Trace`` rests on.
     """
-    succ, pred = prof.succ, prof.pred
+    succ = prof.succ
     deg = [0, *prof.in_deg]
+    pred: list[list[int]] = [[] for _ in deg]
+    for i, row in enumerate(succ):
+        for j in row:
+            pred[j].append(i)  # in index order, so each row is sorted
     done_a = [False] * len(succ)
     done_b = [False] * len(deg)
     r = [0] * len(deg)
@@ -318,10 +324,9 @@ def blocks(inst: Instance, trace: Pd2Trace) -> tuple[Block, ...]:
 
 def trace_to_json(trace: Pd2Trace) -> str:
     """The trace as JSON: a ``deg`` event with its batch per degree pick, a ``zero`` event per zero pick."""
-    pi = trace.pi
     events = [
-        {"type": "deg", "b": j, "degree": d, "a_batch": list(pi[c - d:c])} if d else {"type": "zero", "b": j}
-        for j, d, c in zip(trace.order, trace.degree, accumulate(trace.degree))
+        {"type": "deg", "b": j, "degree": d, "a_batch": list(batch)} if d else {"type": "zero", "b": j}
+        for j, d, batch in trace.events
     ]
     return json.dumps({"events": events}, indent=2) + "\n"
 

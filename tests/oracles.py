@@ -54,6 +54,10 @@ check, sharing no code with pd2, that its block labels are core numbers.
 the reference its own ``getrandbits`` draws must equal instance for
 instance.
 
+``pred_table`` is the predecessor table read from ``arcs``, for the tests
+and oracles that walk an instance from its B side; the library keeps no
+such table (pd2 builds its own rows for each run).
+
 ``old_adjacency``, ``old_greedy_order``, ``old_release_times`` and
 ``old_complete_m2_erd`` are the adjacency build, the greedy order and the
 ERD completion as they were before the instance shared one adjacency
@@ -148,7 +152,7 @@ def subset_dp_exact(inst: Instance) -> ExactResult:
     full = (1 << n) - 1
     # Supersets of S are larger integers, so a descending sweep finds them done.
     g = [0] * (full + 1)
-    for row in degree_profile(inst).pred[1:]:
+    for row in pred_table(inst)[1:]:
         mask = 0
         for i in row:
             mask |= 1 << (i - 1)
@@ -328,11 +332,7 @@ def pd2_steps_by_scan(inst: Instance) -> tuple[tuple[int, int, tuple[int, ...]],
     index), where the degree counts the predecessors not yet run; its batch
     is those predecessors in index order, and they run before the next pick.
     """
-    succ = inst._succ
-    pred: list[list[int]] = [[] for _ in range(inst.m + 1)]
-    for i, row in enumerate(succ):
-        for j in row:
-            pred[j].append(i)
+    succ, pred = inst._succ, pred_table(inst)
     deg = [len(p) for p in pred]
     pending = set(range(1, inst.m + 1))
     ran: set[int] = set()
@@ -417,7 +417,7 @@ def optimal_makespan_statespace(inst: Instance) -> int:
     idling allowed on both machines; every feasible schedule corresponds
     to some trajectory, so this is assumption-free.  Exponential in n+m.
     """
-    pred_mask = [sum(1 << (i - 1) for i in row) for row in degree_profile(inst).pred[1:]]
+    pred_mask = [sum(1 << (i - 1) for i in row) for row in pred_table(inst)[1:]]
     full_a = (1 << inst.n) - 1
     full_b = (1 << inst.m) - 1
     horizon = inst.n + inst.m
@@ -520,6 +520,15 @@ def serialize_by_arcs(inst: Instance, comments: Iterable[str] = ()) -> str:
     lines.append(f"p cdock {inst.n} {inst.m}")
     lines.extend(f"a {i} {j}" for i, row in enumerate(inst._succ) for j in row)
     return "\n".join(lines) + "\n"
+
+
+def pred_table(inst: Instance) -> tuple[tuple[int, ...], ...]:
+    """The predecessor table of ``inst``, read from ``arcs``: ``pred[j]``
+    holds B_j's predecessors in ascending order, and ``pred[0] == ()``."""
+    pred: list[list[int]] = [[] for _ in range(inst.m + 1)]
+    for i, j in inst.arcs:
+        pred[j].append(i)
+    return tuple(tuple(sorted(row)) for row in pred)
 
 
 def old_adjacency(inst: Instance) -> tuple:

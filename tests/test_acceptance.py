@@ -27,7 +27,7 @@ from crossdock import (
     solve_pd2,
     TightParams,
 )
-from oracles import best_m2_bruteforce, optimal_makespan_statespace
+from oracles import best_m2_bruteforce, optimal_makespan_statespace, pred_table
 
 
 def _report(num: int, name: str) -> None:
@@ -44,7 +44,8 @@ def test_criterion_1_worked_example_replay(ex1):
     sched, trace = solve_pd2(ex1)
 
     # replay the per-iteration sorted degree vectors after each batch
-    pred = {j: set(prof.pred[j]) for j in range(1, 8)}
+    rows = pred_table(ex1)
+    pred = {j: set(rows[j]) for j in range(1, 8)}
     removed_b: set[int] = set()
     snapshots = []
     for b, d, batch in trace.events:

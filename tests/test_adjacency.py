@@ -16,7 +16,7 @@ except that ``blocks`` now rejects every trace but the pd2 run's, which
 """
 
 import heapq
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -24,6 +24,7 @@ from hypothesis import example, given, strategies as st
 import crossdock.instance as instance_module
 from crossdock import (
     Block,
+    DegreeProfile,
     Instance,
     NotD2Error,
     Schedule,
@@ -43,7 +44,14 @@ from crossdock import (
     solve_greedy,
     solve_pd2,
 )
-from oracles import old_adjacency, old_complete_m2_erd, old_greedy_order, old_release_times, steps_to_trace
+from oracles import (
+    old_adjacency,
+    old_complete_m2_erd,
+    old_greedy_order,
+    old_release_times,
+    pred_table,
+    steps_to_trace,
+)
 
 
 # -- reference implementations ------------------------------------------------
@@ -87,8 +95,8 @@ def instance_and_order(draw):
 def old_solve_pd2(inst):
     prof = degree_profile(inst)
     assert all(d == 2 for d in prof.out_deg)
-    succ = prof.succ
-    pred = [set(p) for p in prof.pred]
+    succ, rows = prof.succ, pred_table(inst)
+    pred = [set(p) for p in rows]
     deg = [0, *prof.in_deg]
     alive_a = set(range(1, inst.n + 1))
     done_b = [False] * (inst.m + 1)
@@ -122,7 +130,7 @@ def old_solve_pd2(inst):
     start_b = [0] * inst.m
     t = 0
     for j in m2_seq:
-        ready = max((start_a[i - 1] + 1 for i in prof.pred[j]), default=0)
+        ready = max((start_a[i - 1] + 1 for i in rows[j]), default=0)
         t = max(t, ready)
         start_b[j - 1] = t
         t += 1
@@ -138,7 +146,7 @@ def test_profile_matches_dict_adjacency(inst):
     out_deg, in_deg, succ, pred = old_adjacency(inst)
     assert (prof.out_deg, prof.in_deg) == (out_deg, in_deg)
     assert prof.succ[1:] == tuple(succ[i] for i in range(1, inst.n + 1))
-    assert prof.pred[1:] == tuple(pred[j] for j in range(1, inst.m + 1))
+    assert pred_table(inst)[1:] == tuple(pred[j] for j in range(1, inst.m + 1))
 
 
 # greedy_order sums a row's in-degrees with itemgetter(0, 0, *row): rows of
@@ -188,7 +196,7 @@ def d2_instances_with_pendants(draw):
 
 
 def old_blocks(inst, trace):
-    prof = degree_profile(inst)
+    pred = pred_table(inst)
     seen_a = set()
     seen_b = set()
     for j, d, batch in trace.events:
@@ -198,7 +206,7 @@ def old_blocks(inst, trace):
         if len(batch) != d:
             raise ValueError(f"batch size mismatch at B{j}")
         for a in batch:
-            if a in seen_a or a not in prof.pred[j]:
+            if a in seen_a or a not in pred[j]:
                 raise ValueError(f"trace/instance mismatch at A{a}")
             seen_a.add(a)
     if seen_b != set(range(1, inst.m + 1)):
@@ -225,7 +233,7 @@ def old_blocks(inst, trace):
         starts = []
         overhang = 0
         for j in b_ops:
-            ready = max((pos[i] + 1 for i in prof.pred[j] if i in pos), default=0)
+            ready = max((pos[i] + 1 for i in pred[j] if i in pos), default=0)
             if n_a and ready >= n_a:
                 overhang += 1
             t = max(t, ready)
@@ -245,7 +253,7 @@ def validated_traces(draw):
     rng = draw(st.randoms(use_true_random=False))
     order = list(range(1, inst.m + 1))
     rng.shuffle(order)
-    pred = degree_profile(inst).pred
+    pred = pred_table(inst)
     done = set()
     events = []
     for j in order:
@@ -322,45 +330,63 @@ def test_greedy_order_dense_instance():
 # -- the cached profile --------------------------------------------------------
 
 
-def test_profile_is_cached_and_read_only(ex1):
+def counting_builds(monkeypatch):
+    """The instances ``_build_profile`` builds a profile for, in call order."""
+    built = []
+    real_build = instance_module._build_profile
+
+    def counting_build(inst):
+        built.append(inst)
+        return real_build(inst)
+
+    monkeypatch.setattr(instance_module, "_build_profile", counting_build)
+    return built
+
+
+def test_profile_is_cached_and_read_only(ex1, monkeypatch):
+    """One build per instance, on the two-successor class and off it."""
+    inst = Instance(n=4, m=5, arcs=[(1, 1), (1, 2), (1, 4), (2, 4), (4, 2), (4, 5)])
+    twin = instance_module._build_profile(inst)  # built before the count starts
+    built = counting_builds(monkeypatch)
     prof = degree_profile(ex1)
     assert degree_profile(ex1) is prof is ex1.profile
+    assert built == [ex1]
     assert prof.succ is ex1._succ  # a constructed instance's own table, not a copy
-    assert "pred" in vars(prof)  # a two-successor instance's profile comes with pred
-    assert all(type(row) is tuple for row in prof.succ + prof.pred)
+    assert all(type(row) is tuple for row in prof.succ)
     with pytest.raises(FrozenInstanceError):
         prof.succ = ()
     with pytest.raises(TypeError):
         prof.succ[1] = (9,)
-    with pytest.raises(AttributeError):
-        prof.pred[2].append(9)
     with pytest.raises(FrozenInstanceError):
         ex1.profile = prof
     with pytest.raises(FrozenInstanceError):
         del ex1.profile
     assert degree_profile(ex1) is prof
 
-    # Off the two-successor class pred is built on its first read, once.
-    inst = Instance(n=4, m=5, arcs=[(1, 1), (1, 2), (1, 4), (2, 4), (4, 2), (4, 5)])
     prof = degree_profile(inst)
-    twin = instance_module._build_profile(inst)
-    assert "pred" not in vars(prof) and "pred" not in vars(twin)
-    before = (prof == twin, hash(prof), repr(twin))  # repr builds twin's pred only
-    assert "pred" not in vars(prof)
-    pred = prof.pred
+    assert built == [ex1, inst]
+    pred = pred_table(inst)
     assert pred == ((), (1,), (1, 4), (), (1, 2), (4,))
-    assert prof.pred is pred and vars(prof)["pred"] is pred
     assert all(type(row) is tuple for row in pred)
     with pytest.raises(FrozenInstanceError):
         prof.pred = pred
     with pytest.raises(FrozenInstanceError):
         del prof.pred
-    assert before == (prof == twin, hash(prof), repr(prof)) == (True, hash(twin), repr(twin))
+    assert (prof == twin, hash(prof), repr(prof)) == (True, hash(twin), repr(twin))
     assert repr(prof) == (
         "DegreeProfile(out_deg=(3, 1, 0, 2), in_deg=(1, 2, 0, 2, 1), "
-        "succ=((), (1, 2, 4), (4,), (), (2, 5)), pred=((), (1,), (1, 4), (), (1, 2), (4,)))"
+        "succ=((), (1, 2, 4), (4,), (), (2, 5)))"
     )
     assert degree_profile(inst) is prof
+    assert built == [ex1, inst]
+
+
+def test_profile_holds_three_fields_and_no_predecessor_table():
+    assert [f.name for f in fields(DegreeProfile)] == ["out_deg", "in_deg", "succ"]
+    prof = degree_profile(Instance(n=4, m=5, arcs=[(1, 1), (1, 2), (1, 4), (2, 4), (4, 2), (4, 5)]))
+    assert set(vars(prof)) == {"out_deg", "in_deg", "succ"}
+    with pytest.raises(AttributeError):
+        prof.pred
 
 
 def test_profile_is_not_a_field(ex1):
@@ -401,27 +427,12 @@ def pd2_pipeline(text):
     ids=["greedy", "pd2"],
 )
 def test_one_adjacency_build_per_instance(monkeypatch, pipeline, make):
-    """One profile per instance; its pred is built once on the pd2 path,
-    its only reader, and never on the greedy path."""
+    """One profile per instance on either path, holding its three fields
+    only: pd2 keeps its predecessor lists to its own run."""
     texts = [serialize_instance(make(seed)) for seed in range(3)]
-    built, pred_built = [], []
-    real_build, real_pred = instance_module._build_profile, instance_module._pred_table
-
-    def counting_build(inst):
-        built.append(inst)
-        return real_build(inst)
-
-    def counting_pred(succ, m):
-        pred_built.append(succ)
-        return real_pred(succ, m)
-
-    monkeypatch.setattr(instance_module, "_build_profile", counting_build)
-    monkeypatch.setattr(instance_module, "_pred_table", counting_pred)
+    built = counting_builds(monkeypatch)
     for k, text in enumerate(texts, start=1):
         inst = pipeline(text)
-        assert len(built) == k
-        if pipeline is greedy_pipeline:
-            assert "pred" not in vars(inst.profile) and not pred_built
-        else:
-            assert "pred" in vars(inst.profile)
-            assert len(pred_built) == k and pred_built[-1] is inst._succ
+        assert len(built) == k and built[-1] is inst
+        assert set(vars(inst.profile)) == {"out_deg", "in_deg", "succ"}
+        assert inst.profile.succ is inst._succ

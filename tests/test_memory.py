@@ -1,12 +1,12 @@
 """Memory in proportion to the input: the tracemalloc peak of the greedy
 pipeline, parse -> profile -> greedy_order -> complete_m2_erd.
 
-Each bound is the figure measured on the commit that added this file
+Each bound is the figure measured on the commit that last set it
 (CPython 3.11.7, where the peaks are the same from run to run and under
-``-X dev``) plus ``MARGIN``; CPython 3.13 reads within 2 % of them.  An
-arc-free header is a valid instance, and every structure
-that holds one object per operation shows in its peak; gen_d2 adds the
-per-arc ones.  A CI step applies the header bound at 10^6 x 10^6.
+``-X dev``) plus ``MARGIN``; CPython 3.13 read within 2 % of the first
+figures and was not run on later ones.  An arc-free header is a valid
+instance, and every structure that holds one object per operation shows
+in its peak; gen_d2 adds the per-arc ones.  A CI step applies the header bound at 10^6 x 10^6.
 """
 
 import gc
@@ -18,8 +18,8 @@ MARGIN = 1.15
 
 # 26 373 032 bytes at p cdock 100000 100000, over 2 * 10^5 operations.
 HEADER_BYTES_PER_OP = 131.87 * MARGIN
-# 10 056 400 bytes for gen_d2(20000, 20000, 400, 3), over its 40 000 arcs.
-D2_BYTES_PER_ARC = 251.41 * MARGIN
+# 8 392 032 bytes for gen_d2(20000, 20000, 400, 3), over its 40 000 arcs.
+D2_BYTES_PER_ARC = 209.80 * MARGIN
 
 
 def pipeline_peak(text: str) -> int:

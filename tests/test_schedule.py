@@ -21,7 +21,7 @@ from crossdock import (
     TightParams,
 )
 from conftest import EX1_GREEDY_PI
-from oracles import best_m2_bruteforce, check_feasible_by_walk
+from oracles import best_m2_bruteforce, check_feasible_by_walk, pred_table
 
 
 def test_release_times_ex1(ex1):
@@ -47,10 +47,11 @@ def test_release_times_dominate_degrees_and_predecessors():
         pi = tuple(rng.sample(range(1, n + 1), n))
         r = release_times(inst, pi)
         prof = degree_profile(inst)
+        pred = pred_table(inst)
         pos = {a: k for k, a in enumerate(pi)}
         for j in range(1, m + 1):
             assert r[j - 1] >= prof.in_deg[j - 1]
-            for i in prof.pred[j]:
+            for i in pred[j]:
                 assert r[j - 1] >= pos[i] + 1
 
 
