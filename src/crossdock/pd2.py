@@ -6,13 +6,11 @@ remaining predecessors on machine 1, and updates degrees.  The resulting
 schedule meets ``lower_bound``, the paper's corrected bound, hence is
 optimal; Lemma 1's class bound max{n+2, m} (max{n+2, m+1} without pendant
 B-operations) is that bound restricted to this class, and ``lemma1_bound``
-returns it.  One private function, ``_run``, is the pick loop, and it lays
-out the schedule as it picks: each batch's A-operations take the next
-machine-1 positions, each successor's release time is overwritten with the
-completion of its latest predecessor, and each pick starts on machine 2 at
-the later of its release and the previous completion.  That is the
-machine-1 order of the batches completed in pick order, with no second
-walk over the arcs.  The bookkeeping keeps no copy of the shared
+returns it.  One private function, ``_run``, is the pick loop, and it
+returns the trace alone; ``solve_pd2`` lays the schedule out from the
+trace with no walk over the arcs: each A-operation at its position in
+``pi``, each pick on machine 2 at the later of its release and the
+previous completion.  The bookkeeping keeps no copy of the shared
 adjacency: one done-flag per operation marks what has run.  pd2 is the one
 reader of predecessor rows, so ``_run`` builds them from the successor
 table for its run alone.
@@ -21,8 +19,8 @@ The trace is the run itself, three flat tuples and no object per pick:
 ``order``, the picks in machine-2 order; ``degree``, each pick's degree;
 and ``pi``, the machine-1 order, which is the batches laid end to end.
 Pick k is released as the first ``c_k = sum(degree[:k + 1])`` machine-1
-operations end (see ``_run``), so its batch is ``pi[c_k - degree[k]:c_k]``:
-the three tuples fix the rest.
+operations end (see ``solve_pd2``), so its batch is
+``pi[c_k - degree[k]:c_k]``: the three tuples fix the rest.
 ``events`` builds from them one ``(b_index, picked_degree, a_batch)``
 triple per pick (a zero pick is ``(j, 0, ())``) when read; solving,
 ``blocks`` and the CLI read none.  The trace decomposes into blocks: a
@@ -126,14 +124,13 @@ def _require_d2(inst: Instance) -> DegreeProfile:
     return inst.profile  # the one classify read
 
 
-def _run(prof: DegreeProfile, n: int) -> tuple[list[int], ...]:
-    """The pd2 run on ``prof`` (with ``n`` A-operations) and its schedule.
+def _run(prof: DegreeProfile) -> tuple[list[int], list[int], list[int]]:
+    """The pd2 run on ``prof``: ``(order, degree, pi)``, flat lists.
 
-    Returns ``(order, degree, pi, start_a, start_b)``, flat lists and
-    no tuple per pick.  ``order`` holds the B-operations in pick order,
-    which is machine-2 order, and ``degree`` each pick's degree.  Each pick
-    takes the pending B-operation B_j of least (current degree, index), and
-    its batch is the entries of ``pred[j]`` whose done-flag is still clear:
+    ``order`` holds the B-operations in pick order, which is machine-2
+    order, and ``degree`` each pick's degree.  Each pick takes the pending
+    B-operation B_j of least (current degree, index), and its batch is the
+    entries of ``pred[j]`` whose done-flag is still clear:
     as many as its degree, none at degree 0.  ``pred`` is built here, one
     list per B-operation filled from ``prof.succ`` in A-index order, so each
     is sorted; the profile keeps no predecessor table, and these lists are
@@ -147,24 +144,6 @@ def _run(prof: DegreeProfile, n: int) -> tuple[list[int], ...]:
     stale entries still in the levels are dropped with them, unpopped.
     Until then every pending B-operation has an entry at its current
     degree, at least ``low``, so ``low`` never passes the last level.
-
-    The same loop lays out the schedule, and it is
-    ``complete_m2_erd(inst, pi)``.  The batches run back to back on
-    machine 1, and ``r[u]`` (``r[0]`` unused) is overwritten with the
-    completion of each predecessor of B_u as it runs, so it ends as B_u's
-    release time under ``pi``.  Each pick starts on machine 2 at the later
-    of its release and the previous completion, so it remains to see that
-    pick order is the ERD order, release time then index.  Pendants,
-    released at 0, come first in index order.  A degree pick's release is
-    the end of its own batch, which rises from pick to pick; so the batch
-    of the pick of B_j at degree d is ``pi[r[j] - d:r[j]]``.  A zero pick
-    released in the batch of the degree pick j had degree at least j's
-    when j was picked, and its pending predecessors all lie in j's batch,
-    so they are exactly that batch: it has j's release time and, the
-    degrees being equal, a larger index than j.  The zero picks after j
-    follow in index order.  So every pick is released as the batches up to
-    its own end: at the running sum of the picked degrees, zero picks
-    included, which is the identity ``Pd2Trace`` rests on.
     """
     succ = prof.succ
     deg = [0, *prof.in_deg]
@@ -174,9 +153,6 @@ def _run(prof: DegreeProfile, n: int) -> tuple[list[int], ...]:
             pred[j].append(i)  # in index order, so each row is sorted
     done_a = [False] * len(succ)
     done_b = [False] * len(deg)
-    r = [0] * len(deg)
-    start_a = [0] * n
-    start_b = [0] * (len(deg) - 1)
     order: list[int] = []
     degree: list[int] = []
     pi: list[int] = []
@@ -187,7 +163,6 @@ def _run(prof: DegreeProfile, n: int) -> tuple[list[int], ...]:
     add_pick, add_degree, add_a = order.append, degree.append, pi.append
     low = 0
     left = len(deg) - 1  # B-operations not yet picked
-    pos = t = 0  # machine-1 and machine-2 completions so far
     while left:
         level = levels[low]
         if not level:
@@ -209,10 +184,7 @@ def _run(prof: DegreeProfile, n: int) -> tuple[list[int], ...]:
             for a in filterfalse(done_a.__getitem__, pred[j]):
                 done_a[a] = True
                 add_a(a)
-                start_a[a - 1] = pos
-                pos += 1
                 for u in succ[a]:
-                    r[u] = pos
                     if done_b[u]:
                         continue
                     d = deg[u] - 1
@@ -220,21 +192,42 @@ def _run(prof: DegreeProfile, n: int) -> tuple[list[int], ...]:
                     heappush(levels[d], u)
                     if d < low:
                         low = d
-        rj = r[j]
-        if t < rj:
-            t = rj
-        start_b[j - 1] = t
-        t += 1
     # The done-flags let no A-operation run twice, so this says every one
     # ran: each has a successor, whose pick runs its pending predecessors.
-    if pos != n:
-        raise AssertionError(f"pd2 ran {pos} of {n} A-operations")
-    return order, degree, pi, start_a, start_b
+    if len(pi) != len(succ) - 1:
+        raise AssertionError(f"pd2 ran {len(pi)} of {len(succ) - 1} A-operations")
+    return order, degree, pi
 
 
 def solve_pd2(inst: Instance) -> tuple[Schedule, Pd2Trace]:
-    """Run the degree-driven exact algorithm; returns schedule and trace."""
-    order, degree, pi, start_a, start_b = _run(_require_d2(inst), inst.n)
+    """Run the degree-driven exact algorithm; returns schedule and trace.
+
+    The schedule is laid out from the trace alone, and it is
+    ``complete_m2_erd(inst, pi)``.  Machine 1 runs ``pi`` back to back, and
+    each pick starts on machine 2 at the later of ``c_k``, the running sum
+    of the picked degrees, and the previous completion.  So it remains to
+    see that pick k is released at ``c_k`` and that pick order is the ERD
+    order, release time then index.  Pendants, released at 0, come first in
+    index order.  A degree pick runs its last pending predecessors, so it
+    is released as its own batch ends, at ``c_k``, which rises from pick to
+    pick.  A zero pick released in the batch of the degree pick j had
+    degree at least j's when j was picked, and its pending predecessors all
+    lie in j's batch, so they are exactly that batch: it has j's release
+    time and, the degrees being equal, a larger index than j.  The zero
+    picks after j follow in index order, and add nothing to the sum.  So
+    every pick is released at ``c_k``, the identity ``Pd2Trace`` rests on.
+    """
+    order, degree, pi = _run(_require_d2(inst))
+    start_a = [0] * len(pi)
+    for k, a in enumerate(pi):
+        start_a[a - 1] = k
+    start_b = [0] * len(order)
+    t = 0
+    for j, c in zip(order, accumulate(degree)):
+        if t < c:
+            t = c
+        start_b[j - 1] = t
+        t += 1
     trace = Pd2Trace.__new__(Pd2Trace)
     # _run's lists meet __post_init__'s checks; _inst lets blocks skip its re-run
     trace.__dict__.update(order=tuple(order), degree=tuple(degree), pi=tuple(pi), _inst=inst)
@@ -302,8 +295,9 @@ def blocks(inst: Instance, trace: Pd2Trace) -> tuple[Block, ...]:
         start, end = end, end + sum(degree[first:last])
         # precedence-forced past the block's machine-1 tail; operations
         # merely queued behind machine 2 do not count.  A pick is released
-        # as the batches up to its own end (see _run), so those released at
-        # end are the block's last degree pick and the zero picks after it.
+        # as the batches up to its own end (see solve_pd2), so those
+        # released at end are the block's last degree pick and the zero
+        # picks after it.
         tail = last - 1
         while end > start and not degree[tail]:
             tail -= 1

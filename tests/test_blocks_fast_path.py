@@ -40,9 +40,9 @@ def replays(monkeypatch):
     runs = []
     run = pd2._run
 
-    def counted(prof, n):
+    def counted(prof):
         runs.append(prof)
-        return run(prof, n)
+        return run(prof)
 
     monkeypatch.setattr(pd2, "_run", counted)
     return runs

@@ -4,9 +4,10 @@ All 74 954 instances of ``all_instances(4, 4)`` are solved exactly.  On each
 one the certified chain ``lower_bound <= optimum <= greedy <= greedy_upper``
 must hold and both schedules must be feasible.  On each of the 1 678
 two-successor instances pd2 must meet the optimum, which must equal Lemma 1's
-bound in both forms, each pick must be released at the running sum of the
-picked degrees, its blocks must be the ones the successor walk measures,
-and every block label must be the core number of its B-operations.
+bound in both forms, its schedule must be the ERD completion of its machine-1
+order, each pick must be released at the running sum of the picked degrees,
+its blocks must be the ones the successor walk measures, and every block
+label must be the core number of its B-operations.
 
 The counts are pinned, so a change to a solver or a bound that moves any of
 them fails here even where every inequality still holds.  The state-space
@@ -26,6 +27,7 @@ from crossdock import (
     bounds_report,
     check_feasible,
     classify,
+    complete_m2_erd,
     lemma1_bound,
     makespan,
     release_times,
@@ -84,6 +86,7 @@ def test_census_up_to_4_by_4():
             sched, trace = solve_pd2(inst)
             assert makespan(sched) == opt == lemma1_bound(inst) == lemma1_closed_form(inst), inst
             assert check_feasible(inst, sched).ok, inst
+            assert sched == complete_m2_erd(inst, trace.pi), inst
             r = release_times(inst, trace.pi)
             assert [r[j - 1] for j in trace.order] == list(accumulate(trace.degree)), inst
             blks = blocks(inst, trace)

@@ -69,10 +69,10 @@ def test_solve_pd2_rejects_non_d2():
 
 def test_run_raises_when_an_a_operation_never_runs():
     # A2 has no successor, so no pick runs it; without the check the run
-    # would return start_a == [0, 0].
+    # would return pi == [1], and A2 would be laid out at A1's start, 0.
     prof = _build_profile(Instance(2, 2, frozenset({(1, 1), (1, 2)})))
     with pytest.raises(AssertionError, match="pd2 ran 1 of 2 A-operations"):
-        pd2._run(prof, 2)
+        pd2._run(prof)
 
 
 @pytest.mark.parametrize("a,b,pendants", [(2000, 2000, 40), (2000, 200, 0)], ids=["sparse", "deep_core"])

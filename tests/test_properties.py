@@ -109,8 +109,8 @@ def test_solved_trace_gives_the_replayed_blocks(inst):
 
 @given(d2_instances(max_a=60, max_b=60))
 def test_pd2_schedule_is_its_batches_laid_out_by_release_times(inst):
-    # The pick loop writes the schedule and release times itself; they must
-    # be the batches' concatenation laid out by release_times in pick order.
+    # solve_pd2 lays the schedule out from the trace alone; it must be the
+    # batches' concatenation laid out by release_times in pick order.
     sched, trace = solve_pd2(inst)
     steps = trace.events
     pi = tuple(a for _, _, batch in steps for a in batch)
