@@ -2,19 +2,20 @@
 
 Machine-1 operations are ordered by descending out-degree d; ties fall
 back to the ratio d/S, larger first, where S is the total in-degree of the
-successors, and then to the index.  The sort key is the integer triple
-(-d, S, i).  Within one out-degree d > 0 a larger d/S is exactly a smaller
-S (S >= d > 0, since A_i counts toward each successor's in-degree), and for
-d = 0 the ratio and S are both 0, leaving the index.  The certificate
-bounds the greedy makespan by max{q+m, n}, where q is the shortest order
-prefix whose out-degree sum exceeds the arc total minus m, and divides by a
-proven lower bound on the optimum.
+successors, and then to the index.  That is the order of the integer
+triple (-d, S, i): within one out-degree d > 0 a larger d/S is exactly a
+smaller S (S >= d > 0, since A_i counts toward each successor's
+in-degree), and for d = 0 the ratio and S are both 0, leaving the index.
+The certificate bounds the greedy makespan by max{q+m, n}, where q is the
+shortest order prefix whose out-degree sum exceeds the arc total minus m,
+and divides by a proven lower bound on the optimum.
 
-S is summed with one C call per row: ``itemgetter(0, 0, *succ[i])`` picks
-the row's in-degrees out of ``(0, *in_deg)``, which is indexed from 1 like
-``succ``, and ``sum`` adds the tuple it returns.  The two leading zeros add
-nothing to S; they make a row of 0 or 1 successors give a tuple too, where
-``itemgetter`` would refuse no index and give a bare int for one.
+No triple is built: the indices are sorted by S, then by d with
+``reverse=True``.  Python's sort is stable, ``reverse`` included, so each
+run of equal d keeps the (S, i) order of the first sort.  S is summed by
+one C call per row: ``itemgetter(0, 0, *row)`` picks the row's in-degrees
+out of ``(0, *in_deg)``, indexed from 1 like ``succ``; the two zeros add
+nothing and make a row of 0 or 1 successors give a tuple too.
 
 The lower bound deserves a note.  The published form max{m+dminA, n+dminB}
 can exceed the optimum (n=1, m=3, a single arc gives 4 versus an optimum
@@ -51,16 +52,14 @@ class BoundsReport:
 def greedy_order(inst: Instance) -> Permutation:
     """Order A-operations by out-degree, then by the successor-weight ratio.
 
-    A-operations with no successors sort last; the key is all integers.
+    A-operations with no successors sort last; both sort keys are integers.
     """
     prof = degree_profile(inst)
-    out_deg, succ = prof.out_deg, prof.succ
     in_deg = (0, *prof.in_deg)  # indexed from 1, like succ
-
-    def key(i: int) -> tuple[int, int, int]:
-        return (-out_deg[i - 1], sum(itemgetter(0, 0, *succ[i])(in_deg)), i)
-
-    return tuple(sorted(range(1, inst.n + 1), key=key))
+    weight = [sum(itemgetter(0, 0, *row)(in_deg)) for row in prof.succ]
+    order = sorted(range(1, inst.n + 1), key=weight.__getitem__)
+    order.sort(key=(0, *prof.out_deg).__getitem__, reverse=True)
+    return tuple(order)
 
 
 def solve_greedy(inst: Instance) -> Schedule:

@@ -7,7 +7,11 @@ Each bound is the figure measured on the commit that last set it
 ``-X dev``) plus ``MARGIN``; CPython 3.13 read within 2 % of the first
 figures and was not run on later ones.  An arc-free header is a valid
 instance, and every structure that holds one object per operation shows
-in its peak; gen_d2 adds the per-arc ones.  CI steps apply the header
+in its peak; gen_d2 adds the per-arc ones.  The two greedy bounds were
+set when greedy_order's key tuple per operation gave way to two stable
+sorts, and complete_m2_erd's bucket list per release time to one sort.
+The code before peaked at 131.87 bytes per operation and 209.80 per arc,
+so building either structure again fails them.  CI steps apply the header
 bound at 10^6 x 10^6 and the pd2 bound at n = m = 200 000.
 """
 
@@ -27,10 +31,10 @@ from crossdock import (
 
 MARGIN = 1.15
 
-# 26 373 032 bytes at p cdock 100000 100000, over 2 * 10^5 operations.
-HEADER_BYTES_PER_OP = 131.87 * MARGIN
-# 8 392 032 bytes for gen_d2(20000, 20000, 400, 3), over its 40 000 arcs.
-D2_BYTES_PER_ARC = 209.80 * MARGIN
+# 18 769 828 bytes at p cdock 100000 100000, over 2 * 10^5 operations.
+HEADER_BYTES_PER_OP = 93.85 * MARGIN
+# 6 367 212 bytes for gen_d2(20000, 20000, 400, 3), over its 40 000 arcs.
+D2_BYTES_PER_ARC = 159.18 * MARGIN
 # 6 854 412 bytes for parse -> classify -> solve_pd2 on the same instance.
 D2_PD2_BYTES_PER_ARC = 171.36 * MARGIN
 
